@@ -23,7 +23,9 @@ cdef inline int popcount(u64 x) noexcept:
     return c
 
 
-def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget):
+def solve_embed(
+    adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
+):
     """See treebed._kernel_py.solve_embed; hosts must have n <= 64 here."""
     cdef int m = len(parent_pos)
     cdef int n = len(adj)
@@ -32,6 +34,7 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
     if m == 0:
         return FOUND, [], 0
     cdef u64 *c_adj = <u64 *> malloc(n * sizeof(u64))
+    cdef u64 *c_lower = <u64 *> malloc(n * sizeof(u64))
     cdef int *c_deg = <int *> malloc(n * sizeof(int))
     cdef int *c_order = <int *> malloc(n * sizeof(int))
     cdef int *c_parent = <int *> malloc(m * sizeof(int))
@@ -41,7 +44,7 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
     cdef int *c_symprev = <int *> malloc(m * sizeof(int))
     cdef int *img = <int *> malloc(m * sizeof(int))
     cdef int *ptr = <int *> malloc(m * sizeof(int))
-    if (c_adj == NULL or c_deg == NULL or c_order == NULL or c_parent == NULL
+    if (c_adj == NULL or c_lower == NULL or c_deg == NULL or c_order == NULL or c_parent == NULL
             or c_allowed == NULL or c_tdeg == NULL or c_nchild == NULL
             or c_symprev == NULL or img == NULL or ptr == NULL):
         raise MemoryError()
@@ -52,6 +55,7 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
     try:
         for i in range(n):
             c_adj[i] = <u64> adj[i]
+            c_lower[i] = <u64> lower_twins[i]
             c_deg[i] = host_deg[i]
             c_order[i] = host_order[i]
         for i in range(m):
@@ -88,6 +92,9 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
                 if h <= floor_:
                     h = -1
                     continue
+                if c_lower[h] & ~used:
+                    h = -1
+                    continue
                 if popcount(c_adj[h] & ~used & ~bit) < kids:
                     h = -1
                     continue
@@ -118,6 +125,7 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
         return status, None, int(nodes)
     finally:
         free(c_adj)
+        free(c_lower)
         free(c_deg)
         free(c_order)
         free(c_parent)

@@ -13,7 +13,9 @@ NOT_FOUND = 1
 BUDGET = 2
 
 
-def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget):
+def solve_embed(
+    adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
+):
     """Backtracking search for an injective, edge-preserving tree placement.
 
     adj:        per-host-vertex neighbour bitmask
@@ -26,6 +28,21 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
     symprev:    earlier sibling position carrying an identical subtree, else -1;
                 the image of i must exceed that sibling's image (symmetry cut,
                 sound because swapping the two subtree images is an automorphism)
+    lower_twins: per-host-vertex mask of its host twins with smaller ids (all
+                zeros disables the cut); a candidate h is skipped while any of
+                them is unused
+
+    The twin cut is value-symmetry breaking.  Twins u, v satisfy
+    N(u) - {v} = N(v) - {u}, so swapping them is a host automorphism; the
+    caller leaves pinned host vertices out of every twin class, so the swap
+    also fixes every pin.  When h and a smaller twin h' are both unused, the
+    swap fixes the partial map too, and h' passes every filter h passes (same
+    adjacency to the parent's image, same degree, same count of unused
+    neighbours).  Any embedding placing h here thus has a swapped copy placing
+    h', and h' comes first in host_order (equal degree, smaller id): the
+    lexicographically first embedding is never cut.  Combining this cut with
+    symprev is not covered by that argument, so callers pass symprev all -1
+    whenever lower_twins is nonzero.
 
     Returns (status, images|None, nodes); nodes counts accepted placements.
     A NOT_FOUND status means the constrained search space was exhausted.
@@ -59,6 +76,8 @@ def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, sy
             if host_deg[h] < need:
                 continue
             if h <= floor:
+                continue
+            if lower_twins[h] & ~used:
                 continue
             if ((adj[h] & ~used) & ~(1 << h)).bit_count() < kids:
                 continue

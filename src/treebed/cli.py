@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import lab
 from .decompose import RichParams, classify_components, refine_cut_dense, rich_decompose
 from .embed import Embedding, brute_force_embed, greedy_embed
-from .errors import PreconditionViolated, TreebedError
+from .errors import InternalInvariantError, PreconditionViolated, TreebedError
 from .generators import (
     GRAPH_FAMILY_NAMES,
     TREE_FAMILY_NAMES,
@@ -360,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except InternalInvariantError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 1
     except TreebedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

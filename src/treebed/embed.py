@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Callable, Optional
 
 from . import kernel
-from .errors import EmbedNotFound, PreconditionViolated
+from .errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
 from .graph import Graph, as_vertex_set, path_in_range
 from .trees import (
     Tree,
@@ -102,7 +102,7 @@ def _certify_found(g: Graph, t: Tree, phi: dict, nodes: int) -> EmbedOutcome:
     emb = Embedding.from_dict(phi)
     ok, why = validate(g, t, emb)
     if not ok:
-        raise AssertionError(f"internal: produced embedding fails validation: {why}")
+        raise InternalInvariantError(f"produced embedding fails validation: {why}")
     return EmbedOutcome("found", emb, nodes)
 
 
@@ -120,6 +120,26 @@ def _ahu_codes(t: Tree, rv) -> list[int]:
     return code
 
 
+def _lower_twins(adj: list[int], pinned: set) -> list[int]:
+    """Per host vertex, the mask of its twins with smaller ids (0 if pinned).
+
+    False twins share the open neighbourhood adj[h], true twins the closed one
+    adj[h] | 1 << h.  One dict holds both kinds of key: an open mask never
+    equals a closed one, since N(u) = N[v] puts v in N(u), hence u in
+    N(v) within N[v] = N(u), a self-loop.
+    """
+    lower = [0] * len(adj)
+    seen: dict[int, int] = {}
+    for h, nb in enumerate(adj):
+        if h in pinned:
+            continue
+        for key in (nb, nb | 1 << h):
+            prior = seen.get(key, 0)
+            lower[h] |= prior
+            seen[key] = prior | 1 << h
+    return lower
+
+
 def brute_force_embed(
     g: Graph,
     t: Tree,
@@ -130,10 +150,22 @@ def brute_force_embed(
 
     Tree vertices are placed in BFS order from a deterministic root (a pinned
     vertex when pins exist, else a maximum-degree vertex); candidates follow
-    host-degree order with degree and child-count pruning.  Isomorphic sibling
-    subtrees without pins are explored in increasing root-image order only,
-    which preserves exhaustiveness.  "not_found" is a proof; budget overruns
-    report "budget_exhausted" instead.
+    host-degree order with degree and child-count pruning.
+
+    Two symmetry cuts keep the search small, and at most one of them is on:
+
+    - host twins: unpinned host vertices u, v with N(u) - {v} = N(v) - {u}.
+      A candidate is skipped while a twin with a smaller id is unused.
+      Swapping two unused unpinned twins is a host automorphism that fixes
+      the partial map and every pin, and the smaller twin passes every filter
+      the larger one does, so the lexicographically first embedding survives
+      (see `treebed._kernel_py.solve_embed`).  Pinned host vertices stay out
+      of the twin classes: the swap must fix all pins at once.
+    - isomorphic sibling subtrees without pins are explored in increasing
+      root-image order only.  This cut is used only when the host has no
+      twins, because no proof covers combining it with the twin cut.
+
+    "not_found" is a proof; budget overruns report "budget_exhausted" instead.
     """
     pin_map = pins.as_dict() if pins is not None else {}
     for tv, hv in pin_map.items():
@@ -183,9 +215,13 @@ def brute_force_embed(
     nchild = [len(rv.children[v]) for v in order_t]
     host_deg = g.degrees()
     host_order = sorted(range(g.n), key=lambda h: (-host_deg[h], h))
+    adj = g.masks()
+    lower_twins = _lower_twins(adj, set(pin_map.values()))
+    if any(lower_twins):
+        symprev = [-1] * t.n
 
     status, imgs, nodes = kernel.solve_embed(
-        g.masks(), host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget
+        adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
     )
     if status == kernel.FOUND:
         phi = {order_t[i]: imgs[i] for i in range(t.n)}
@@ -403,7 +439,7 @@ def bipartite_apex_embed(g: Graph, x: int, y1, y2, t: Tree) -> EmbedOutcome:
         j = class_of[comp_of_vertex[w]]
         want = side_sets[j] if rv.depth[w] % 2 == 1 else side_sets[3 - j]
         if phi[w] not in want:
-            raise AssertionError("internal: parity discipline violated")
+            raise InternalInvariantError("parity discipline violated")
     return _certify_found(g, t, phi, placed)
 
 

@@ -24,13 +24,16 @@ if os.environ.get("TREEBED_PURE") != "1":
 BACKEND = "c" if _c is not None else "python"
 
 
-def solve_embed(adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget):
+def solve_embed(
+    adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
+):
     if _c is not None and len(adj) <= 64:
         return _c.solve_embed(
-            adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget
+            adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins,
+            budget,
         )
     return _kernel_py.solve_embed(
-        adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget
+        adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
     )
 
 

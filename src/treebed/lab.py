@@ -19,7 +19,7 @@ from typing import Optional
 from . import checks
 from .corpus import all_trees_up_to, host_corpus
 from .embed import brute_force_embed, validate
-from .errors import EmbedNotFound, OracleBudget, PreconditionViolated
+from .errors import EmbedNotFound, InternalInvariantError, OracleBudget, PreconditionViolated
 from .generators import (
     gen_random_graph_min_degree,
     gen_random_tree,
@@ -264,7 +264,9 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
                 continue
             ok, why = validate(g, t, out.embedding)
             if not ok:
-                raise AssertionError(f"pipeline stage {name} produced invalid embedding: {why}")
+                raise InternalInvariantError(
+                    f"pipeline stage {name} produced invalid embedding: {why}"
+                )
             stages.append([name, "found"])
             pipeline_found = True
             break
@@ -395,11 +397,7 @@ def verify_extremal(k: int, budget: int = 10**9) -> ExtremalReport:
     flips the verdict.  Exhaustive on both sides (budget overruns raise)."""
     g = gen_two_cliques_apex(k)
     t = gen_three_branch_tree(k)
-    degrees_ok = (
-        g.min_degree() == (2 * k) // 3 - 1
-        and g.min_degree() == 2 * k // 3 - 1
-        and g.max_degree() >= k
-    )
+    degrees_ok = g.min_degree() == (2 * k) // 3 - 1 and g.max_degree() >= k
     avoid = brute_force_embed(g, t, budget=budget)
     if avoid.status == "budget_exhausted":
         raise OracleBudget(f"avoidance search for k={k} exceeded {budget} nodes")

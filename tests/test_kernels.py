@@ -6,8 +6,14 @@ import random
 import pytest
 
 from treebed import _kernel_py, kernel
-from treebed.embed import brute_force_embed
-from treebed.generators import gen_random_connected_graph, gen_random_tree
+from treebed.embed import _lower_twins, brute_force_embed
+from treebed.generators import (
+    gen_clique_chain_apex,
+    gen_complete_bipartite,
+    gen_random_connected_graph,
+    gen_random_tree,
+    gen_two_cliques_apex,
+)
 from treebed.graph import Graph
 
 try:
@@ -19,8 +25,19 @@ needs_c = pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not buil
 
 
 def _embed_inputs(seed):
+    """Kernel arguments for one seed; every other host is twin-rich."""
     rng = random.Random(seed)
-    g = gen_random_connected_graph(rng.randrange(3, 14), rng.randrange(0, 12), seed)
+    if seed % 2:
+        g = rng.choice(
+            (
+                gen_complete_bipartite(rng.randrange(1, 4), rng.randrange(2, 7)),
+                gen_two_cliques_apex(rng.choice((6, 9))),
+                gen_clique_chain_apex(rng.randrange(6, 11), rng.randrange(1, 4)),
+                Graph.complete(rng.randrange(3, 9)),
+            )
+        )
+    else:
+        g = gen_random_connected_graph(rng.randrange(3, 14), rng.randrange(0, 12), seed)
     t = gen_random_tree(rng.randrange(2, min(g.n, 9) + 1), 4, seed + 1)
     root = max(range(t.n), key=lambda v: (t.degree(v), -v))
     rv = t.rooted(root)
@@ -34,8 +51,29 @@ def _embed_inputs(seed):
     symprev = [-1] * t.n
     host_deg = g.degrees()
     host_order = sorted(range(g.n), key=lambda h: (-host_deg[h], h))
+    lower_twins = _lower_twins(g.masks(), set())
     budget = rng.choice((10, 1000, 10**6))
-    return (g.masks(), host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, budget)
+    return (
+        g.masks(), host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins,
+        budget,
+    )
+
+
+def test_twin_cut_keeps_verdicts():
+    twins_seen = 0
+    for seed in range(120):
+        args = _embed_inputs(seed)
+        lower_twins = args[8]
+        twins_seen += any(lower_twins)
+        cut = _kernel_py.solve_embed(*args)
+        full = _kernel_py.solve_embed(*args[:8], [0] * len(lower_twins), args[9])
+        if _kernel_py.BUDGET in (cut[0], full[0]):
+            continue
+        # the cut never removes the first embedding in search order, so both
+        # searches agree on it and the cut one visits a subset of the nodes
+        assert cut[:2] == full[:2], f"seed {seed}: {cut} vs {full}"
+        assert cut[2] <= full[2]
+    assert twins_seen >= 60
 
 
 @needs_c

@@ -143,6 +143,13 @@ def test_verify_extremal_k6():
     assert rep.ok and rep.tight_min_degree == 3 and rep.tight_max_degree >= 6
 
 
+def test_verify_extremal_k12_stays_cheap():
+    # the twin cut proves avoidance in 149 nodes; without it the search
+    # takes millions, so a lost or weakened cut shows up here
+    rep = lab.verify_extremal(12)
+    assert rep.avoids_tree and rep.avoid_nodes <= 1000
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -220,6 +227,17 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["split", "--op", "two"])  # missing --tree
     assert exc.value.code == 2
+
+
+def test_cli_invariant_failure_exit_code(monkeypatch, capsys):
+    from treebed.errors import InternalInvariantError
+
+    def broken(args):
+        raise InternalInvariantError("produced embedding fails validation")
+
+    monkeypatch.setattr(cli, "cmd_props", broken)
+    assert cli.main(["props", "--trials", "1"]) == 1
+    assert "internal invariant failed" in capsys.readouterr().err
 
 
 def test_cli_bad_family_is_usage_error(capsys):

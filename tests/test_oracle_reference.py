@@ -1,14 +1,25 @@
 """Oracle soundness against a deliberately naive reference embedder.
 
 The production oracle prunes by degree and child counts and cuts symmetric
-sibling branches; this reference does none of that, so verdict agreement
-over the complete small corpus independently certifies those cuts.
+sibling branches and host twins; this reference does none of that, so
+verdict agreement over the complete small corpus independently certifies
+those cuts.  The corpus hosts rarely contain twins, so the twin cut is also
+checked on twin-rich hosts: the extremal families, complete graphs, and
+corpus hosts given a true and a false twin of one vertex.
 """
+
+from itertools import combinations, permutations
 
 import pytest
 
 from treebed.corpus import all_trees_up_to, connected_hosts_up_to_5, sampled_hosts_6_to_8
-from treebed.embed import Embedding, brute_force_embed
+from treebed.embed import Embedding, _lower_twins, brute_force_embed
+from treebed.generators import (
+    gen_clique_chain_apex,
+    gen_complete_bipartite,
+    gen_two_cliques_apex,
+    gen_two_cliques_apex_grown,
+)
 from treebed.graph import Graph
 from treebed.trees import Tree
 
@@ -91,3 +102,100 @@ def test_oracle_agrees_with_naive_reference_under_pins():
                     )
                     checked += 1
     assert checked > 2000
+
+
+def _with_twin(g: Graph, v: int, true_twin: bool) -> Graph:
+    """g plus a vertex g.n copying v's neighbourhood (and adjacent to v if true)."""
+    nbrs = list(g.neighbors(v)) + ([v] if true_twin else [])
+    return Graph(g.n + 1, list(g.edges()) + [(w, g.n) for w in nbrs])
+
+
+def _twin_rich_hosts() -> list[Graph]:
+    hosts = [
+        gen_complete_bipartite(1, 4),
+        gen_complete_bipartite(2, 3),
+        gen_complete_bipartite(2, 4),
+        gen_complete_bipartite(3, 3),
+        gen_two_cliques_apex(6),
+        gen_two_cliques_apex_grown(6),
+        gen_clique_chain_apex(8, 2),
+        gen_clique_chain_apex(10, 2),
+        Graph.complete(5),
+        Graph.complete(7),
+    ]
+    for g in hosts:
+        assert any(_lower_twins(g.masks(), set())), "host without twins"
+    return hosts
+
+
+def _check(g: Graph, t: Tree, pins: dict) -> None:
+    out = brute_force_embed(g, t, pins=Embedding.from_dict(pins) if pins else None)
+    want = _naive_embeds(g, t, pins)
+    assert out.status in ("found", "not_found")
+    assert (out.status == "found") == want, (
+        f"pins {pins} disagreement on host n={g.n} edges={g.edges()}, tree {t.edges}"
+    )
+
+
+def test_lower_twins_classes():
+    # K_{2,3}: {0,1} and {2,3,4} are false twins; K_3: all true twins
+    assert _lower_twins(gen_complete_bipartite(2, 3).masks(), set()) == [0, 1, 0, 4, 12]
+    assert _lower_twins(Graph.complete(3).masks(), set()) == [0, 1, 3]
+    # pinned vertices leave their class; the rest stay twins
+    assert _lower_twins(gen_complete_bipartite(2, 3).masks(), {3}) == [0, 1, 0, 0, 4]
+    # the path on 4 vertices has none
+    assert _lower_twins(Graph(4, [(0, 1), (1, 2), (2, 3)]).masks(), set()) == [0] * 4
+
+
+def test_twin_cut_agrees_with_naive_reference():
+    hosts = _twin_rich_hosts()
+    corpus = connected_hosts_up_to_5()
+    corpus += [g for g in sampled_hosts_6_to_8(seed=2024) if g.n <= 7][:40]
+    for g in corpus:
+        for true_twin in (True, False):
+            hosts.append(_with_twin(g, 0, true_twin))
+    trees = all_trees_up_to(7)
+    pairs = 0
+    for g in hosts:
+        for t in trees:
+            if t.n <= g.n:
+                _check(g, t, {})
+                pairs += 1
+    assert pairs > 2800
+
+
+def test_twin_cut_agrees_with_naive_reference_under_one_pin():
+    trees = all_trees_up_to(7)
+    checked = 0
+    for g in _twin_rich_hosts():
+        for t in trees:
+            if t.n > g.n:
+                continue
+            for tv in range(t.n):
+                for hv in range(g.n):
+                    _check(g, t, {tv: hv})
+                    checked += 1
+    assert checked > 6500
+
+
+def test_twin_cut_agrees_with_naive_reference_under_two_pins():
+    # every pin pair, so pins land inside twin classes and split them
+    hosts = [
+        gen_complete_bipartite(2, 3),
+        gen_two_cliques_apex(6),
+        gen_clique_chain_apex(8, 2),
+        Graph.complete(5),
+    ]
+    trees = [t for t in all_trees_up_to(5) if t.n >= 2]
+    checked = 0
+    for g in hosts:
+        for t in trees:
+            if t.n > g.n:
+                continue
+            for tv1, tv2 in combinations(range(t.n), 2):
+                for hv1, hv2 in permutations(range(g.n), 2):
+                    if tv2 in t.neighbors(tv1) and not g.has_edge(hv1, hv2):
+                        continue  # the oracle rejects such pins as a precondition
+                    _check(g, t, {tv1: hv1, tv2: hv2})
+                    checked += 1
+    assert checked > 4500
