@@ -7,11 +7,11 @@ Library layout:
   generators  extremal host/tree families and seeded random corpora
   decompose   rich-subgraph machinery: refinement, classification, reports
   lab         experiment harness, report emission, CLI backend
-  kernel      compiled/pure backend selection for the hot search loops
+  kernel      the hot search loops: oracle backtracking, exact cut enumeration
 """
-
-from . import kernel
 
 __version__ = "0.1.0"
 
-KERNEL_BACKEND = kernel.BACKEND
+# The kernels have one pure-Python implementation; benchmark records stamp
+# this name.
+KERNEL_BACKEND = "python"

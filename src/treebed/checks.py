@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import log
 
-from . import _kernel_py
 from .embed import (
     apex_split_embed,
     apex_three_split_embed,
@@ -134,11 +133,6 @@ def check_cut_density_cross(seed: int = 0, count: int = 40) -> CheckResult:
         want = _min_cut_reference(g)
         if got != want:
             res.fail(f"instance {i}: kernel {got} != reference {want}")
-        # pure backend must agree with whatever kernel is active
-        pc, pa = _kernel_py.min_density_cut(g.masks(), g.n)
-        asz = bin(pa).count("1")
-        if Fraction(pc, asz * (n - asz)) != want:
-            res.fail(f"instance {i}: pure backend disagrees")
     return res
 
 
@@ -267,8 +261,6 @@ def check_tree_splitting(seed: int = 0, count: int = 1000, max_n: int = 200) -> 
         res.runs += 1
         try:
             sep = balanced_separator_vertex(t)
-            if not _recheck_components(t, sep, []):
-                pass
             comp_sizes = []
             seen = {sep}
             for s in range(n):

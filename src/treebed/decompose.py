@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    InternalInvariantError,
     OverlappingComponents,
     PreconditionViolated,
     SearchBudgetExceeded,
@@ -259,7 +260,7 @@ def refine_cut_dense(
             )
         )
         if i > 2 * g.n + 2:
-            raise AssertionError("refinement failed to terminate")
+            raise InternalInvariantError("refinement failed to terminate")
 
     kept = sorted(present)
     final = Graph(
@@ -278,13 +279,13 @@ def refine_cut_dense(
                 continue
             sub, _ = final.induced(comp)
             if not is_cut_dense(sub, rho, mode="exact", exact_cap=exact_cap).is_dense:
-                raise AssertionError("refinement left a sparse-cut component")
+                raise InternalInvariantError("refinement left a sparse-cut component")
     if preset:
         if len(removed_all) > 200 * delta * g.n:
-            raise AssertionError("refinement deleted more than 200*delta*|g| vertices")
+            raise InternalInvariantError("refinement deleted more than 200*delta*|g| vertices")
         floor = (a + eps - 400 * delta) * k
         if final.n and final.min_degree() < floor:
-            raise AssertionError("refined min degree fell below (a+eps-400*delta)k")
+            raise InternalInvariantError("refined min degree fell below (a+eps-400*delta)k")
     return RefineResult(
         original=g,
         graph=final,
@@ -399,7 +400,7 @@ def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> Collection
             VertexAffinity(v, best, second, bc, sc, residual)
         )
         if residual + bc + sc != g.degree(v):
-            raise AssertionError("affinity accounting broke")
+            raise InternalInvariantError("affinity accounting broke")
     return CollectionReport(
         components=tuple(cvs),
         s=s,
@@ -603,10 +604,10 @@ def x_peripheral_matching(g: Graph, x: int, comps: Sequence, eta_k) -> Periphera
     assignment = tuple(sorted((w, comp_of[w]) for _, w in pairs))
     for w, j in assignment:
         if g.deg_within(w, cvs[j].as_set()) < eta_k:
-            raise AssertionError("matched external lost its periphery membership")
+            raise InternalInvariantError("matched external lost its periphery membership")
     js = [j for _, j in assignment]
     if len(set(js)) != len(js):
-        raise AssertionError("component assignment is not injective")
+        raise InternalInvariantError("component assignment is not injective")
     return PeripheralMatching(Matching(tuple(pairs)), assignment)
 
 

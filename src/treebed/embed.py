@@ -159,7 +159,7 @@ def brute_force_embed(
       Swapping two unused unpinned twins is a host automorphism that fixes
       the partial map and every pin, and the smaller twin passes every filter
       the larger one does, so the lexicographically first embedding survives
-      (see `treebed._kernel_py.solve_embed`).  Pinned host vertices stay out
+      (see `treebed.kernel.solve_embed`).  Pinned host vertices stay out
       of the twin classes: the swap must fix all pins at once.
     - isomorphic sibling subtrees without pins are explored in increasing
       root-image order only.  This cut is used only when the host has no

@@ -17,6 +17,7 @@ from . import kernel
 from .errors import (
     Disconnected,
     ExactCapExceeded,
+    InternalInvariantError,
     PreconditionViolated,
     SearchBudgetExceeded,
 )
@@ -623,7 +624,7 @@ def bipartite_matching_lower(g: Graph, x_side, y_side) -> Matching:
     matching.check_in(g)
     d = max(len(nbrs[x]) for x in xs) if len(xs) else 0
     if d and len(matching) * d < len(ys):
-        raise AssertionError("matching size fell below |Y|/d; augmenting search is broken")
+        raise InternalInvariantError("matching size fell below |Y|/d; augmenting search is broken")
     return matching
 
 
@@ -774,7 +775,6 @@ def path_in_range(
     ell: int,
     slack: int,
     seed: int = 0,
-    exhaustive_cap: int = 13,
     dfs_budget: int = 400_000,
     attempts: int = 40,
 ) -> PathSearchResult:
@@ -783,9 +783,10 @@ def path_in_range(
     Strategy: accept the BFS-shortest path when it already lands in the
     window; otherwise run a seeded randomized construction (two disjoint
     reservoir sets bridged by a greedy middle path of the right length, BFS
-    connectors inside the reservoirs); finally fall back to exhaustive DFS on
-    small instances.  Every returned path is re-verified simple and in range.
-    A None with conclusive=True is a proof that no such path exists.
+    connectors inside the reservoirs); finally fall back to a DFS over simple
+    paths, capped at `dfs_budget` nodes.  Every returned path is re-verified
+    simple and in range.  A None with conclusive=True is a proof that no such
+    path exists; a DFS that hits its budget returns None, conclusive=False.
     """
     if y == z:
         raise PreconditionViolated("endpoints must differ")
@@ -794,10 +795,14 @@ def path_in_range(
     lo, hi = ell + 1, ell + slack
 
     def verify(p) -> tuple[int, ...]:
-        assert p[0] == y and p[-1] == z
-        assert len(set(p)) == len(p), "path repeats a vertex"
-        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
-        assert lo <= len(p) - 1 <= hi
+        if p[0] != y or p[-1] != z:
+            raise InternalInvariantError("path does not join y and z")
+        if len(set(p)) != len(p):
+            raise InternalInvariantError("path repeats a vertex")
+        if not all(g.has_edge(a, b) for a, b in zip(p, p[1:])):
+            raise InternalInvariantError("path uses a non-edge")
+        if not lo <= len(p) - 1 <= hi:
+            raise InternalInvariantError("path length outside the window")
         return tuple(p)
 
     dist = g.bfs_dist(y)
@@ -892,12 +897,6 @@ def path_in_range(
         if got:
             return PathSearchResult(verify(got), True)
 
-    if n <= exhaustive_cap:
-        res, completed = _exhaustive_path_search(g, y, z, lo, hi, dfs_budget)
-        if res is not None:
-            return PathSearchResult(verify(res), True)
-        return PathSearchResult(None, completed)
-    # last resort on larger graphs: budgeted DFS, inconclusive on failure
     res, completed = _exhaustive_path_search(g, y, z, lo, hi, dfs_budget)
     if res is not None:
         return PathSearchResult(verify(res), True)
