@@ -1,5 +1,7 @@
-"""Generator tests: degree profiles recomputed, determinism, family dispatch."""
+"""Generator tests: degree profiles recomputed, determinism, family dispatch,
+and golden digests that pin the seeded random corpora."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from treebed.generators import (
     gen_clique_chain_apex,
     gen_complete_bipartite,
     gen_path,
+    gen_random_connected_graph,
     gen_random_graph_min_degree,
     gen_random_tree,
     gen_spider,
@@ -116,3 +119,47 @@ def test_family_dispatch():
     assert t == gen_spider(6, 3)
     with pytest.raises(PreconditionViolated):
         build_graph(FamilySpec("nope", {}))
+
+
+# Golden digests of the seeded corpora.  A seeded generator must give the same
+# object for the same (params, seed) across releases, so these change only with
+# a deliberate, recorded corpus change.  gen_random_tree reproduces the stream
+# of CPython's randrange (one 32-bit Mersenne Twister output per try, top
+# n.bit_length() bits, retried while >= n); the n = 255/256/257 sizes sit on
+# both sides of the 8-bit boundary, and the three round counts pin the
+# rejection path, the constrained fallback, and the fallback after a round.
+_TREE_NS = (*range(1, 61), 100, 199, 200, 255, 256, 257, 300)
+_TREE_DIGESTS = {
+    0: "d6e62af8388fec58b5b67f9d407d5f9a963638d72d615c93124891ceb08bfa26",
+    1: "fe89103e2c81d0d59e519253422a19841198003e201c05b885f6c4484543f3ca",
+    300: "ab69d20614ae99f6cb497e743e04d7465cca32bb464bfc13a65de0ff6d34da5f",
+}
+_GRAPH_DIGEST = "c5e22bae949b56aa7179dd4483327b732511dc128bfcc609f73ef98ede1534c3"
+
+
+@pytest.mark.parametrize("rounds", sorted(_TREE_DIGESTS))
+def test_random_tree_corpus_pinned(rounds):
+    h = hashlib.sha256()
+    for n in _TREE_NS:
+        for d in sorted({1, 2, 3, 4, 5, 8, n - 1}):
+            for seed in range(4):
+                try:
+                    out = gen_random_tree(n, d, seed, _rejection_rounds=rounds).edges
+                except Infeasible:
+                    out = "Infeasible"
+                h.update(f"{n} {d} {seed} {out}\n".encode())
+    assert h.hexdigest() == _TREE_DIGESTS[rounds]
+
+
+def test_random_graph_corpora_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 21):
+        for seed in range(3):
+            for extra in (0, 3, 10):
+                g = gen_random_connected_graph(n, extra, seed)
+                h.update(f"connected {n} {extra} {seed} {g.edges()}\n".encode())
+            for delta in (0, 1, 2, 3, 5, 8):
+                if delta < n:
+                    g = gen_random_graph_min_degree(n, delta, seed)
+                    h.update(f"min_degree {n} {delta} {seed} {g.edges()}\n".encode())
+    assert h.hexdigest() == _GRAPH_DIGEST

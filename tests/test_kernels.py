@@ -1,6 +1,7 @@
 """The search kernels: the oracle's twin cut, exact cuts against an
 independent enumerator, and hosts wider than a machine word."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -70,7 +71,8 @@ def test_twin_cut_keeps_verdicts():
     assert twins_seen >= 60
 
 
-def test_min_cut_matches_reference():
+def _cut_grid():
+    """120 seeded graphs on 2..12 vertices, sparse to dense."""
     rng = random.Random(7)
     for seed in range(120):
         n = rng.randrange(2, 13)
@@ -80,12 +82,33 @@ def test_min_cut_matches_reference():
             for v in range(u + 1, n)
             if rng.random() < rng.choice((0.2, 0.5, 0.8))
         ]
+        yield seed, n, edges
+
+
+def test_min_cut_matches_reference():
+    for seed, n, edges in _cut_grid():
         g = Graph(n, edges)
         cross, amask = kernel.min_density_cut(g.masks(), n)
         asz = amask.bit_count()
         assert amask & 1 and 0 < asz < n, f"seed {seed}: improper side {amask:b}"
         assert cross == sum((amask >> u & 1) != (amask >> v & 1) for u, v in edges)
         assert Fraction(cross, asz * (n - asz)) == _min_cut_reference(g), f"seed {seed}"
+
+
+# The witness is the first minimum in Gray-code order; the density alone
+# would not notice a changed scan order or tie-break.
+_CUT_WITNESS_DIGEST = "073b11f3199fcf88897afb8eec1cdb7b611dde17572e4e2493300f96502f66e7"
+
+
+def test_min_cut_witness_pinned():
+    h = hashlib.sha256()
+    for seed, n, edges in _cut_grid():
+        h.update(f"{seed} {kernel.min_density_cut(Graph(n, edges).masks(), n)}\n".encode())
+    for n in range(14, 21):
+        rng = random.Random(n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        h.update(f"n{n} {kernel.min_density_cut(Graph(n, edges).masks(), n)}\n".encode())
+    assert h.hexdigest() == _CUT_WITNESS_DIGEST
 
 
 def test_oracle_handles_hosts_wider_than_64():
