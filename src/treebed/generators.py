@@ -7,10 +7,13 @@ yields an identical object.
 
 from __future__ import annotations
 
+import heapq
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from operator import eq
+from typing import Optional, Sequence
 
 from .errors import Infeasible, InternalInvariantError, PreconditionViolated
 from .graph import Graph
@@ -194,12 +197,29 @@ def gen_path(n: int) -> Tree:
 # Seeded random corpora
 
 
+_BYTES = bytes(range(256))
+# _TOP_BITS[k] maps a word's top byte to the word's top k bits (k <= 8)
+_TOP_BITS = tuple(bytes(b >> (8 - k) for b in range(256)) for k in range(9))
+
+
+def _words(raw: bytes) -> tuple[int, ...]:
+    """The 32-bit words of a getrandbits(...).to_bytes(..., "little") buffer."""
+    return struct.unpack(f"<{len(raw) // 4}I", raw)
+
+
 def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 300) -> Tree:
     """Seeded random tree with max degree <= max_deg.
 
     Rejection-samples uniform trees via random parent codes; if the degree
     bound keeps rejecting (tight bounds on large n), falls back to drawing
     each code symbol only from vertices with remaining degree headroom.
+
+    The code symbols are exactly those that repeated rng.randrange(n) calls
+    would return, drawn in bulk: CPython's randrange(n) takes the top
+    k = n.bit_length() bits of one 32-bit Mersenne Twister output and retries
+    while the value is >= n, and getrandbits(32 * W) returns the next W
+    outputs, lowest word first.  The seeded corpus depends on that rule;
+    tests/test_generators.py pins it by digest.
     """
     if n < 1:
         raise PreconditionViolated("need n >= 1")
@@ -207,20 +227,18 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 30
         raise Infeasible("a tree on 3+ vertices needs max degree >= 2")
     if n == 2 and max_deg < 1:
         raise Infeasible("an edge needs degree 1")
-    rng = random.Random(repr(("tree", n, max_deg, seed)))
+    seed_key = repr(("tree", n, max_deg, seed))
+    rng = random.Random(seed_key)
     if n == 1:
         return Tree(1, (), root=0)
     if n == 2:
         return Tree(2, ((0, 1),), root=0)
 
-    def decode(code: list[int]) -> Tree:
+    def decode(code: Sequence[int]) -> Tree:
         degree = [1] * n
         for v in code:
             degree[v] += 1
-        leaves = sorted(v for v in range(n) if degree[v] == 1)
-        import heapq
-
-        heap = list(leaves)
+        heap = [v for v in range(n) if degree[v] == 1]
         heapq.heapify(heap)
         edges = []
         for v in code:
@@ -234,29 +252,72 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 30
         edges.append((u, w))
         return Tree(n, edges, root=0)
 
+    m = n - 2
+    cap = max_deg - 1
+    k = n.bit_length()
+    batch = 2 * m + 16  # outputs per getrandbits call
+    if k <= 8:
+        # the top byte of each little-endian word holds the k bits; translate
+        # deletes the rejected bytes and shifts the kept ones in one C pass
+        table, reject = _TOP_BITS[k], _BYTES[n << (8 - k):]
+
+        def accepted(raw: bytes):
+            return raw[3::4].translate(table, reject)
+
+        left = b""
+    else:
+
+        def accepted(raw: bytes):
+            return [v for w in _words(raw) if (v := w >> (32 - k)) < n]
+
+        left = []
+    raw = b""  # the last batch drawn
+    batches = 0
     for _ in range(_rejection_rounds):
-        code = [rng.randrange(n) for _ in range(n - 2)]
-        counts = [0] * n
-        ok = True
-        for v in code:
-            counts[v] += 1
-            if counts[v] > max_deg - 1:
-                ok = False
-                break
+        while len(left) < m:
+            raw = rng.getrandbits(32 * batch).to_bytes(4 * batch, "little")
+            batches += 1
+            left += accepted(raw)
+        code, left = left[:m], left[m:]
+        if cap == 1:
+            ok = len(set(code)) == m
+        else:
+            # in sorted order, a symbol used more than cap times gives
+            # s[i] == s[i + cap]
+            s = sorted(code)
+            ok = not any(map(eq, s, s[cap:]))
         if ok:
             t = decode(code)
             if t.max_degree() > max_deg:
                 raise InternalInvariantError("degree bound slipped through decoding")
             return t
-    # constrained draw: symbols only from vertices with headroom left
+    if batches:
+        # Rewind to just past the last output the rounds used: replay every
+        # batch but the last, then the last one up to its final used symbol.
+        # The unused symbols in `left` all come from the last batch.
+        rng = random.Random(seed_key)
+        for _ in range(batches - 1):
+            rng.getrandbits(32 * batch)
+        need = len(accepted(raw)) - len(left)
+        for used, w in enumerate(_words(raw), 1):
+            if w >> (32 - k) < n:
+                need -= 1
+                if not need:
+                    break
+        rng.getrandbits(32 * used)
+    # constrained draw: symbols only from vertices with headroom left; the
+    # pool stays sorted, as if rebuilt from range(n) for every symbol
     counts = [0] * n
+    pool = list(range(n))
     code = []
-    for _ in range(n - 2):
-        pool = [v for v in range(n) if counts[v] < max_deg - 1]
+    for _ in range(m):
         if not pool:
             raise Infeasible("no degree headroom left during constrained draw")
-        v = pool[rng.randrange(len(pool))]
+        i = rng.randrange(len(pool))
+        v = pool[i]
         counts[v] += 1
+        if counts[v] == cap:
+            del pool[i]
         code.append(v)
     t = decode(code)
     if t.max_degree() > max_deg:

@@ -727,45 +727,41 @@ def _greedy_random_path(g: Graph, allowed: frozenset, length: int, rng: random.R
 def _exhaustive_path_search(
     g: Graph, y: int, z: int, lo: int, hi: int, node_budget: int
 ) -> tuple[Optional[list[int]], bool]:
-    """DFS over simple y-z paths of length <= hi; returns (path, completed)."""
-    nodes = 0
+    """DFS over simple y-z paths of length in [lo, hi]; returns (path, completed).
+
+    Iterative, so the path length is not bounded by the recursion limit.  z is
+    entered only when it closes a path of an admissible length, and each
+    vertex placed on the path (y included) spends one node of `node_budget`.
+    """
+    if node_budget < 1:
+        return None, False
+    nodes = 1
     path = [y]
     on_path = {y}
-
-    def dfs() -> Optional[list[int]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded("path DFS budget")
-        cur = path[-1]
-        if cur == z:
-            return list(path) if lo <= len(path) - 1 <= hi else None
-        if len(path) - 1 >= hi:
-            return None
-        for w in g.neighbors(cur):
+    stack = [iter(g.neighbors(y))]
+    while stack:
+        for w in stack[-1]:
             if w in on_path:
                 continue
-            if w == z and not (lo <= len(path) <= hi):
-                # entering z now would close the path at the wrong length
-                if len(path) < lo:
-                    # may still reach z later by a longer route
-                    pass
-                else:
+            if w == z:
+                if not lo <= len(path) <= hi:
                     continue
+            elif len(path) >= hi:
+                # w would need one more edge to reach z
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                return None, False
+            if w == z:
+                return path + [z], True
             path.append(w)
             on_path.add(w)
-            got = dfs()
-            on_path.discard(w)
-            path.pop()
-            if got is not None:
-                return got
-        return None
-
-    try:
-        res = dfs()
-        return res, True
-    except SearchBudgetExceeded:
-        return None, False
+            stack.append(iter(g.neighbors(w)))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    return None, True
 
 
 def path_in_range(

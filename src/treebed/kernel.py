@@ -103,40 +103,40 @@ def min_density_cut(adj, n):
     """Exact min of crossing/(|A||B|) over proper bipartitions, Gray-code scan.
 
     Vertex 0 is anchored on side A; gray code enumerates which of the other
-    vertices join it.  Crossing counts are updated incrementally per flip.
-    Returns (crossing, a_mask) of the first minimum encountered.
+    vertices join it.  Gray step g flips vertex (g & -g).bit_length(), and
+    the crossing count moves by +-(deg v - 2|N(v) & A|) per flip, so each
+    step costs one popcount.  Returns (crossing, a_mask) of the first minimum
+    encountered.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    full = (1 << n) - 1
+    deg = [a.bit_count() for a in adj]
     amask = 1
-    cross = adj[0].bit_count()
+    asz = 1
+    cross = deg[0]
     best_cross = cross
-    best_den = 1 * (n - 1)
+    best_den = n - 1
     best_amask = amask
-    gray = 0
-    for g in range(1, 1 << (n - 1)):
-        ng = g ^ (g >> 1)
-        flip = gray ^ ng
-        gray = ng
-        # gray bit b toggles vertex b+1 (vertex 0 is anchored)
-        v = flip.bit_length()
-        bit = 1 << v
-        av = adj[v]
-        if amask & bit:
-            # v leaves A: its A-edges start crossing, its B-edges stop
+    # The flips of steps 1 .. 2^low - 1 repeat in every block of 2^low steps;
+    # only the block's first step, g = j * 2^low, flips a higher vertex.
+    low = min(n - 1, 10)
+    ruler = [(g & -g).bit_length() for g in range(1, 1 << low)]
+    for j in range(1 << (n - 1 - low)):
+        for v in [(j & -j).bit_length() + low] + ruler if j else ruler:
+            bit = 1 << v
+            # joining A, v's edges into B start crossing and those into A stop
+            d = deg[v] - 2 * (adj[v] & amask).bit_count()
             amask ^= bit
-            cross += (av & amask).bit_count() - (av & (full & ~amask)).bit_count()
-        else:
-            # v joins A: its B-edges start crossing, its A-edges stop
-            cross += (av & (full & ~amask)).bit_count() - (av & amask).bit_count()
-            amask ^= bit
-        asz = amask.bit_count()
-        if asz == n:
-            continue
-        den = asz * (n - asz)
-        if cross * best_den < best_cross * den:
-            best_cross = cross
-            best_den = den
-            best_amask = amask
+            if amask & bit:
+                cross += d
+                asz += 1
+            else:
+                cross -= d
+                asz -= 1
+            # den is 0 only with every vertex in A; the test is then false
+            den = asz * (n - asz)
+            if cross * best_den < best_cross * den:
+                best_cross = cross
+                best_den = den
+                best_amask = amask
     return best_cross, best_amask

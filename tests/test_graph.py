@@ -1,5 +1,6 @@
 """Graph-core tests: peripheries, cuts, covers, matchings, walks, paths."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -178,6 +179,23 @@ def test_path_in_range_examples():
     assert r.path is not None and len(r.path) - 1 == 6
     r = path_in_range(C7, 0, 1, 2, 1, seed=0)
     assert r.path is None and r.conclusive
+
+
+def test_path_search_budget_spent_only_on_admissible_steps():
+    # 0-6-5-4-3-2-1 places exactly 7 vertices; entering z = 1 early, where
+    # it cannot close a 6-edge path, must not spend the budget
+    r = path_in_range(C7, 0, 1, 5, 1, seed=0, dfs_budget=7)
+    assert r.path == (0, 6, 5, 4, 3, 2, 1) and r.conclusive
+    r = path_in_range(C7, 0, 1, 5, 1, seed=0, dfs_budget=6)
+    assert r.path is None and not r.conclusive
+
+
+def test_path_search_deeper_than_recursion_limit():
+    assert sys.getrecursionlimit() < 2000
+    c3000 = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
+    for z in (2000, 1000):  # reached the long way round on either side
+        r = path_in_range(c3000, 0, z, 1999, 1, seed=0)
+        assert r.path is not None and len(r.path) - 1 == 2000 and r.conclusive
 
 
 def test_path_in_range_distance_proof():
