@@ -255,7 +255,9 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 30
     m = n - 2
     cap = max_deg - 1
     k = n.bit_length()
-    batch = 2 * m + 16  # outputs per getrandbits call
+    # outputs per getrandbits call; at least half are accepted, so one call
+    # usually covers a round
+    batch = 2 * m + 16
     if k <= 8:
         # the top byte of each little-endian word holds the k bits; translate
         # deletes the rejected bytes and shifts the kept ones in one C pass
