@@ -513,24 +513,21 @@ def pipeline_attempts(g: Graph, t: Tree):
 def cross_check_pair(g: Graph, t: Tree, budget: int = 10**7) -> list[str]:
     """Run every applicable specialized embedder against the oracle verdict.
 
-    Returns discrepancy descriptions (empty = clean).  A specialized "found"
-    must validate; a specialized run whose preconditions held while the
-    exhaustive oracle proves non-containment is a discrepancy even if the
-    specialized procedure bailed out.
+    Returns discrepancy descriptions (empty = clean).  A specialized run
+    whose preconditions held while the exhaustive oracle proves
+    non-containment is a discrepancy even if the specialized procedure bailed
+    out.  A specialized "found" needs no second look: every one has passed
+    validation before it returns, or raised InternalInvariantError.
     """
     problems = []
     oracle = brute_force_embed(g, t, budget=budget)
     for name, attempt in pipeline_attempts(g, t):
         try:
-            out = attempt()
+            attempt()
         except PreconditionViolated:
             continue
         except EmbedNotFound:
-            out = None
-        if out is not None:
-            ok, why = validate(g, t, out.embedding)
-            if not ok:
-                problems.append(f"{name}: invalid embedding ({why})")
+            pass
         if oracle.status == "not_found":
             problems.append(f"{name}: preconditions held but oracle proves non-containment")
     return problems

@@ -7,7 +7,7 @@ Everything here is analysis over immutable graphs; reports carry evidence
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,6 +28,7 @@ from .graph import (
     as_vertex_set,
     cut_density,
     is_cut_dense,
+    periphery,
     second_neighbourhood,
     vertex_cover_at_most,
     _max_bipartite_matching,
@@ -370,11 +371,8 @@ def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> Collection
         if c.as_set() & union:
             raise OverlappingComponents("components overlap")
         union |= c.as_set()
-    periph_s = [frozenset(v for v in range(g.n) if g.deg_within(v, c.as_set()) >= s) for c in cvs]
-    periph_t = [
-        VertexSet((v for v in range(g.n) if g.deg_within(v, c.as_set()) >= t), g.n)
-        for c in cvs
-    ]
+    periph_s = [periphery(g, c, s).as_set() for c in cvs]
+    periph_t = [periphery(g, c, t) for c in cvs]
     split = set()
     for v in range(g.n):
         hits = sum(1 for ps in periph_s if v in ps)
@@ -483,9 +481,9 @@ def intersection_property_report(
         if not rep.rich:
             raise PreconditionViolated("every component must be (1/2+eps, 0, k)-rich")
     m = len(cvs)
-    pd = [frozenset(periph_members(g, c, delta_t)) for c in cvs]
-    p1 = [frozenset(periph_members(g, c, 1)) for c in cvs]
-    p2d = [frozenset(periph_members(g, c, 2 * delta_t)) for c in cvs]
+    pd = [periphery(g, c, delta_t).as_set() for c in cvs]
+    p1 = [periphery(g, c, 1).as_set() for c in cvs]
+    p2d = [periphery(g, c, 2 * delta_t).as_set() for c in cvs]
     l1 = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -513,7 +511,7 @@ def intersection_property_report(
                 l2.append(IntersectionWitness("L2", (v,), idx[: 2 * delta_t]))
     l3 = []
     ek = eps * k
-    pek = [frozenset(periph_members(g, c, _ceil_frac(ek))) for c in cvs]
+    pek = [periphery(g, c, _ceil_frac(ek)).as_set() for c in cvs]
     for i in range(m):
         for j in range(i + 1, m):
             inter = sorted(pek[i] & pek[j])
@@ -532,12 +530,6 @@ def intersection_property_report(
 
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def periph_members(g: Graph, c: VertexSet, d) -> list[int]:
-    """Vertices with at least d neighbours in c (d may be a Fraction)."""
-    cs = c.as_set()
-    return [v for v in range(g.n) if g.deg_within(v, cs) >= d]
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +668,10 @@ def rich_decompose(
         except PreconditionViolated:
             continue
         for rcomp in refined.graph.components():
-            orig = sorted(back[refined.vertices[i]] for i in rcomp)
-            rep = is_rich_on_refined(refined, rcomp, p, mode, exact_cap, cover_budget)
+            orig = tuple(back[refined.vertices[i]] for i in rcomp)
+            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p, mode, exact_cap, cover_budget)
             if rep.rich:
-                accepted.append(VertexSet(orig, g.n))
+                accepted.append(rep.subgraph)
                 reports.append(rep)
     covered = set()
     for c in accepted:
@@ -692,14 +684,21 @@ def rich_decompose(
 def is_rich_on_refined(
     refined: RefineResult,
     rcomp: tuple[int, ...],
+    orig: tuple[int, ...],
+    n: int,
     p: RichParams,
     mode: str,
     exact_cap: int,
     cover_budget: int,
 ) -> RichReport:
-    """Richness check on a refined component (edge deletions already applied)."""
+    """Richness check on a refined component (edge deletions already applied).
+
+    `orig[i]` is the original id of `rcomp[i]`, in increasing order, out of a
+    graph on n vertices.  The report's subgraph and cover carry original ids;
+    its cut witness stays local to `subgraph.members`.
+    """
     sub, _ = refined.graph.induced(rcomp)
-    return is_rich(
+    rep = is_rich(
         sub,
         VertexSet(range(sub.n), sub.n),
         p,
@@ -707,3 +706,5 @@ def is_rich_on_refined(
         exact_cap=exact_cap,
         cover_budget=cover_budget,
     )
+    cover = None if rep.cover is None else VertexSet((orig[i] for i in rep.cover), n)
+    return replace(rep, subgraph=VertexSet(orig, n), cover=cover)

@@ -18,6 +18,8 @@ from .errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
 from .graph import Graph, as_vertex_set, path_in_range
 from .trees import (
     Tree,
+    _component_vertices,
+    _subset_with_sum,
     balanced_separator_vertex,
     even_odd_split,
     msf_decomposition,
@@ -494,16 +496,13 @@ def embed_via_path(
         raise PreconditionViolated("b is not in the 2*max_degree periphery of B2")
 
     r = balanced_separator_vertex(t)
-    comps = sorted(
-        ( _comp_vertices(t, r, w) for w in t.neighbors(r) ),
-        key=lambda c: (-len(c), c),
-    )
+    comps = sorted(_component_vertices(t, r), key=lambda c: (-len(c), c))
 
     # splittable short-circuit: direct degree feasibility of a two-pool split
     degA = g.min_degree_within(A.members)
     degB1 = g.min_degree_within(B1.members)
     sizes = [len(c) for c in comps]
-    pick = _subset_in_window(sizes, k - degB1, degA)
+    pick = _subset_with_sum(sizes, k - degB1, degA)
     if pick is not None:
         f1 = frozenset(v for i in pick for v in comps[i]) | {r}
         f2 = (frozenset(range(t.n)) - f1) | {r}
@@ -615,40 +614,10 @@ def embed_via_path(
     return _certify_found(g, t, phi, placed)
 
 
-def _comp_vertices(t: Tree, removed: int, seed: int) -> tuple[int, ...]:
-    """Vertices of the component of t - removed containing seed."""
-    out = []
-    stack = [seed]
-    seen = {removed, seed}
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        for w in t.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return tuple(sorted(out))
-
-
 def _branch_vertices(rv, p_i: int, p_next: int) -> frozenset:
     """Subtree of p_i minus the subtree of its heavy child p_next."""
     keep = set(rv.subtree_vertices(p_i)) - set(rv.subtree_vertices(p_next))
     return frozenset(keep)
-
-
-def _subset_in_window(sizes: list[int], lo, hi) -> Optional[tuple[int, ...]]:
-    """Indices whose sizes sum into [lo, hi], preferring few/early components."""
-    if hi < max(lo, 0):
-        return None
-    n = len(sizes)
-    best = None
-    for mask in range(1 << n):
-        total = sum(sizes[i] for i in range(n) if mask >> i & 1)
-        if lo <= total <= hi:
-            cand = tuple(i for i in range(n) if mask >> i & 1)
-            if best is None or (len(cand), cand) < (len(best), best):
-                best = cand
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -578,23 +578,40 @@ def vertex_cover_at_most(
 def _max_bipartite_matching(
     left: Sequence, right: Sequence, nbrs: dict
 ) -> dict:
-    """Kuhn's augmenting-path maximum matching; returns left->right assignment."""
+    """Kuhn's augmenting-path maximum matching; returns left->right assignment.
+
+    Each augmenting search is a depth-first search on an explicit stack, so
+    a long alternating chain cannot exhaust the recursion limit.  It visits
+    neighbours in the order of `nbrs`, as the recursive form of Kuhn's search
+    does, and so finds the same matching.
+    """
     match_l: dict = {}
     match_r: dict = {}
 
-    def try_augment(u, visited) -> bool:
-        for w in nbrs[u]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match_r or try_augment(match_r[w], visited):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        return False
+    def try_augment(root) -> None:
+        visited = set()
+        stack = [(root, iter(nbrs[root]))]
+        via: list = []  # via[i] links stack[i] to stack[i + 1], or ends the path
+        while stack:
+            for w in stack[-1][1]:
+                if w in visited:
+                    continue
+                visited.add(w)
+                via.append(w)
+                if w not in match_r:
+                    for (u, _), x in zip(stack, via):
+                        match_l[u] = x
+                        match_r[x] = u
+                    return
+                stack.append((match_r[w], iter(nbrs[match_r[w]])))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
 
     for u in left:
-        try_augment(u, set())
+        try_augment(u)
     return match_l
 
 

@@ -10,7 +10,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import log
 from typing import Iterable, Optional
 
@@ -247,14 +246,45 @@ def _check_sum_partition_input(a: list[int], ell: int) -> None:
         raise PreconditionViolated(f"sum {sum(a)} exceeds ell = {ell}")
 
 
+def _subset_with_sum(
+    a: list[int], lo: int, hi: int, skip: int = -1
+) -> Optional[tuple[int, ...]]:
+    """Indices of a subset of a whose sum is the least reachable value in
+    [lo, hi], never using index skip; None when no subset sum lies there.
+
+    reach[i] is the bitset of sums reachable with a[:i], cut at hi, so the
+    cost is O(len(a) * hi) bit operations.  The subset is rebuilt backwards:
+    item i is taken exactly when the remaining sum is unreachable without it.
+    """
+    lo = max(lo, 0)
+    if hi < lo:
+        return None
+    window = (1 << (hi + 1)) - 1
+    reach = [1]
+    for i, x in enumerate(a):
+        r = reach[-1]
+        reach.append(r if i == skip else (r | r << x) & window)
+    hits = reach[-1] >> lo
+    if not hits:
+        return None
+    s = lo + (hits & -hits).bit_length() - 1
+    picked = []
+    for i in range(len(a) - 1, -1, -1):
+        if not reach[i] >> s & 1:
+            picked.append(i)
+            s -= a[i]
+    return tuple(reversed(picked))
+
+
 def sum_partition_two(a: list[int], ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Index partition {J1, J2} with sum(J2) <= sum(J1) <= floor(2*ell/3).
 
-    Entries may be zero (they land in J2).  Needs ell >= 2 whenever the
-    sequence sums to something positive: with ell = 1 the only admissible
-    nonzero sequence is [1], and no split can keep the larger side at
-    floor(2/3) = 0.  Deterministic: big items first, exhaustive backtrack for
-    m <= 20 if the greedy certificate fails.
+    Exact: J1 starts as the subset with the least sum in
+    [sum(a) - floor(2*ell/3), floor(2*ell/3)], and the sides swap when J2 is
+    heavier.  Entries may be zero.  Needs ell >= 2 whenever the sequence sums
+    to something positive: with ell = 1 the only admissible nonzero sequence
+    is [1], and no split can keep the larger side at floor(2/3) = 0.  Raises
+    PreconditionViolated when no split exists.
     """
     a = [int(x) for x in a]
     _check_sum_partition_input(a, ell)
@@ -262,109 +292,52 @@ def sum_partition_two(a: list[int], ell: int) -> tuple[tuple[int, ...], tuple[in
     if total > 0 and ell < 2:
         raise PreconditionViolated("ell must be at least 2 for a nonzero sequence")
     cap = (2 * ell) // 3
-
-    def finish(j1: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        s1 = set(j1)
-        j2 = [i for i in range(len(a)) if i not in s1]
-        sum1, sum2 = sum(a[i] for i in j1), sum(a[i] for i in j2)
-        if sum2 > sum1:
-            j1, j2 = j2, j1
-            sum1, sum2 = sum2, sum1
-        if not (sum2 <= sum1 <= cap):
-            raise InternalInvariantError("two-part split certificate failed")
-        return tuple(sorted(j1)), tuple(sorted(j2))
-
-    order = sorted(range(len(a)), key=lambda i: (-a[i], i))
-    # big item alone if it already reaches the lower window edge
-    lo = total - cap
-    if order and a[order[0]] >= lo:
-        return finish([order[0]])
-    j1: list[int] = []
-    s = 0
-    for i in order:
-        if s >= lo:
-            break
-        j1.append(i)
-        s += a[i]
-    try:
-        return finish(j1)
-    except InternalInvariantError:
-        pass
-    if len(a) <= 20:
-        for pick in product((0, 1), repeat=len(a)):
-            j1 = [i for i in range(len(a)) if pick[i]]
-            sum1 = sum(a[i] for i in j1)
-            sum2 = total - sum1
-            if max(sum1, sum2) <= cap:
-                return finish(j1)
+    j1 = _subset_with_sum(a, total - cap, cap)
+    if j1 is None:
         raise PreconditionViolated("no admissible two-part split exists")
-    raise InternalInvariantError("greedy two-part split failed beyond the exhaustive cap")
+    s1 = set(j1)
+    j2 = tuple(i for i in range(len(a)) if i not in s1)
+    sum1 = sum(a[i] for i in j1)
+    sum2 = total - sum1
+    if sum2 > sum1:
+        j1, j2 = j2, j1
+        sum1, sum2 = sum2, sum1
+    if not (sum2 <= sum1 <= cap):
+        raise InternalInvariantError("two-part split certificate failed")
+    return j1, j2
 
 
 def sum_partition_three(
     a: list[int], ell: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Index partition {I1, I2, I3} with sums descending, all <= ceil(ell/2), |I3| <= 1."""
+    """Index partition {I1, I2, I3} with sums descending, all <= ceil(ell/2), |I3| <= 1.
+
+    Exact: I3 is empty or one item a_i, tried empty first and then by
+    (-a_i, i).  The other R = sum(a) - a_i must split into two sides of
+    at least a_i and at most ceil(ell/2) each, so one side's sum lies in
+    [max(a_i, R - cap), min(cap, R - a_i)].  On tied sums the part with
+    fewer items goes last.  Raises PreconditionViolated when no split exists.
+    """
     a = [int(x) for x in a]
     _check_sum_partition_input(a, ell)
     cap = -(-ell // 2)
     m = len(a)
-
-    def finish(i1, i2, i3):
-        parts = [sorted(i1), sorted(i2), sorted(i3)]
-        sums = [sum(a[i] for i in p) for p in parts]
-        # sums descending; on ties park the smallest-cardinality part last
-        paired = sorted(zip(sums, parts), key=lambda t: (-t[0], -len(t[1]), t[1]))
-        sums = [p[0] for p in paired]
-        parts = [p[1] for p in paired]
-        if len(parts[2]) > 1 or sums[0] > cap:
-            raise InternalInvariantError("three-part split certificate failed")
-        return tuple(parts[0]), tuple(parts[1]), tuple(parts[2])
-
-    order = sorted(range(m), key=lambda i: (-a[i], i))
-    # try plain two-bin greedy with I3 empty, then with each item parked alone
-    candidates: list[tuple[list[int], list[int], list[int]]] = []
-    b1: list[int] = []
-    b2: list[int] = []
-    s1 = s2 = 0
-    for i in order:
-        if s1 <= s2:
-            b1.append(i)
-            s1 += a[i]
-        else:
-            b2.append(i)
-            s2 += a[i]
-    candidates.append((b1, b2, []))
-    for solo in order:
-        b1, b2 = [], []
-        s1 = s2 = 0
-        for i in order:
-            if i == solo:
-                continue
-            if s1 <= s2:
-                b1.append(i)
-                s1 += a[i]
-            else:
-                b2.append(i)
-                s2 += a[i]
-        if a[solo] <= min(s1, s2):
-            candidates.append((b1, b2, [solo]))
-    for cand in candidates:
-        try:
-            return finish(*cand)
-        except InternalInvariantError:
-            continue
-    if m <= 13:
-        for assign in product((0, 1, 2), repeat=m):
-            parts = [[i for i in range(m) if assign[i] == j] for j in range(3)]
-            if len(parts[2]) > 1:
-                continue
-            try:
-                return finish(*parts)
-            except InternalInvariantError:
-                continue
+    total = sum(a)
+    for solo in [-1] + sorted(range(m), key=lambda i: (-a[i], i)):
+        low = a[solo] if solo >= 0 else 0
+        rest = total - low
+        i1 = _subset_with_sum(a, max(low, rest - cap), min(cap, rest - low), skip=solo)
+        if i1 is not None:
+            break
+    else:
         raise PreconditionViolated("no admissible three-part split exists")
-    raise InternalInvariantError("greedy three-part split failed beyond the exhaustive cap")
+    i3 = [solo] if solo >= 0 else []
+    s1 = set(i1)
+    parts = [list(i1), [i for i in range(m) if i not in s1 and i != solo], i3]
+    parts.sort(key=lambda p: (-sum(a[i] for i in p), -len(p), p))
+    if len(parts[2]) > 1 or sum(a[i] for i in parts[0]) > cap:
+        raise InternalInvariantError("three-part split certificate failed")
+    return tuple(parts[0]), tuple(parts[1]), tuple(parts[2])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from treebed import checks
 from treebed.decompose import (
     RichParams,
     classify_components,
@@ -202,3 +203,13 @@ def test_rich_decompose_apex_host():
     assert len(rd2.components) == 2
     assert sorted(len(c) for c in rd2.components) == [39, 40]
     assert len(rd2.uncovered) == 0
+
+
+def test_rich_decompose_reports_use_original_ids():
+    for i in range(60):
+        g, _, _, _, k, rho = checks.refine_instance(0, i)
+        rd = rich_decompose(g, k, RichParams(Fraction(1, 2), rho, k))
+        assert len(rd.reports) == len(rd.components)
+        for comp, rep in zip(rd.components, rd.reports):
+            assert rep.subgraph == comp
+            assert rep.cover is None or rep.cover.as_set() <= comp.as_set()

@@ -202,6 +202,23 @@ def test_embed_via_path_path_stage():
     assert out.status == "found"
 
 
+def test_embed_via_path_star_window():
+    # K_{1,30} leaves 30 singleton components around its centre; choosing
+    # those in the degree window is a subset-sum question, not 2^30 subsets
+    A, B1, B2 = range(0, 62), range(62, 124), range(124, 186)
+    x = 186
+    edges = [(u, v) for blk in (A, B1, B2) for u in blk for v in blk if u < v]
+    edges += [(x, v) for v in A] + [(x, v) for v in B1]
+    a, b_vert = A[-1], B2[0]
+    edges.append((a, b_vert))
+    g = Graph(187, edges)
+    star = Tree(31, [(0, i) for i in range(1, 31)])
+    out = embed_via_path(
+        g, x, VertexSet(A, g.n), VertexSet(B1, g.n), VertexSet(B2, g.n), a, b_vert, star,
+    )
+    assert out.status == "found"
+
+
 def test_embed_via_path_missing_bridge():
     g, x, blocks, a, b_vert = _escape_path_host()
     g2 = Graph(g.n, [e for e in g.edges() if e != tuple(sorted((a, b_vert)))])

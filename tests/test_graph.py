@@ -131,6 +131,16 @@ def test_bipartite_matching_examples():
     assert len(m) == 2  # derived: no matching can exceed |X| = 2, and 2 = |Y|/d
 
 
+def test_bipartite_matching_long_augmenting_chain():
+    # x_u ~ y_{u-1}, y_u: each new x first tries y_{u-1} and walks the whole
+    # chain back to x_0 before it finds y_u free, 2000 levels deep
+    n = 2000
+    xs, ys = range(n), range(n, 2 * n)
+    g = Graph(2 * n, [(u, n + u) for u in xs] + [(u, n + u - 1) for u in xs if u])
+    m = bipartite_matching_lower(g, VertexSet(xs, g.n), VertexSet(ys, g.n))
+    assert m.edges == tuple((u, n + u) for u in xs)
+
+
 def test_bipartite_matching_preconditions():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(PreconditionViolated):

@@ -1,5 +1,6 @@
 """Tree-toolkit tests: splitting procedures and their certified records."""
 
+import random
 from fractions import Fraction
 from math import log
 
@@ -11,6 +12,7 @@ from treebed.errors import PreconditionViolated
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
 from treebed.trees import (
     Tree,
+    _subset_with_sum,
     balanced_separator_vertex,
     bipartition_classes,
     chain_split,
@@ -93,6 +95,115 @@ def test_sum_partition_three_examples():
     sums = [sum([3, 2, 1][i] for i in p) for p in (i1, i2, i3)]
     assert sums[2] <= sums[1] <= sums[0] <= 3 and len(i3) <= 1
     assert sum_partition_three([1], 1) == ((0,), (), ())
+
+
+def _subset_sums(a):
+    """Sum of every index subset of a, by bitmask."""
+    sums = [0] * (1 << len(a))
+    for mask in range(1, 1 << len(a)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + a[low.bit_length() - 1]
+    return sums
+
+
+def test_subset_with_sum_against_brute_force():
+    rng = random.Random(11)
+    for _ in range(600):
+        d = rng.randrange(0, 13)
+        a = [rng.randrange(0, 9) for _ in range(d)]
+        lo, hi = rng.randrange(-3, 40), rng.randrange(-3, 40)
+        skip = rng.randrange(-1, d) if d else -1
+        sums = _subset_sums(a)
+        allowed = [m for m in range(1 << d) if skip < 0 or not m >> skip & 1]
+        in_window = [sums[m] for m in allowed if lo <= sums[m] <= hi]
+        got = _subset_with_sum(a, lo, hi, skip)
+        if not in_window:
+            assert got is None
+            continue
+        assert got is not None and list(got) == sorted(set(got)) and skip not in got
+        assert sum(a[i] for i in got) == min(in_window)
+    assert _subset_with_sum([3, 5], 1, 2) is None  # empty window between sums
+    assert _subset_with_sum([3, 5], 4, 3) is None  # hi < lo
+    assert _subset_with_sum([3, 5], -4, 6) == ()  # the empty subset is least
+    assert _subset_with_sum([3, 5], 5, 8, skip=1) is None
+
+
+def _two_part_feasible(a, ell):
+    total, cap = sum(a), (2 * ell) // 3
+    return any(max(s, total - s) <= cap for s in _subset_sums(a))
+
+
+def _three_part_feasible(a, ell):
+    """The three-part contract by enumeration: after sorting by (-sum, -size)
+    the last part holds at most one item, and no part exceeds ceil(ell/2)."""
+    m, cap = len(a), -(-ell // 2)
+    for solo in [None] + list(range(m)):
+        rest = [i for i in range(m) if i != solo]
+        third = [] if solo is None else [solo]
+        for mask in range(1 << len(rest)):
+            p1 = [i for j, i in enumerate(rest) if mask >> j & 1]
+            p2 = [i for j, i in enumerate(rest) if not mask >> j & 1]
+            parts = sorted(
+                ([sum(a[i] for i in p), p] for p in (p1, p2, third)),
+                key=lambda sp: (-sp[0], -len(sp[1]), sp[1]),
+            )
+            if len(parts[2][1]) <= 1 and parts[0][0] <= cap:
+                return True
+    return False
+
+
+def _check_two(a, ell, j1, j2):
+    s1, s2 = sum(a[i] for i in j1), sum(a[i] for i in j2)
+    assert sorted(j1 + j2) == list(range(len(a)))
+    assert s2 <= s1 <= (2 * ell) // 3
+
+
+def _check_three(a, ell, parts):
+    sums = [sum(a[i] for i in p) for p in parts]
+    assert sorted(i for p in parts for i in p) == list(range(len(a)))
+    assert sums[2] <= sums[1] <= sums[0] <= -(-ell // 2) and len(parts[2]) <= 1
+
+
+def test_sum_partitions_against_brute_force():
+    # [3, 3, 7, 11]: only I3 = {3} works; with I3 = {7} the sides 3+3 and 11
+    # fit the cap, but the lighter side falls below a_i = 7
+    cases = [([3, 3, 7, 11], 24)]
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randrange(0, 13)
+        ell = rng.randrange(1, 25)
+        half = -(-ell // 2)
+        a = [rng.randrange(0, half + 1) for _ in range(m)]
+        while sum(a) > ell:
+            a[rng.randrange(m)] //= 2
+        cases.append((a, ell))
+    for a, ell in cases:
+        if _two_part_feasible(a, ell):
+            _check_two(a, ell, *sum_partition_two(a, ell))
+        else:
+            with pytest.raises(PreconditionViolated):
+                sum_partition_two(a, ell)
+        if _three_part_feasible(a, ell):
+            _check_three(a, ell, sum_partition_three(a, ell))
+        else:
+            with pytest.raises(PreconditionViolated):
+                sum_partition_three(a, ell)
+
+
+@pytest.mark.parametrize("m", [25, 60, 300])
+def test_sum_partitions_beyond_small_sizes(m):
+    rng = random.Random(m)
+    shapes = [
+        [rng.randrange(0, 6) for _ in range(m)],
+        [1] * m,
+        [m - 1] + [1] * (m - 1),  # one item at ceil(ell/2) when ell = sum(a)
+    ]
+    for a in shapes:
+        for ell in (sum(a), sum(a) + 7):
+            if ell < 2 or max(a) > -(-ell // 2):
+                continue
+            _check_two(a, ell, *sum_partition_two(a, ell))
+            _check_three(a, ell, sum_partition_three(a, ell))
 
 
 def test_split_two_forests_examples():
