@@ -1,7 +1,13 @@
 """Command-line interface.
 
 Subcommands: gen, split, embed, decompose, verify-extremal, sweep, props.
-Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error.
+Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error,
+3 inconclusive (a search ran out of its node budget before a verdict).
+
+Cut density needs no flag: it is exact on graphs of at most 20 vertices and
+a local-search upper bound above that.  `decompose` says which one a result
+rests on: `certified_exact` for refine, one `conclusive` flag per component
+for rich.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from fractions import Fraction
 from . import lab
 from .decompose import RichParams, classify_components, refine_cut_dense, rich_decompose
 from .embed import Embedding, brute_force_embed, greedy_embed
-from .errors import InternalInvariantError, PreconditionViolated, TreebedError
+from .errors import (
+    InternalInvariantError,
+    PreconditionViolated,
+    SearchBudgetExceeded,
+    TreebedError,
+)
 from .generators import (
     GRAPH_FAMILY_NAMES,
     TREE_FAMILY_NAMES,
@@ -170,10 +181,11 @@ def cmd_decompose(args) -> int:
     if args.op == "rich":
         rho = Fraction(args.rho) if args.rho is not None else Fraction(0)
         p = RichParams(Fraction(args.c), rho, args.k)
-        rd = rich_decompose(g, args.k, p, mode=args.mode, exact_cap=args.exact_cap)
+        rd = rich_decompose(g, args.k, p)
         payload = {
             "op": "rich",
             "components": [list(c) for c in rd.components],
+            "conclusive": [rep.conclusive for rep in rd.reports],
             "uncovered": list(rd.uncovered),
             "coverage": str(rd.coverage),
         }
@@ -184,9 +196,7 @@ def cmd_decompose(args) -> int:
             Fraction(args.eps),
             Fraction(args.delta),
             args.k,
-            mode=args.mode,
             rho=Fraction(args.rho) if args.rho is not None else None,
-            exact_cap=args.exact_cap,
             relax_delta=args.relax_delta,
         )
         payload = {
@@ -285,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="root seed for randomized steps")
     common.add_argument("--format", default="json", choices=("json", "csv"))
-    common.add_argument("--exact-cap", type=int, default=20, dest="exact_cap")
     common.add_argument("--budget", type=int, default=10**8, help="search node budget")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     ap = argparse.ArgumentParser(
@@ -328,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--eps", default="1/4")
     d.add_argument("--delta", default="1/2000")
     d.add_argument("--relax-delta", action="store_true", dest="relax_delta")
-    d.add_argument("--mode", default="exact", choices=("exact", "heuristic"))
     d.add_argument("--s", type=int, default=2)
     d.add_argument("--t", type=int, default=2)
     d.add_argument("--comp", action="append", metavar="v1,v2,...")
@@ -363,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 1
+    except SearchBudgetExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except TreebedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,14 +19,12 @@ from .errors import (
 )
 from .graph import (
     DEFAULT_COVER_BUDGET,
-    DEFAULT_EXACT_CUT_CAP,
     CutDenseVerdict,
     CutWitness,
     Graph,
     Matching,
     VertexSet,
     as_vertex_set,
-    cut_density,
     is_cut_dense,
     periphery,
     second_neighbourhood,
@@ -90,15 +88,7 @@ class RichReport:
         return self.cover_ok is not None and (self.cut_dense_conclusive or not self.cut_dense_ok)
 
 
-def is_rich(
-    g: Graph,
-    h,
-    p: RichParams,
-    mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
-    cover_budget: int = DEFAULT_COVER_BUDGET,
-    seed: int = 0,
-) -> RichReport:
+def is_rich(g: Graph, h, p: RichParams, cover_budget: int = DEFAULT_COVER_BUDGET) -> RichReport:
     """Check the four richness conditions of the induced subgraph on h."""
     hv = as_vertex_set(h, g.n)
     if not hv.members:
@@ -118,7 +108,7 @@ def is_rich(
         cover_ok = None
         cover_budget_exceeded = True
     if sub.n >= 2:
-        verdict = is_cut_dense(sub, p.rho, mode=mode, exact_cap=exact_cap, seed=seed)
+        verdict = is_cut_dense(sub, p.rho)
     else:
         verdict = CutDenseVerdict(True, True, None)
     # witness indices are subgraph-local; subgraph.members maps them back
@@ -180,11 +170,8 @@ def refine_cut_dense(
     eps: Fraction,
     delta: Fraction,
     k: int,
-    mode: str = "exact",
     rho: Optional[Fraction] = None,
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
     relax_delta: bool = False,
-    seed: int = 0,
 ) -> RefineResult:
     """Delete sparse cuts and degree-dropped vertices until every component is
     rho-cut-dense.
@@ -196,6 +183,9 @@ def refine_cut_dense(
     200*delta*|g| vertices and keep min degree (a + eps - 400*delta)*k; both
     are asserted.  An explicit rho skips those two assertions (the final
     certification still holds) and is the practical choice at small scale.
+    The final certification re-checks every component; `certified_exact` is
+    True when all of its verdicts were conclusive (components of at most
+    EXACT_CUT_MAX_N vertices).
     """
     a, eps, delta = Fraction(a), Fraction(eps), Fraction(delta)
     preset = rho is None
@@ -212,75 +202,61 @@ def refine_cut_dense(
             raise PreconditionViolated("delta must stay below eps/400 (or pass relax_delta=True)")
         relaxed = True
 
-    # work on a mutable adjacency copy over original ids
+    # cur keeps the original ids; deleted vertices stay as isolated points
+    cur = g
     present = set(range(g.n))
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     removed_all: list[int] = []
     log: list[RefineStep] = []
     i = 0
     while True:
-        comps = _components_of(adj, present)
         offender = None
-        for comp in comps:
+        for comp in cur.components():
             if len(comp) < 2:
                 continue
-            sub, back = _induced_of(adj, comp)
-            verdict = is_cut_dense(sub, rho, mode=mode, exact_cap=exact_cap, seed=seed)
+            sub, _ = cur.induced(comp)
+            verdict = is_cut_dense(sub, rho)
             if not verdict.is_dense:
-                offender = (comp, sub, back, verdict.witness)
+                offender = (comp, sub, verdict.witness)
                 break
         if offender is None:
             break
         i += 1
-        comp, sub, back, witness = offender
-        across = [
-            (back[u], back[v])
-            for u in witness.side_a.members
-            for v in sub.neighbors(u)
-            if v in witness.side_b
-        ]
-        for u, v in across:
-            adj[u].discard(v)
-            adj[v].discard(u)
+        comp, sub, witness = offender
+        across = {
+            (comp[u], comp[v])
+            for u, v in sub.edges()
+            if (u in witness.side_a) != (v in witness.side_a)
+        }
+        cur = Graph(g.n, (e for e in cur.edges() if e not in across))
         threshold = (a + eps - (2 * i - 1) * delta) * k
-        dropped = sorted(v for v in comp if len(adj[v]) < threshold)
-        for v in dropped:
-            for w in adj[v]:
-                adj[w].discard(v)
-            adj[v] = set()
-            present.discard(v)
+        dropped = tuple(v for v in comp if cur.degree(v) < threshold)
+        gone = set(dropped)
+        cur = Graph(g.n, ((u, v) for u, v in cur.edges() if u not in gone and v not in gone))
+        present -= gone
         removed_all.extend(dropped)
         log.append(
             RefineStep(
                 iteration=i,
-                component=tuple(comp),
+                component=comp,
                 cut_density=witness.density,
                 crossing_edges_removed=len(across),
                 degree_threshold=threshold,
-                vertices_removed=tuple(dropped),
+                vertices_removed=dropped,
             )
         )
         if i > 2 * g.n + 2:
             raise InternalInvariantError("refinement failed to terminate")
 
-    kept = sorted(present)
-    final = Graph(
-        len(kept),
-        (
-            (kept.index(u), kept.index(v))
-            for u in kept
-            for v in adj[u]
-            if u < v
-        ),
-    )
-    certified = mode == "exact"
-    if certified:
-        for comp in final.components():
-            if len(comp) < 2:
-                continue
-            sub, _ = final.induced(comp)
-            if not is_cut_dense(sub, rho, mode="exact", exact_cap=exact_cap).is_dense:
-                raise InternalInvariantError("refinement left a sparse-cut component")
+    final, kept = cur.induced(present)
+    certified = True
+    for comp in final.components():
+        if len(comp) < 2:
+            continue
+        sub, _ = final.induced(comp)
+        verdict = is_cut_dense(sub, rho)
+        if not verdict.is_dense:
+            raise InternalInvariantError("refinement left a sparse-cut component")
+        certified = certified and verdict.conclusive
     if preset:
         if len(removed_all) > 200 * delta * g.n:
             raise InternalInvariantError("refinement deleted more than 200*delta*|g| vertices")
@@ -290,42 +266,13 @@ def refine_cut_dense(
     return RefineResult(
         original=g,
         graph=final,
-        vertices=tuple(kept),
+        vertices=kept,
         removed_vertices=tuple(sorted(removed_all)),
         log=tuple(log),
         rho=rho,
         certified_exact=certified,
         relaxed_delta=relaxed,
     )
-
-
-def _components_of(adj: dict, present: set) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for s in sorted(present):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
-
-
-def _induced_of(adj: dict, comp: tuple[int, ...]) -> tuple[Graph, tuple[int, ...]]:
-    idx = {v: i for i, v in enumerate(comp)}
-    sub = Graph(
-        len(comp),
-        ((idx[u], idx[v]) for u in comp for v in adj[u] if v in idx and u < v),
-    )
-    return sub, comp
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +399,6 @@ def intersection_property_report(
     delta_t: int,
     eps: Fraction,
     k: int,
-    mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
     cover_budget: int = DEFAULT_COVER_BUDGET,
 ) -> IntersectionReport:
     """Check the three exclusion properties of component peripheries.
@@ -473,10 +418,7 @@ def intersection_property_report(
             raise OverlappingComponents("components overlap")
         union |= c.as_set()
     p = RichParams(Fraction(1, 2) + eps, Fraction(0), k)
-    reports = tuple(
-        is_rich(g, c, p, mode=mode, exact_cap=exact_cap, cover_budget=cover_budget)
-        for c in cvs
-    )
+    reports = tuple(is_rich(g, c, p, cover_budget=cover_budget) for c in cvs)
     for rep in reports:
         if not rep.rich:
             raise PreconditionViolated("every component must be (1/2+eps, 0, k)-rich")
@@ -621,16 +563,17 @@ def rich_decompose(
     p: RichParams,
     eps: Optional[Fraction] = None,
     delta: Optional[Fraction] = None,
-    mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
     cover_budget: int = DEFAULT_COVER_BUDGET,
 ) -> RichDecomposition:
     """Heuristic pipeline: components -> low-degree peel -> cut-dense refine
     -> richness filter.
 
-    Only the final filter is a guarantee: every returned set is certified
-    rich (exactly, in exact mode).  Coverage is reported, never promised; an
-    empty result is an inconclusive outcome, not evidence about containment.
+    Only the final filter is a guarantee: every returned set passed the
+    richness checks, and it is certified rich exactly when its report is
+    conclusive (its cut-density verdict is inconclusive on refined pieces of
+    more than EXACT_CUT_MAX_N vertices).  Coverage is reported, never
+    promised; an empty result is an inconclusive outcome, not evidence about
+    containment.
     """
     if eps is None:
         eps = max(p.c / 2, Fraction(1, 100))
@@ -660,16 +603,14 @@ def rich_decompose(
                 eps,
                 delta,
                 k,
-                mode=mode,
                 rho=p.rho,
-                exact_cap=exact_cap,
                 relax_delta=delta >= eps / 400,
             )
         except PreconditionViolated:
             continue
         for rcomp in refined.graph.components():
             orig = tuple(back[refined.vertices[i]] for i in rcomp)
-            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p, mode, exact_cap, cover_budget)
+            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p, cover_budget)
             if rep.rich:
                 accepted.append(rep.subgraph)
                 reports.append(rep)
@@ -687,8 +628,6 @@ def is_rich_on_refined(
     orig: tuple[int, ...],
     n: int,
     p: RichParams,
-    mode: str,
-    exact_cap: int,
     cover_budget: int,
 ) -> RichReport:
     """Richness check on a refined component (edge deletions already applied).
@@ -698,13 +637,6 @@ def is_rich_on_refined(
     its cut witness stays local to `subgraph.members`.
     """
     sub, _ = refined.graph.induced(rcomp)
-    rep = is_rich(
-        sub,
-        VertexSet(range(sub.n), sub.n),
-        p,
-        mode=mode,
-        exact_cap=exact_cap,
-        cover_budget=cover_budget,
-    )
+    rep = is_rich(sub, VertexSet(range(sub.n), sub.n), p, cover_budget=cover_budget)
     cover = None if rep.cover is None else VertexSet((orig[i] for i in rep.cover), n)
     return replace(rep, subgraph=VertexSet(orig, n), cover=cover)

@@ -9,10 +9,6 @@ class PreconditionViolated(TreebedError):
     """An operation was called on inputs outside its contract."""
 
 
-class ExactCapExceeded(TreebedError):
-    """Exact cut enumeration requested on a graph above the size cap."""
-
-
 class SearchBudgetExceeded(TreebedError):
     """A budgeted search ran out of nodes before reaching a verdict.
 

@@ -16,13 +16,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import kernel
 from .errors import (
     Disconnected,
-    ExactCapExceeded,
     InternalInvariantError,
     PreconditionViolated,
     SearchBudgetExceeded,
 )
 
-DEFAULT_EXACT_CUT_CAP = 20
+# Largest order on which `cut_density` scans every bipartition (2^19 - 1 of
+# them at n = 20); above it a local search gives an upper bound instead.
+EXACT_CUT_MAX_N = 20
 DEFAULT_COVER_BUDGET = 10**6
 
 
@@ -65,12 +66,6 @@ class VertexSet:
 
     def as_set(self) -> frozenset:
         return self._set
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(
-            (v for v in range(self.universe_size) if v not in self._set),
-            self.universe_size,
-        )
 
 
 def as_vertex_set(x, universe_size: int) -> VertexSet:
@@ -320,7 +315,12 @@ class Matching:
 
 @dataclass(frozen=True)
 class CutDensityResult:
-    """Outcome of a cut-density computation; heuristic results are upper bounds only."""
+    """Outcome of a cut-density computation.
+
+    `exact` is True when the witness is a minimum-density bipartition; when
+    False (local search, above EXACT_CUT_MAX_N vertices) its density is only
+    an upper bound on the minimum.
+    """
 
     witness: CutWitness
     exact: bool
@@ -330,8 +330,10 @@ class CutDensityResult:
 class CutDenseVerdict:
     """Answer to "is the graph rho-cut-dense?".
 
-    In heuristic mode only a False verdict (carrying a violating witness) is
-    conclusive; a True verdict is an educated guess and flagged as such.
+    A False verdict carries a violating witness and is always conclusive.
+    A True verdict is conclusive only when the minimum was computed exactly,
+    that is on at most EXACT_CUT_MAX_N vertices; above that it means only
+    that local search found no sparser cut.
     """
 
     is_dense: bool
@@ -378,17 +380,12 @@ def second_neighbourhood(g: Graph, x: int) -> VertexSet:
 # Cut density
 
 
-def _exact_min_cut(g: Graph, cap: int) -> CutWitness:
-    if g.n < 2:
-        raise PreconditionViolated("cut density needs at least 2 vertices")
-    if g.n > cap:
-        raise ExactCapExceeded(f"exact cut enumeration capped at n <= {cap}, got {g.n}")
-    cross, amask = kernel.min_density_cut(g.masks(), g.n)
-    side_a = [v for v in range(g.n) if (amask >> v) & 1]
-    side_b = [v for v in range(g.n) if not (amask >> v) & 1]
+def _cut_witness(n: int, cross: int, amask: int) -> CutWitness:
+    side_a = [v for v in range(n) if (amask >> v) & 1]
+    side_b = [v for v in range(n) if not (amask >> v) & 1]
     return CutWitness(
-        VertexSet(side_a, g.n),
-        VertexSet(side_b, g.n),
+        VertexSet(side_a, n),
+        VertexSet(side_b, n),
         cross,
         Fraction(cross, len(side_a) * len(side_b)),
     )
@@ -400,9 +397,9 @@ def _count_crossing(g: Graph, amask: int) -> int:
     return sum((masks[v] & bmask).bit_count() for v in range(g.n) if (amask >> v) & 1)
 
 
-def _heuristic_min_cut(g: Graph, seed: int, restarts: int = 8) -> CutWitness:
-    """Randomized local search over bipartitions; result is an upper bound."""
-    rng = random.Random(seed)
+def _heuristic_min_cut(g: Graph, restarts: int = 8) -> tuple[int, int]:
+    """Seeded local search over bipartitions: (crossing, a_mask) of an upper bound."""
+    rng = random.Random(0)
     n = g.n
     best = None  # (num, den, amask)
     starts = [1]  # vertex 0 alone, a decent seed for near-disconnected graphs
@@ -440,51 +437,37 @@ def _heuristic_min_cut(g: Graph, seed: int, restarts: int = 8) -> CutWitness:
         cand = (cross, asz * (n - asz), amask)
         if best is None or cand[0] * best[1] < best[0] * cand[1]:
             best = cand
-    cross, den, amask = best
-    side_a = [v for v in range(n) if (amask >> v) & 1]
-    side_b = [v for v in range(n) if not (amask >> v) & 1]
-    return CutWitness(
-        VertexSet(side_a, n), VertexSet(side_b, n), cross, Fraction(cross, den)
-    )
+    return best[0], best[2]
 
 
-def cut_density(
-    g: Graph,
-    mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
-    seed: int = 0,
-) -> CutDensityResult:
+def cut_density(g: Graph) -> CutDensityResult:
     """Minimum of e(A,B)/(|A||B|) over all bipartitions.
 
-    Exact mode enumerates all 2^(n-1)-1 bipartitions and is capped; heuristic
-    mode returns some local optimum, flagged as an upper bound on the truth.
+    The order of g picks the method.  With n <= EXACT_CUT_MAX_N the kernel
+    scans all 2^(n-1)-1 bipartitions and the result is exact.  Above that a
+    seeded local search returns some local optimum, flagged exact=False: its
+    density is an upper bound on the minimum.
     """
     if g.n < 2:
         raise PreconditionViolated("cut density needs at least 2 vertices")
-    if mode == "exact":
-        return CutDensityResult(_exact_min_cut(g, exact_cap), exact=True)
-    if mode == "heuristic":
-        return CutDensityResult(_heuristic_min_cut(g, seed), exact=False)
-    raise PreconditionViolated(f"unknown mode {mode!r}")
+    exact = g.n <= EXACT_CUT_MAX_N
+    cross, amask = kernel.min_density_cut(g.masks(), g.n) if exact else _heuristic_min_cut(g)
+    return CutDensityResult(_cut_witness(g.n, cross, amask), exact=exact)
 
 
-def is_cut_dense(
-    g: Graph,
-    rho: Fraction,
-    mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
-    seed: int = 0,
-) -> CutDenseVerdict:
+def is_cut_dense(g: Graph, rho: Fraction) -> CutDenseVerdict:
     """Whether no bipartition has crossing density below rho.
 
-    Vacuously true for rho = 0 and for single-vertex graphs.
+    Vacuously true for rho = 0 and for single-vertex graphs.  A dense verdict
+    is conclusive only when `cut_density` was exact (n <= EXACT_CUT_MAX_N);
+    a sparse verdict always is, since its witness is a real cut.
     """
     rho = Fraction(rho)
     if rho < 0:
         raise PreconditionViolated("rho must be nonnegative")
     if rho == 0 or g.n < 2:
         return CutDenseVerdict(True, True, None)
-    res = cut_density(g, mode=mode, exact_cap=exact_cap, seed=seed)
+    res = cut_density(g)
     w = res.witness
     if w.density < rho:
         return CutDenseVerdict(False, True, w)
@@ -501,8 +484,9 @@ def vertex_cover_at_most(
     """A vertex cover of size <= bound, or None when provably none exists.
 
     Classical max-degree branching ("v in the cover" vs "N(v) in the cover")
-    with an edges-over-max-degree lower bound.  Raises SearchBudgetExceeded
-    when the node budget runs out before either verdict.
+    with an edges-over-max-degree lower bound.  The search runs on an explicit
+    stack, so its depth is not bounded by the recursion limit.  Raises
+    SearchBudgetExceeded when the node budget runs out before either verdict.
     """
     if bound < 0:
         raise PreconditionViolated("cover bound must be nonnegative")
@@ -511,64 +495,76 @@ def vertex_cover_at_most(
     if bound >= g.n:
         return VertexSet(range(g.n), g.n)
 
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    nodes = [0]
+    adj = g.adjacency
+    deg = g.degrees()  # degree among the vertices not yet taken into the cover
+    removed = [False] * g.n
+    picked: list[int] = []
+    edges_left = g.edge_count
 
-    def search(active_deg: list[int], removed: list[bool], picked: list[int], left: int):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise SearchBudgetExceeded(f"vertex cover search exceeded {budget} nodes")
-        edges_left = sum(active_deg[v] for v in range(g.n) if not removed[v]) // 2
-        if edges_left == 0:
-            return list(picked)
-        if left == 0:
-            return None
-        maxdeg = 0
-        pivot = -1
-        for v in range(g.n):
-            if not removed[v] and active_deg[v] > maxdeg:
-                maxdeg = active_deg[v]
-                pivot = v
-        # trivial lower bound: every cover vertex kills at most maxdeg edges
-        if maxdeg * left < edges_left:
-            return None
+    def take(v):
+        nonlocal edges_left
+        removed[v] = True
+        picked.append(v)
+        edges_left -= deg[v]
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
 
-        def remove(v):
-            removed[v] = True
-            for w in adj[v]:
-                if not removed[w]:
-                    active_deg[w] -= 1
-
-        def restore(v):
-            for w in adj[v]:
-                if not removed[w]:
-                    active_deg[w] += 1
-            removed[v] = False
-
-        # branch 1: pivot joins the cover
-        remove(pivot)
-        picked.append(pivot)
-        res = search(active_deg, removed, picked, left - 1)
+    def give_back(v):
+        nonlocal edges_left
         picked.pop()
-        restore(pivot)
-        if res is not None:
-            return res
-        # branch 2: pivot stays out, all its live neighbours join
-        live = [w for w in adj[pivot] if not removed[w]]
-        if len(live) <= left:
-            for w in live:
-                remove(w)
-                picked.append(w)
-            res = search(active_deg, removed, picked, left - len(live))
-            for w in reversed(live):
-                picked.pop()
-                restore(w)
-            if res is not None:
-                return res
-        return None
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] += 1
+        removed[v] = False
+        edges_left += deg[v]
 
-    got = search(g.degrees(), [False] * g.n, [], bound)
-    return None if got is None else VertexSet(got, g.n)
+    # One frame per open node: its pivot, its cover slots left, and the live
+    # neighbours taken in branch 2 (None while branch 1 is open).  Frames are
+    # undone in LIFO order, which keeps `deg` exact for every live vertex.
+    stack: list[tuple[int, int, Optional[list[int]]]] = []
+    nodes = 0
+    left = bound
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"vertex cover search exceeded {budget} nodes")
+        if edges_left == 0:
+            return VertexSet(picked, g.n)
+        pivot = -1
+        if left > 0:
+            maxdeg = 0
+            for v in range(g.n):
+                if not removed[v] and deg[v] > maxdeg:
+                    maxdeg = deg[v]
+                    pivot = v
+            # trivial lower bound: every cover vertex kills at most maxdeg edges
+            if maxdeg * left < edges_left:
+                pivot = -1
+        if pivot >= 0:
+            # branch 1: pivot joins the cover
+            take(pivot)
+            stack.append((pivot, left, None))
+            left -= 1
+            continue
+        # no cover below this node: resume the nearest frame with a branch left
+        while stack:
+            pivot, left, live = stack.pop()
+            if live is not None:
+                for w in reversed(live):
+                    give_back(w)
+                continue
+            give_back(pivot)
+            # branch 2: pivot stays out, all its live neighbours join
+            live = [w for w in adj[pivot] if not removed[w]]
+            if len(live) <= left:
+                for w in live:
+                    take(w)
+                stack.append((pivot, left, live))
+                left -= len(live)
+                break
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ def test_is_rich_examples():
     rep = is_rich(k60, VertexSet(range(60), 60), p)
     assert rep.rich and rep.min_degree == 59
     two = Graph(120, _clique_edges(range(60)) + _clique_edges(range(60, 120)))
-    rep = is_rich(two, VertexSet(range(120), 120), RichParams(Fraction(1, 2), Fraction(1, 10), 100),
-                  mode="heuristic")
+    rep = is_rich(two, VertexSet(range(120), 120), RichParams(Fraction(1, 2), Fraction(1, 10), 100))
     assert not rep.rich and not rep.cut_dense_ok  # zero cut found, conclusive
     k40 = Graph.complete(40)
     rep = is_rich(k40, VertexSet(range(40), 40), RichParams(Fraction(1, 2), Fraction(0), 100))
@@ -109,7 +108,7 @@ def test_intersection_properties():
     c1 = VertexSet(range(0, half), g.n)
     c2 = VertexSet(range(half, g.n - 1), g.n)
     rep = intersection_property_report(g, [c1, c2], delta_t=3, eps=Fraction(1, 8), k=60,
-                                       mode="heuristic", cover_budget=10**5)
+                                       cover_budget=10**5)
     assert rep.l1_holds
     # three disjoint K7 blocks plus one vertex seeing 3 in each: an L1 witness
     edges = []
@@ -182,7 +181,7 @@ def test_l1_witness_feeds_the_embedder():
 def test_rich_decompose_two_cliques():
     edges = _clique_edges(range(20)) + _clique_edges(range(20, 40))
     g = Graph(40, edges)
-    rd = rich_decompose(g, 20, RichParams(Fraction(1, 2), Fraction(0), 20), mode="heuristic")
+    rd = rich_decompose(g, 20, RichParams(Fraction(1, 2), Fraction(0), 20))
     assert sorted(len(c) for c in rd.components) == [20, 20]
     assert len(rd.uncovered) == 0 and rd.coverage == 1
     sparse = gen_random_graph_min_degree(12, 2, seed=5)
@@ -195,11 +194,9 @@ def test_rich_decompose_apex_host():
     # whole graph is genuinely rich and stays together; a larger rho severs
     # the cheaper clique side
     g = gen_two_cliques_apex(60)
-    rd = rich_decompose(g, 60, RichParams(Fraction(1, 2), Fraction(1, 100), 60),
-                        mode="heuristic")
+    rd = rich_decompose(g, 60, RichParams(Fraction(1, 2), Fraction(1, 100), 60))
     assert [len(c) for c in rd.components] == [g.n]
-    rd2 = rich_decompose(g, 60, RichParams(Fraction(1, 2), Fraction(1, 30), 60),
-                         mode="heuristic")
+    rd2 = rich_decompose(g, 60, RichParams(Fraction(1, 2), Fraction(1, 30), 60))
     assert len(rd2.components) == 2
     assert sorted(len(c) for c in rd2.components) == [39, 40]
     assert len(rd2.uncovered) == 0
@@ -213,3 +210,21 @@ def test_rich_decompose_reports_use_original_ids():
         for comp, rep in zip(rd.components, rd.reports):
             assert rep.subgraph == comp
             assert rep.cover is None or rep.cover.as_set() <= comp.as_set()
+
+
+def test_local_search_is_never_reported_as_certified():
+    # every piece of the k = 60 apex host has more than 20 vertices, so its
+    # dense verdicts come from local search and stay inconclusive
+    g = gen_two_cliques_apex(60)
+    for rho in (Fraction(1, 100), Fraction(1, 30)):
+        rd = rich_decompose(g, 60, RichParams(Fraction(1, 2), rho, 60))
+        assert rd.reports
+        for rep in rd.reports:
+            assert rep.rich and not rep.cut_dense_conclusive and not rep.conclusive
+    res = refine_cut_dense(g, Fraction(1, 2), Fraction(1, 8), Fraction(1, 4), 60,
+                           rho=Fraction(1, 30), relax_delta=True)
+    assert len(res.log) == 1 and not res.certified_exact
+    # refine instances of at most 20 vertices stay certified
+    small = refine_cut_dense(Graph.complete(20), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2000), 20)
+    assert small.certified_exact
+

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebed.errors import Disconnected, ExactCapExceeded, PreconditionViolated
+from treebed.errors import Disconnected, PreconditionViolated
 from treebed.generators import gen_random_connected_graph, gen_random_graph_min_degree
 from treebed.graph import (
+    EXACT_CUT_MAX_N,
     Graph,
     VertexSet,
     bipartite_matching_lower,
@@ -31,6 +32,8 @@ C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
 C7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+# two disjoint K11: a zero-density cut on more than EXACT_CUT_MAX_N vertices
+TWO_K11 = Graph(22, list(combinations(range(11), 2)) + list(combinations(range(11, 22), 2)))
 
 
 def test_graph_validation():
@@ -77,10 +80,19 @@ def test_cut_density_examples():
 
 def test_cut_density_cap_and_modes():
     big = Graph.complete(25)
-    with pytest.raises(ExactCapExceeded):
-        cut_density(big, exact_cap=20)
-    h = cut_density(big, mode="heuristic")
+    h = cut_density(big)
     assert not h.exact and h.witness.density >= 1  # upper bound can only exceed truth
+
+
+def test_cut_density_method_follows_the_order():
+    # the exact scan runs up to EXACT_CUT_MAX_N vertices, local search above
+    assert EXACT_CUT_MAX_N == 20
+    k20 = cut_density(Graph.complete(20))
+    assert k20.exact and k20.witness.density == 1
+    assert not cut_density(Graph.complete(21)).exact
+    # above the threshold a real sparse cut is still found, but never as exact
+    res = cut_density(TWO_K11)
+    assert res.witness.density == 0 and not res.exact
 
 
 def test_is_cut_dense():
@@ -88,11 +100,19 @@ def test_is_cut_dense():
     v = is_cut_dense(TWO_TRIANGLES, Fraction(1, 10))
     assert not v.is_dense and v.conclusive and v.witness.crossing_edges == 0
     assert is_cut_dense(Graph.complete(6), 1).is_dense
-    # heuristic: a False is conclusive, a True is not
-    hv = is_cut_dense(TWO_TRIANGLES, Fraction(1, 10), mode="heuristic")
-    assert not hv.is_dense and hv.conclusive
-    hv2 = is_cut_dense(Graph.complete(6), Fraction(1, 2), mode="heuristic")
+    # above EXACT_CUT_MAX_N vertices: a False is conclusive, a True is not
+    hv = is_cut_dense(TWO_K11, Fraction(1, 10))
+    assert not hv.is_dense and hv.conclusive and hv.witness.crossing_edges == 0
+    hv2 = is_cut_dense(Graph.complete(25), Fraction(1, 2))
     assert hv2.is_dense and not hv2.conclusive
+
+
+def test_is_cut_dense_local_search_never_conclusive_when_dense():
+    for n in (21, 30, 45):
+        g = gen_random_connected_graph(n, n * (n - 1) // 4, seed=n)
+        v = is_cut_dense(g, Fraction(1, 100))
+        assert v.is_dense and not v.conclusive and v.witness is None
+    assert is_cut_dense(Graph.complete(20), Fraction(1, 2)).conclusive
 
 
 def test_vertex_cover_examples():
@@ -109,6 +129,17 @@ def test_vertex_cover_examples():
     assert got is not None and len(got) <= 3
     assert all(u in got or v in got for u, v in C5.edges())
     assert vertex_cover_at_most(Graph(3, []), 0).members == ()
+
+
+def test_vertex_cover_deep_search_is_iterative():
+    # a 1,500-edge perfect matching with bound 1,500 takes one endpoint per
+    # edge, 1,500 nodes deep: past the default recursion limit
+    n = 3000
+    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    assert n // 2 > sys.getrecursionlimit()
+    got = vertex_cover_at_most(g, n // 2)
+    assert got is not None and got.members == tuple(range(0, n, 2))
+    assert vertex_cover_at_most(g, n // 2 - 1) is None
 
 
 def test_vertex_cover_budget():

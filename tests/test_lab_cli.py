@@ -1,6 +1,8 @@
 """Lab harness and CLI tests: sweeps, reports, file formats, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +244,47 @@ def test_cli_invariant_failure_exit_code(monkeypatch, capsys):
 
 def test_cli_bad_family_is_usage_error(capsys):
     assert cli.main(["gen", "not_a_family"]) == 2
+
+
+def test_cli_budget_overrun_is_inconclusive(capsys):
+    # an oracle budget overrun is neither a usage error (2) nor a failure (1)
+    assert cli.main(["verify-extremal", "--k", "12", "--budget", "1"]) == 3
+    assert "inconclusive" in capsys.readouterr().err
+
+
+def test_cli_decompose_rich_flags_conclusive_components(tmp_path):
+    host = tmp_path / "g.txt"
+    cli.main(["gen", "two_cliques_apex", "--param", "k=6", "--out", str(host)])
+    out = tmp_path / "rich.json"
+    assert cli.main(["decompose", "--host", str(host), "--op", "rich", "--k", "6",
+                     "--rho", "1/100", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["components"] == [list(range(7))] and payload["conclusive"] == [True]
+
+
+def test_cli_rejects_removed_cut_flags(capsys):
+    ap = cli.build_parser()
+    for argv in (["--exact-cap", "5", "props"], ["decompose", "--host", "g.txt", "--op", "rich",
+                                                  "--mode", "heuristic"]):
+        with pytest.raises(SystemExit) as exc:
+            ap.parse_args(argv)
+        assert exc.value.code == 2
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("treebed ")]
+
+
+def test_readme_cli_examples_parse():
+    # every documented command line must be accepted by the real parser
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    ap = cli.build_parser()
+    for line in lines:
+        args = ap.parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line
 
 
 def test_pipeline_oracle_consistency_is_checked():
