@@ -7,7 +7,7 @@ Library layout:
   generators  extremal host/tree families and seeded random corpora
   decompose   rich-subgraph machinery: refinement, classification, reports
   lab         experiment harness, report emission, CLI backend
-  kernel      the hot search loops: oracle backtracking, exact cut enumeration
+  kernel      the hot search loops: oracle backtracking, exact cut branch and bound
 """
 
 __version__ = "0.1.0"

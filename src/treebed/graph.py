@@ -21,8 +21,9 @@ from .errors import (
     SearchBudgetExceeded,
 )
 
-# Largest order on which `cut_density` scans every bipartition (2^19 - 1 of
-# them at n = 20); above it a local search gives an upper bound instead.
+# Largest order on which `cut_density` runs the kernel's exact branch and
+# bound (its worst case is exponential in n); above it a local search gives
+# an upper bound instead.
 EXACT_CUT_MAX_N = 20
 DEFAULT_COVER_BUDGET = 10**6
 
@@ -391,16 +392,20 @@ def _cut_witness(n: int, cross: int, amask: int) -> CutWitness:
     )
 
 
-def _count_crossing(g: Graph, amask: int) -> int:
-    masks = g.masks()
-    bmask = ((1 << g.n) - 1) & ~amask
-    return sum((masks[v] & bmask).bit_count() for v in range(g.n) if (amask >> v) & 1)
-
-
 def _heuristic_min_cut(g: Graph, restarts: int = 8) -> tuple[int, int]:
-    """Seeded local search over bipartitions: (crossing, a_mask) of an upper bound."""
+    """Seeded local search over bipartitions: (crossing, a_mask) of an upper bound.
+
+    From each start, vertices 0..n-1 are tried in turn and a flip is kept when
+    it strictly lowers the density; rounds repeat until one keeps no flip.
+    The crossing count and |A| are kept incrementally: v joining A moves the
+    count by deg(v) - 2|N(v) & A| and v leaving A by its negative, and
+    |N(v) & A| is the same before and after the flip, as v is not its own
+    neighbour.
+    """
     rng = random.Random(0)
     n = g.n
+    masks = g.masks()
+    deg = [m.bit_count() for m in masks]
     best = None  # (num, den, amask)
     starts = [1]  # vertex 0 alone, a decent seed for near-disconnected graphs
     for comp in g.components()[:-1] or []:
@@ -418,22 +423,23 @@ def _heuristic_min_cut(g: Graph, restarts: int = 8) -> tuple[int, int]:
             starts.append(m)
     full = (1 << n) - 1
     for amask in starts:
-        cross = _count_crossing(g, amask)
+        bmask = full & ~amask
+        cross = sum((masks[v] & bmask).bit_count() for v in range(n) if (amask >> v) & 1)
+        asz = amask.bit_count()
         improved = True
         while improved:
             improved = False
             for v in range(n):
-                nm = amask ^ (1 << v)
-                if nm == 0 or nm == full:
+                bit = 1 << v
+                step = -1 if amask & bit else 1  # v leaves A, or joins it
+                nsz = asz + step
+                if nsz == 0 or nsz == n:
                     continue
-                nc = _count_crossing(g, nm)
-                asz = bin(nm).count("1")
-                num, den = nc, asz * (n - asz)
-                osz = bin(amask).count("1")
-                if num * (osz * (n - osz)) < cross * den:
-                    amask, cross = nm, nc
+                nc = cross + step * (deg[v] - 2 * (masks[v] & amask).bit_count())
+                if nc * (asz * (n - asz)) < cross * (nsz * (n - nsz)):
+                    amask ^= bit
+                    cross, asz = nc, nsz
                     improved = True
-        asz = bin(amask).count("1")
         cand = (cross, asz * (n - asz), amask)
         if best is None or cand[0] * best[1] < best[0] * cand[1]:
             best = cand
@@ -443,10 +449,11 @@ def _heuristic_min_cut(g: Graph, restarts: int = 8) -> tuple[int, int]:
 def cut_density(g: Graph) -> CutDensityResult:
     """Minimum of e(A,B)/(|A||B|) over all bipartitions.
 
-    The order of g picks the method.  With n <= EXACT_CUT_MAX_N the kernel
-    scans all 2^(n-1)-1 bipartitions and the result is exact.  Above that a
-    seeded local search returns some local optimum, flagged exact=False: its
-    density is an upper bound on the minimum.
+    The order of g picks the method.  With n <= EXACT_CUT_MAX_N the kernel's
+    branch and bound returns the exact minimum, the first one in its
+    reflected-Gray order over bipartitions.  Above that a seeded local search
+    returns some local optimum, flagged exact=False: its density is an upper
+    bound on the minimum.
     """
     if g.n < 2:
         raise PreconditionViolated("cut density needs at least 2 vertices")

@@ -1,8 +1,9 @@
 """The search kernels.
 
 Two hot loops live here: the exhaustive tree-into-graph backtracking search
-and the exact minimum-density cut enumeration.  Both are iterative, and
-bitmasks are plain ints, so hosts of any size are covered.
+and the exact minimum-density cut's branch and bound.  Both run on explicit
+stacks, not recursion, and bitmasks are plain ints, so hosts of any size
+are covered.
 """
 
 FOUND = 0
@@ -100,43 +101,85 @@ def solve_embed(
 
 
 def min_density_cut(adj, n):
-    """Exact min of crossing/(|A||B|) over proper bipartitions, Gray-code scan.
+    """Exact min of crossing/(|A||B|) over proper bipartitions, by branch and bound.
 
-    Vertex 0 is anchored on side A; gray code enumerates which of the other
-    vertices join it.  Gray step g flips vertex (g & -g).bit_length(), and
-    the crossing count moves by +-(deg v - 2|N(v) & A|) per flip, so each
-    step costs one popcount.  Returns (crossing, a_mask) of the first minimum
-    encountered.
+    Returns (crossing, a_mask) of the first minimum in reflected-Gray order:
+    a_mask = 1 | gray(g) << 1 for g = 0, 1, ..., 2^(n-1) - 1, where
+    gray(g) = g ^ (g >> 1), so vertex 0 is always in A.
+
+    *Order.*  Vertices n-1 down to 1 are placed one per level on an explicit
+    stack.  Gray bit j (vertex j + 1) equals b_j ^ b_(j+1), where b is the
+    binary g, so with the vertices above v placed, taking b_(v-1) = 0 first
+    puts v on the side equal to the parity (XOR) of the side bits above it,
+    with A = 1.  Visiting that child first makes the leaves come in the
+    order of g, and the first leaf is A = {0}, which is the starting
+    incumbent.  A leaf replaces the incumbent only when strictly sparser,
+    and a subtree is cut only when its bound is >= the density of the
+    incumbent, an earlier leaf.  Were the first minimum F in a cut subtree,
+    the incumbent's density would be <= that bound <= F's density, making
+    an earlier leaf a minimum too.  So F is visited, becomes the incumbent,
+    and no later leaf is strictly sparser: the result is the scan's F.
+
+    *Bound.*  At a node, A and B hold the placed vertices, `cross` counts
+    their crossing edges, and U = {1..v} is unplaced, u = |U|.  Fix a final
+    size |A| = s and let k = s - |A| vertices of U join A.  A vertex w of U
+    crosses a_w = |N(w) & A| placed edges if it goes to B and
+    b_w = |N(w) & B| if it goes to A, so edges from U to placed vertices add
+    sum(a_w) plus the sum over the k joiners of (b_w - a_w), which is at
+    least sum(a_w) plus the k smallest of those differences.  Edges inside U
+    that do not cross lie within the k joiners or within the u - k others,
+    so at least e(U) - C(k, 2) - C(u - k, 2) of them cross.  The three edge
+    sets (placed-placed, placed-U, inside U) are disjoint, so for every
+    completion with |A| = s, crossing >= cross + both terms, and dividing by
+    s(n - s) bounds its density.  The node's bound is the minimum over k,
+    skipping s = n.  On K_n, and on K_n less an edge at vertex 0, the root's
+    bound equals the density of A = {0}, so the search is that one node.
+
+    Bitmasks are plain ints, so any n works; the worst case stays
+    exponential.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    deg = [a.bit_count() for a in adj]
-    amask = 1
-    asz = 1
-    cross = deg[0]
-    best_cross = cross
+    # inner[v]: edges among vertices 1..v, the unplaced set below level v
+    inner = [0] * n
+    for v in range(2, n):
+        inner[v] = inner[v - 1] + (adj[v] & ((1 << v) - 2)).bit_count()
+    best_cross = adj[0].bit_count()
     best_den = n - 1
-    best_amask = amask
-    # The flips of steps 1 .. 2^low - 1 repeat in every block of 2^low steps;
-    # only the block's first step, g = j * 2^low, flips a higher vertex.
-    low = min(n - 1, 10)
-    ruler = [(g & -g).bit_length() for g in range(1, 1 << low)]
-    for j in range(1 << (n - 1 - low)):
-        for v in [(j & -j).bit_length() + low] + ruler if j else ruler:
-            bit = 1 << v
-            # joining A, v's edges into B start crossing and those into A stop
-            d = deg[v] - 2 * (adj[v] & amask).bit_count()
-            amask ^= bit
-            if amask & bit:
-                cross += d
-                asz += 1
-            else:
-                cross -= d
-                asz -= 1
-            # den is 0 only with every vertex in A; the test is then false
+    best_amask = 1
+    # (next vertex to place, A mask, B mask, crossings among placed, parity)
+    stack = [(n - 1, 1, 0, 0, 0)]
+    while stack:
+        v, amask, bmask, cross, par = stack.pop()
+        asz = amask.bit_count()
+        if v == 0:
             den = asz * (n - asz)
+            # den is 0 only with every vertex in A; the test is then false
             if cross * best_den < best_cross * den:
                 best_cross = cross
                 best_den = den
                 best_amask = amask
+            continue
+        lb = cross
+        diffs = []
+        for w in range(1, v + 1):
+            aw = (adj[w] & amask).bit_count()
+            lb += aw
+            diffs.append((adj[w] & bmask).bit_count() - aw)
+        diffs.sort()
+        e_u = inner[v]
+        for k in range(v + 1):
+            if k:
+                lb += diffs[k - 1]
+            s = asz + k
+            rest = e_u - (k * (k - 1) + (v - k) * (v - k - 1)) // 2
+            if s < n and (lb + rest if rest > 0 else lb) * best_den < best_cross * s * (n - s):
+                break
+        else:
+            continue  # no size can beat the incumbent
+        bit = 1 << v
+        to_b = (v - 1, amask, bmask | bit, cross + (adj[v] & amask).bit_count(), par)
+        to_a = (v - 1, amask | bit, bmask, cross + (adj[v] & bmask).bit_count(), par ^ 1)
+        # the child on side `par` (A = 1) goes first, so it is pushed last
+        stack.extend((to_b, to_a) if par else (to_a, to_b))
     return best_cross, best_amask

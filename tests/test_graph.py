@@ -1,5 +1,7 @@
 """Graph-core tests: peripheries, cuts, covers, matchings, walks, paths."""
 
+import hashlib
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -14,6 +16,7 @@ from treebed.graph import (
     EXACT_CUT_MAX_N,
     Graph,
     VertexSet,
+    _heuristic_min_cut,
     bipartite_matching_lower,
     bipartition,
     cut_density,
@@ -93,6 +96,35 @@ def test_cut_density_method_follows_the_order():
     # above the threshold a real sparse cut is still found, but never as exact
     res = cut_density(TWO_K11)
     assert res.witness.density == 0 and not res.exact
+
+
+def _local_search_hosts():
+    """Hosts on 21..60 vertices: connected ones of several densities, and
+    sparse G(n, p) ones, most of them disconnected."""
+    rng = random.Random(11)
+    for i in range(40):
+        n = rng.randrange(21, 61)
+        if i % 2:
+            yield gen_random_connected_graph(n, rng.randrange(0, 3 * n), i)
+        else:
+            p = rng.choice((0.02, 0.05, 0.3))
+            yield Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+# Every flip of the local search is pinned: a changed visiting order, start
+# or comparison moves some (crossing, a_mask) pair.  The digest was taken
+# from the version that recounted all crossings on every flip.
+_LOCAL_SEARCH_DIGEST = "8bc1d2c1767eaa966ea022bd3cb3b5e48b27a6fe3f89a24913f30e8cd968f839"
+
+
+def test_local_search_witness_pinned():
+    h = hashlib.sha256()
+    for g in _local_search_hosts():
+        cross, amask = _heuristic_min_cut(g)
+        assert 0 < amask < (1 << g.n) - 1
+        assert cross == sum((amask >> u & 1) != (amask >> v & 1) for u, v in g.edges())
+        h.update(f"{g.n} {cross} {amask}\n".encode())
+    assert h.hexdigest() == _LOCAL_SEARCH_DIGEST
 
 
 def test_is_cut_dense():

@@ -1,9 +1,11 @@
-"""The search kernels: the oracle's twin cut, exact cuts against an
-independent enumerator, and hosts wider than a machine word."""
+"""The search kernels: the oracle's twin cut, exact cuts against the naive
+Gray-code scan and an independent enumerator, and hosts wider than a
+machine word."""
 
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from treebed import kernel
 from treebed.checks import _min_cut_reference
@@ -69,6 +71,88 @@ def test_twin_cut_keeps_verdicts():
         assert cut[:2] == full[:2], f"seed {seed}: {cut} vs {full}"
         assert cut[2] <= full[2]
     assert twins_seen >= 60
+
+
+def _gray_scan(adj, n):
+    """Naive reference for `kernel.min_density_cut`: every bipartition with
+    vertex 0 in A, in reflected-Gray order, keeping the first minimum.
+
+    Gray step g flips vertex (g & -g).bit_length(), and the crossing count
+    moves by +-(deg v - 2|N(v) & A|) per flip, so each step costs one
+    popcount.
+    """
+    deg = [a.bit_count() for a in adj]
+    amask = 1
+    asz = 1
+    cross = deg[0]
+    best_cross = cross
+    best_den = n - 1
+    best_amask = amask
+    # The flips of steps 1 .. 2^low - 1 repeat in every block of 2^low steps;
+    # only the block's first step, g = j * 2^low, flips a higher vertex.
+    low = min(n - 1, 10)
+    ruler = [(g & -g).bit_length() for g in range(1, 1 << low)]
+    for j in range(1 << (n - 1 - low)):
+        for v in [(j & -j).bit_length() + low] + ruler if j else ruler:
+            bit = 1 << v
+            d = deg[v] - 2 * (adj[v] & amask).bit_count()
+            amask ^= bit
+            if amask & bit:
+                cross += d
+                asz += 1
+            else:
+                cross -= d
+                asz -= 1
+            # den is 0 only with every vertex in A; the test is then false
+            den = asz * (n - asz)
+            if cross * best_den < best_cross * den:
+                best_cross = cross
+                best_den = den
+                best_amask = amask
+    return best_cross, best_amask
+
+
+def _random_cut_inputs():
+    """2,000 seeded graphs on 2..14 vertices, edge probability 0 to 1."""
+    rng = random.Random(2024)
+    for seed in range(2000):
+        n = rng.randrange(2, 15)
+        p = rng.choice((0.0, 1.0, rng.random()))
+        yield seed, n, [e for e in combinations(range(n), 2) if rng.random() < p]
+
+
+def _cut_families(n):
+    """Tie-heavy and extreme graphs on n vertices, each under a name."""
+    every = list(combinations(range(n), 2))
+    yield "complete", every
+    yield "complete minus 0-1", every[1:]
+    yield "complete minus edge at n-1", [e for e in every if e != (n - 2, n - 1)]
+    yield "empty", []
+    yield "star at 0", [(0, v) for v in range(1, n)]
+    yield "star at n-1", [(v, n - 1) for v in range(n - 1)]
+    h = n // 2
+    yield "two cliques and a bridge", list(combinations(range(h), 2)) + list(
+        combinations(range(h, n), 2)
+    ) + [(h - 1, h)]
+    for a in sorted({n // 3, h} - {0, 1}):
+        yield f"K_{a},{n - a}", [(u, v) for u in range(a) for v in range(a, n)]
+    # with even/odd parts most balanced cuts tie at the minimum, so the bound
+    # prunes little: the kernel's slowest family (0.6 s at n = 20)
+    if n <= 14:
+        yield "K_n/2,n/2 interleaved", [(u, v) for u, v in every if (u - v) % 2]
+
+
+def test_min_cut_matches_gray_scan_on_random_graphs():
+    for seed, n, edges in _random_cut_inputs():
+        adj = Graph(n, edges).masks()
+        assert kernel.min_density_cut(adj, n) == _gray_scan(adj, n), f"seed {seed}"
+
+
+def test_min_cut_matches_gray_scan_on_families():
+    for n in list(range(2, 15)) + [20]:
+        for name, edges in _cut_families(n):
+            adj = Graph(n, edges).masks()
+            assert kernel.min_density_cut(adj, n) == _gray_scan(adj, n), f"{name}, n = {n}"
 
 
 def _cut_grid():

@@ -22,3 +22,25 @@ def test_no_assert_in_package():
                     sites.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert len(list(SRC.glob("*.py"))) >= 10
     assert sites == []
+
+
+def test_no_function_calls_itself():
+    # every search runs on an explicit stack, so no input depth can raise
+    # RecursionError; a direct self-call by name is the recursion this rules out
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    sites.append(f"{path.name}:{node.lineno}: {fn.name} calls itself")
+    assert sites == []
