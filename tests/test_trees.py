@@ -1,5 +1,6 @@
 """Tree-toolkit tests: splitting procedures and their certified records."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import log
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treebed.corpus import _free_tree_code, all_trees_up_to
 from treebed.errors import PreconditionViolated
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
 from treebed.trees import (
@@ -313,3 +315,54 @@ def test_chain_split_property(seed, n):
     assert len(cs.s0) == m
     edge_multiset = sorted(cs.s0.edges + tuple(e for p in cs.others for e in p.edges))
     assert tuple(edge_multiset) == t.edges
+
+
+# Golden digests of the splitting outputs and of the free-tree codes.  The
+# splits are deterministic functions of the tree, so a change of any root,
+# class, core, piece or code is a deliberate, recorded change.
+_SPLIT_DIGEST = "20065f094fc5016e06f83e93da8b3406f1ef1bfb26298041bbdb238c9446d845"
+_TREE_CODE_DIGEST = "f7bcc1d0b412562764270483fbe740ea96090cc48507950c99a4f6f0a1731078"
+
+
+def _digest_trees():
+    for n in (*range(2, 61), 100, 200):
+        for d in range(2, 7):
+            for seed in range(3):
+                yield f"{n} {d} {seed}", gen_random_tree(n, d, seed)
+    for n in (4097, 5000):
+        yield f"path {n}", gen_path(n)
+
+
+def test_split_outputs_pinned():
+    h = hashlib.sha256()
+    for label, t in _digest_trees():
+        n = t.n
+        eo = even_odd_split(t)
+        h.update(
+            f"{label} eo {eo.root} {eo.components} {eo.class1} {eo.class2} "
+            f"{eo.even_counts} {eo.odd_counts}\n".encode()
+        )
+        for m in sorted({1, -(-n // 3), -(-n // 2), n}):
+            cs = chain_split(t, m)
+            pieces = [(p.vertices, p.edges) for p in cs.others]
+            h.update(
+                f"{label} chain {m} {cs.s0.vertices} {cs.s0.edges} {pieces} "
+                f"{cs.attach_points}\n".encode()
+            )
+        if n >= 3:
+            for v in (0, n - 1):
+                s1, s2 = subtree_split(t, v, n // 3)
+                h.update(
+                    f"{label} subtree {v} {s1.vertices} {s1.edges} {s2.vertices} "
+                    f"{s2.edges}\n".encode()
+                )
+        d = msf_decomposition(t)
+        h.update(f"{label} msf {d.root} {d.matching} {d.s_vertices} {d.f_components}\n".encode())
+    assert h.hexdigest() == _SPLIT_DIGEST
+
+
+def test_free_tree_codes_pinned():
+    h = hashlib.sha256()
+    for t in all_trees_up_to(10):
+        h.update(f"{t.n} {t.edges} {_free_tree_code(t)}\n".encode())
+    assert h.hexdigest() == _TREE_CODE_DIGEST
