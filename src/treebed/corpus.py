@@ -110,7 +110,12 @@ def host_corpus(seed: int = 2024, per_size: int = 40) -> list[Graph]:
 
 def _free_tree_code(t: Tree) -> str:
     """Canonical code: AHU string rooted at the centroid (min over both when
-    the centroid is an edge)."""
+    the centroid is an edge).
+
+    The centroids come from one view rooted at 0: the components of T - v
+    are the subtrees of v's children and, above v, the other n - size(v)
+    vertices, and v is a centroid when none of them exceeds n/2.
+    """
 
     def rooted_code(root: int) -> str:
         rv = t.rooted(root)
@@ -121,12 +126,13 @@ def _free_tree_code(t: Tree) -> str:
 
     if t.n == 1:
         return "()"
-    centroids = []
-    for v in range(t.n):
-        rvv = t.rooted(v)
-        sizes = [rvv.subtree_size[c] for c in rvv.children[v]]
-        if max(sizes) * 2 <= t.n:
-            centroids.append(v)
+    rv = t.rooted(0)
+    size = rv.subtree_size
+    centroids = [
+        v
+        for v in range(t.n)
+        if 2 * max([t.n - size[v]] + [size[c] for c in rv.children[v]]) <= t.n
+    ]
     return min(rooted_code(c) for c in centroids)
 
 

@@ -183,9 +183,9 @@ def refine_cut_dense(
     200*delta*|g| vertices and keep min degree (a + eps - 400*delta)*k; both
     are asserted.  An explicit rho skips those two assertions (the final
     certification still holds) and is the practical choice at small scale.
-    The final certification re-checks every component; `certified_exact` is
-    True when all of its verdicts were conclusive (components of at most
-    EXACT_CUT_MAX_N vertices).
+    The loop's last pass, which finds no sparse cut, is the final
+    certification; `certified_exact` is True when all of its verdicts were
+    conclusive (components of at most EXACT_CUT_MAX_N vertices).
     """
     a, eps, delta = Fraction(a), Fraction(eps), Fraction(delta)
     preset = rho is None
@@ -210,6 +210,7 @@ def refine_cut_dense(
     i = 0
     while True:
         offender = None
+        certified = True
         for comp in cur.components():
             if len(comp) < 2:
                 continue
@@ -218,6 +219,7 @@ def refine_cut_dense(
             if not verdict.is_dense:
                 offender = (comp, sub, verdict.witness)
                 break
+            certified = certified and verdict.conclusive
         if offender is None:
             break
         i += 1
@@ -247,16 +249,9 @@ def refine_cut_dense(
         if i > 2 * g.n + 2:
             raise InternalInvariantError("refinement failed to terminate")
 
+    # the last pass cut every component of cur, and deleted vertices are
+    # isolated in it, so its verdicts are those of final's components
     final, kept = cur.induced(present)
-    certified = True
-    for comp in final.components():
-        if len(comp) < 2:
-            continue
-        sub, _ = final.induced(comp)
-        verdict = is_cut_dense(sub, rho)
-        if not verdict.is_dense:
-            raise InternalInvariantError("refinement left a sparse-cut component")
-        certified = certified and verdict.conclusive
     if preset:
         if len(removed_all) > 200 * delta * g.n:
             raise InternalInvariantError("refinement deleted more than 200*delta*|g| vertices")

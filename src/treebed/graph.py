@@ -237,21 +237,19 @@ class Graph:
                 lines.append(line)
         if not lines:
             raise PreconditionViolated("empty edge-list input")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise PreconditionViolated(f"bad header line {lines[0]!r}, expected 'n m'")
-        n, m = int(head[0]), int(head[1])
-        if len(lines) - 1 != m:
-            raise PreconditionViolated(f"header declares {m} edges, found {len(lines) - 1}")
-        edges = []
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise PreconditionViolated(f"bad edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+        rows = []
+        for line in lines:
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise PreconditionViolated(f"bad line {line!r}, expected two integers") from None
+            rows.append((u, v))
+        (n, m), edges = rows[0], rows[1:]
+        if len(edges) != m:
+            raise PreconditionViolated(f"header declares {m} edges, found {len(edges)}")
+        for u, v in edges:
             if not (0 <= u < v < n):
-                raise PreconditionViolated(f"edge line {line!r} violates 0 <= u < v < n")
-            edges.append((u, v))
+                raise PreconditionViolated(f"edge ({u}, {v}) violates 0 <= u < v < n")
         return cls(n, edges)
 
     def to_edge_list_text(self) -> str:

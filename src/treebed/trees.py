@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError, PreconditionViolated
 from .graph import VertexSet
@@ -97,8 +97,11 @@ class Tree:
 
     @classmethod
     def from_json(cls, text: str) -> "Tree":
-        data = json.loads(text)
-        return cls(int(data["n"]), [tuple(e) for e in data["edges"]], data.get("root"))
+        try:
+            data = json.loads(text)
+            return cls(int(data["n"]), [tuple(e) for e in data["edges"]], data.get("root"))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise PreconditionViolated(f"bad tree JSON: {exc!r}") from exc
 
 
 class RootedView:
@@ -344,8 +347,7 @@ def sum_partition_three(
 # Forest splits around a separator vertex
 
 
-def _whole_component_check(t: Tree, pivot: int, part: frozenset) -> bool:
-    comps = _component_vertices(t, pivot)
+def _whole_component_check(comps: list[tuple[int, ...]], part: frozenset) -> bool:
     for comp in comps:
         inside = sum(1 for v in comp if v in part)
         if inside not in (0, len(comp)):
@@ -367,7 +369,8 @@ class TwoForestSplit:
         a, b = self.f1.as_set(), self.f2.as_set()
         if a & b or len(a) + len(b) != t.n - 1 or self.pivot in a | b:
             raise InternalInvariantError("forests do not partition T - pivot")
-        if not (_whole_component_check(t, self.pivot, a) and _whole_component_check(t, self.pivot, b)):
+        comps = _component_vertices(t, self.pivot)
+        if not (_whole_component_check(comps, a) and _whole_component_check(comps, b)):
             raise InternalInvariantError("forest breaks a component of T - pivot")
         if not (Fraction(k, 2) <= len(a) <= (2 * k) // 3):
             raise InternalInvariantError(f"|f1| = {len(a)} outside [k/2, floor(2k/3)]")
@@ -396,11 +399,11 @@ class ThreeForestSplit:
         cap = -(-k // 2)
         if any(len(s) > cap for s in sets):
             raise InternalInvariantError("a three-forest part exceeds ceil(k/2)")
+        comps = _component_vertices(t, self.pivot)
         for s in sets:
-            if not _whole_component_check(t, self.pivot, s):
+            if not _whole_component_check(comps, s):
                 raise InternalInvariantError("three-forest part breaks a component")
-        comps = [c for c in _component_vertices(t, self.pivot) if set(c) <= sets[2]]
-        if len(sets[2]) > 0 and len(comps) != 1:
+        if len(sets[2]) > 0 and sum(1 for c in comps if set(c) <= sets[2]) != 1:
             raise InternalInvariantError("f3 must be empty or a single component")
 
 
@@ -458,33 +461,40 @@ def _piece_from(vs: Iterable[int], t: Tree) -> SubtreePiece:
     return SubtreePiece(tuple(sorted(vset)), es)
 
 
-def _shave(t: Tree, rooted: RootedView, lo: int) -> tuple[frozenset, int]:
-    """Split-off subtree: descend to a deepest vertex whose weight first drops
-    below `lo` in all children, then absorb child subtrees until the total
-    (with the shared vertex) reaches lo.  Returns (vertices incl. shared, shared).
+def _shave(
+    rooted: RootedView, size: Sequence[int], live: Sequence[bool], lo: int
+) -> tuple[list[int], int]:
+    """Split-off subtree of the live part of a rooted tree, which must hold the
+    root and every parent of a live vertex; size[x] counts the live vertices
+    under x.  Descend to a deepest vertex u whose live children all weigh below
+    `lo`, then absorb live child subtrees of u until the total (with u, the
+    shared vertex) reaches lo.  Returns (absorbed vertices, u).
     """
     u = rooted.root
     while True:
         nxt = None
         for c in rooted.children[u]:
-            if rooted.subtree_size[c] >= lo:
+            if live[c] and size[c] >= lo:
                 nxt = c
                 break
         if nxt is None:
             break
         u = nxt
-    if rooted.subtree_size[u] < lo:
+    if size[u] < lo:
         raise InternalInvariantError("shave threshold exceeds the whole tree")
-    verts = {u}
-    total = 1
+    taken: list[int] = []
     for c in rooted.children[u]:
-        if total >= lo:
+        if 1 + len(taken) >= lo:
             break
-        verts.update(rooted.subtree_vertices(c))
-        total += rooted.subtree_size[c]
-    if total < lo:
+        if live[c]:
+            stack = [c]
+            while stack:
+                x = stack.pop()
+                taken.append(x)
+                stack.extend(y for y in rooted.children[x] if live[y])
+    if 1 + len(taken) < lo:
         raise InternalInvariantError("absorbing all children missed the threshold")
-    return frozenset(verts), u
+    return taken, u
 
 
 def subtree_split(t: Tree, v: int, m: int) -> tuple[SubtreePiece, SubtreePiece]:
@@ -496,7 +506,8 @@ def subtree_split(t: Tree, v: int, m: int) -> tuple[SubtreePiece, SubtreePiece]:
     if not (0 <= v < t.n):
         raise PreconditionViolated("v out of range")
     rooted = t.rooted(v)
-    s2_verts, shared = _shave(t, rooted, m)
+    taken, shared = _shave(rooted, rooted.subtree_size, [True] * t.n, m)
+    s2_verts = frozenset(taken) | {shared}
     if not (m <= len(s2_verts) <= 3 * m):
         raise InternalInvariantError("shaved subtree missed [m, 3m]")
     s2 = _piece_from(s2_verts, t)
@@ -539,59 +550,50 @@ class ChainSplit:
 
 def chain_split(t: Tree, m: int) -> ChainSplit:
     """Carve T down to a core of exactly m vertices by repeatedly shaving off
-    subtrees, then merge the shavings into connected hanging pieces."""
+    subtrees, then merge the shavings into connected hanging pieces.
+
+    Every round shaves whole child subtrees off the core's tree rooted at its
+    least vertex.  That root is never shaved, so the core keeps vertex 0 as
+    its root together with every parent of a core vertex, and it is the live
+    part of the one view of T rooted at 0: live flags and live subtree sizes
+    (lowered along the shared vertex's ancestor path) stand for each round's
+    core.  A shaved vertex joins the piece of its nearest live ancestor, the
+    piece's attach point, through the edge to its parent.
+    """
     if not (1 <= m <= t.n):
         raise PreconditionViolated("need 1 <= m <= n")
-    core = frozenset(range(t.n))
-    shaved_edges: list[tuple[int, int]] = []
+    rooted = t.rooted(0)
+    parent = rooted.parent
+    live = [True] * t.n
+    size = list(rooted.subtree_size)
+    core_size = t.n
     rounds = 0
-    while len(core) > m:
+    while core_size > m:
         rounds += 1
         if rounds > 4 * t.n:
             raise InternalInvariantError("chain split failed to converge")
-        d = len(core) - m
-        lo = max(2, d // 2 + 1)
-        sub_edges = [e for e in t.edges if e[0] in core and e[1] in core]
-        relabel = {v: i for i, v in enumerate(sorted(core))}
-        back = {i: v for v, i in relabel.items()}
-        sub = Tree(len(core), [(relabel[u], relabel[v]) for u, v in sub_edges])
-        rooted = sub.rooted(0)
-        piece, shared = _shave(sub, rooted, lo)
-        piece_orig = {back[i] for i in piece}
-        shared_orig = back[shared]
-        for u, v in sub_edges:
-            if u in piece_orig and v in piece_orig:
-                shaved_edges.append((u, v))
-        core = core - frozenset(piece_orig - {shared_orig})
-    # group shaved edges into connected pieces
+        d = core_size - m
+        taken, shared = _shave(rooted, size, live, max(2, d // 2 + 1))
+        for x in taken:
+            live[x] = False
+        core_size -= len(taken)
+        while shared >= 0:
+            size[shared] -= len(taken)
+            shared = parent[shared]
+    core = [v for v in range(t.n) if live[v]]
     s0 = _piece_from(core, t)
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for u, v in shaved_edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for e in shaved_edges:
-        groups.setdefault(find(e[0]), []).append(e)
+    hang = list(range(t.n))  # nearest live ancestor (itself when live)
+    groups: dict[int, list[int]] = {}
+    for x in rooted.order:
+        if not live[x]:
+            hang[x] = hang[parent[x]]
+            groups.setdefault(hang[x], []).append(x)
     pieces = []
     attach = []
-    for key in sorted(groups, key=lambda r: min(min(e) for e in groups[r])):
-        es = tuple(sorted(groups[key]))
-        vs = tuple(sorted({v for e in es for v in e}))
-        pieces.append(SubtreePiece(vs, es))
-        inter = set(vs) & set(core)
-        if len(inter) != 1:
-            raise InternalInvariantError("shaved piece meets the core more than once")
-        attach.append(inter.pop())
+    for ap, xs in sorted(groups.items(), key=lambda g: min(g[0], *g[1])):
+        es = tuple(sorted((min(x, parent[x]), max(x, parent[x])) for x in xs))
+        pieces.append(SubtreePiece(tuple(sorted(xs + [ap])), es))
+        attach.append(ap)
     if len(s0) != m:
         raise InternalInvariantError("core size drifted from m")
     return ChainSplit(t, s0, tuple(pieces), tuple(attach))
@@ -660,27 +662,24 @@ def even_odd_split(t: Tree) -> EvenOddSplit:
     the endpoint whose own edge imbalance is the smaller of the pair.
     The imbalance sequence over the root's neighbours is split two ways and
     the lighter halves are assigned per class.
+
+    All imbalances come from one view rooted at 0.  In a tree dist(u, y) and
+    depth(u) + depth(y) have the same parity, so counted from u the
+    imbalance of a vertex set is |sum over it of (-1)^depth|.  With
+    s[x] that sum over the subtree of x, the component of T - u holding the
+    neighbour w has imbalance |s[w]| when w is a child of u, and
+    |s[0] - s[u]| when w is u's parent.
     """
     if t.n < 2:
         raise PreconditionViolated("need at least 2 vertices")
-
-    rv_cache: dict[int, RootedView] = {}
-
-    def rooted(u: int) -> RootedView:
-        if u not in rv_cache:
-            rv_cache[u] = t.rooted(u)
-        return rv_cache[u]
+    rv = t.rooted(0)
+    s = [1 - 2 * (d % 2) for d in rv.depth]
+    for x in reversed(rv.order[1:]):
+        s[rv.parent[x]] += s[x]
 
     def imbalance(u: int, w: int) -> int:
         """|even - odd| counted from u over the component of T-u holding w."""
-        rv = rooted(u)
-        diff = 0
-        stack = [w]
-        while stack:
-            x = stack.pop()
-            diff += 1 if rv.depth[x] % 2 == 0 else -1
-            stack.extend(rv.children[x])
-        return abs(diff)
+        return abs(s[w]) if rv.parent[w] == u else abs(s[0] - s[u])
 
     def best_neighbor(u: int) -> int:
         return max(t.neighbors(u), key=lambda w: (imbalance(u, w), -w))
@@ -700,13 +699,12 @@ def even_odd_split(t: Tree) -> EvenOddSplit:
     root = u
 
     comps = _component_vertices(t, root)
-    rv = rooted(root)
     even_counts = []
     odd_counts = []
     diffs = []
     bigger_even = []
     for comp in comps:
-        ev = sum(1 for x in comp if rv.depth[x] % 2 == 0)
+        ev = sum(1 for x in comp if (rv.depth[x] - rv.depth[root]) % 2 == 0)
         od = len(comp) - ev
         even_counts.append(ev)
         odd_counts.append(od)
@@ -830,6 +828,11 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
     for every non-leaf vertex not already swallowed by an earlier pick, its
     escape child (largest subtree, ties to the smaller id), and cut the edge
     to it.  The cut subtrees form F, the cut edges the matching, the rest S.
+
+    The layers are visited ancestors-first, so a vertex is either in the
+    shadow of an earlier pick, whose escape subtree then already holds its
+    own, or its escape subtree meets no earlier one: shadow subtrees nest or
+    are disjoint, and no vertex is walked twice.
     """
     if t.n < 2:
         raise PreconditionViolated("need at least 2 vertices")
@@ -838,35 +841,25 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
         s_bound_min_k = 8 * dmax ** (4 * dmax + 1)
     r = balanced_separator_vertex(t)
     rv = t.rooted(r)
-    escape = {}
-    for v in range(t.n):
-        if rv.children[v]:
-            escape[v] = max(rv.children[v], key=lambda c: (rv.subtree_size[c], -c))
-    b_layer = [v for v in range(t.n) if rv.depth[v] % 2 == 0 and 2 <= rv.depth[v] <= 4 * dmax]
     shadow: set[int] = set()
-    for v in b_layer:
-        if v in escape:
-            shadow.update(rv.subtree_vertices(escape[v]))
-    x_set = [v for v in b_layer if v not in shadow]
-    matched = [v for v in x_set if v in escape]
-    f_comps = []
-    f_all: set[int] = set()
-    matching = []
-    esc_pairs = []
-    for v in sorted(matched):
-        ev = escape[v]
+    picks = {}  # matched S-vertex -> (escape child, its subtree)
+    for v in rv.order:
+        depth = rv.depth[v]
+        if depth > 4 * dmax:
+            break
+        if depth < 2 or depth % 2 or v in shadow or not rv.children[v]:
+            continue
+        ev = max(rv.children[v], key=lambda c: (rv.subtree_size[c], -c))
         comp = rv.subtree_vertices(ev)
-        f_comps.append(comp)
-        f_all.update(comp)
-        matching.append((v, ev))
-        esc_pairs.append((v, ev))
-    s_vertices = tuple(sorted(set(range(t.n)) - f_all))
+        shadow.update(comp)
+        picks[v] = (ev, comp)
+    matching = tuple((v, picks[v][0]) for v in sorted(picks))
     return MSFDecomposition(
         t,
         r,
-        tuple(matching),
-        s_vertices,
-        tuple(f_comps),
-        tuple(esc_pairs),
+        matching,
+        tuple(v for v in range(t.n) if v not in shadow),
+        tuple(picks[v][1] for v in sorted(picks)),
+        matching,
         s_bound_min_k,
     )

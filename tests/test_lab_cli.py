@@ -246,6 +246,22 @@ def test_cli_bad_family_is_usage_error(capsys):
     assert cli.main(["gen", "not_a_family"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, text, argv",
+    [
+        ("--tree", '{"n": 3, "edges": [[0, 1], [1', ["split", "--op", "two"]),
+        ("--tree", '{"edges": [[0, 1], [1, 2]]}', ["split", "--op", "two"]),
+        ("--host", "3 2\n0 1\n1 x\n", ["decompose", "--op", "refine"]),
+    ],
+    ids=["truncated-tree-json", "tree-json-without-n", "edge-list-token-x"],
+)
+def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.main([*argv, flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_budget_overrun_is_inconclusive(capsys):
     # an oracle budget overrun is neither a usage error (2) nor a failure (1)
     assert cli.main(["verify-extremal", "--k", "12", "--budget", "1"]) == 3
