@@ -591,8 +591,7 @@ def chain_split(t: Tree, m: int) -> ChainSplit:
     pieces = []
     attach = []
     for ap, xs in sorted(groups.items(), key=lambda g: min(g[0], *g[1])):
-        es = tuple(sorted((min(x, parent[x]), max(x, parent[x])) for x in xs))
-        pieces.append(SubtreePiece(tuple(sorted(xs + [ap])), es))
+        pieces.append(_piece_from(xs + [ap], t))
         attach.append(ap)
     if len(s0) != m:
         raise InternalInvariantError("core size drifted from m")
