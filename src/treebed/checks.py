@@ -488,7 +488,7 @@ def pipeline_attempts(g: Graph, t: Tree):
     """
     if g.n == 0 or t.n == 0:
         return
-    x = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    x = g.degree_order()[0]
     root = max(range(t.n), key=lambda v: (t.degree(v), -v))
     yield "greedy", lambda: greedy_embed(g, t, x, root=root)
 

@@ -253,7 +253,11 @@ def cmd_verify_extremal(args) -> int:
 def cmd_sweep(args) -> int:
     if args.config:
         with open(args.config) as fh:
-            cfg = lab.ExperimentConfig.from_jsonable(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise PreconditionViolated(f"bad sweep config JSON: {exc}") from exc
+        cfg = lab.ExperimentConfig.from_jsonable(data)
     else:
         cfg = lab.ExperimentConfig(
             conjecture=args.conjecture,

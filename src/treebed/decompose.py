@@ -224,24 +224,25 @@ def refine_cut_dense(
             break
         i += 1
         comp, sub, witness = offender
-        across = {
-            (comp[u], comp[v])
-            for u, v in sub.edges()
-            if (u in witness.side_a) != (v in witness.side_a)
-        }
-        cur = Graph(g.n, (e for e in cur.edges() if e not in across))
+        # delete the crossing edges, then the vertices left below the threshold
+        side_a = sum(1 << comp[j] for j in witness.side_a)
+        side_b = sum(1 << v for v in comp) & ~side_a
+        masks = list(cur.masks())
+        across = sum((masks[v] & side_b).bit_count() for v in comp if side_a >> v & 1)
+        for v in comp:
+            masks[v] &= ~(side_b if side_a >> v & 1 else side_a)
         threshold = (a + eps - (2 * i - 1) * delta) * k
-        dropped = tuple(v for v in comp if cur.degree(v) < threshold)
-        gone = set(dropped)
-        cur = Graph(g.n, ((u, v) for u, v in cur.edges() if u not in gone and v not in gone))
-        present -= gone
+        dropped = tuple(v for v in comp if masks[v].bit_count() < threshold)
+        gone = sum(1 << v for v in dropped)
+        cur = Graph._from_masks([0 if gone >> v & 1 else m & ~gone for v, m in enumerate(masks)])
+        present -= set(dropped)
         removed_all.extend(dropped)
         log.append(
             RefineStep(
                 iteration=i,
                 component=comp,
                 cut_density=witness.density,
-                crossing_edges_removed=len(across),
+                crossing_edges_removed=across,
                 degree_threshold=threshold,
                 vertices_removed=dropped,
             )

@@ -215,15 +215,14 @@ def brute_force_embed(
     ]
     tdeg = [t.degree(v) for v in order_t]
     nchild = [len(rv.children[v]) for v in order_t]
-    host_deg = g.degrees()
-    host_order = sorted(range(g.n), key=lambda h: (-host_deg[h], h))
     adj = g.masks()
     lower_twins = _lower_twins(adj, set(pin_map.values()))
     if any(lower_twins):
         symprev = [-1] * t.n
 
     status, imgs, nodes = kernel.solve_embed(
-        adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
+        adj, g.degrees(), g.degree_order(), parent_pos, allowed, tdeg, nchild, symprev,
+        lower_twins, budget,
     )
     if status == kernel.FOUND:
         phi = {order_t[i]: imgs[i] for i in range(t.n)}
@@ -280,9 +279,8 @@ def _min_degree_without(g: Graph, x: int) -> int:
     """Minimum degree of g - x."""
     if g.n <= 1:
         return 0
-    return min(
-        g.degree(v) - (1 if g.has_edge(v, x) else 0) for v in range(g.n) if v != x
-    )
+    xm = g.masks()[x]
+    return min(d - (xm >> v & 1) for v, d in enumerate(g.degrees()) if v != x)
 
 
 def greedy_embed(g: Graph, t: Tree, x: int, root: Optional[int] = None) -> EmbedOutcome:

@@ -16,7 +16,7 @@ from operator import eq
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InternalInvariantError, PreconditionViolated
-from .graph import Graph
+from .graph import Graph, _bits
 from .trees import Tree
 
 
@@ -357,19 +357,23 @@ def gen_random_graph_min_degree(
     rng = random.Random(repr(("graph", n, delta, seed)))
     if p is None:
         p = min(1.0, (delta + 1) / max(n - 1, 1) * 1.1)
-    adj = [set() for _ in range(n)]
+    draw = rng.random
+    masks = [0] * n
     for u in range(n):
+        bit = 1 << u
         for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u].add(v)
-                adj[v].add(u)
+            if draw() < p:
+                masks[u] |= 1 << v
+                masks[v] |= bit
+    full = (1 << n) - 1
     for v in range(n):
-        while len(adj[v]) < delta:
-            cands = [w for w in range(n) if w != v and w not in adj[v]]
+        while masks[v].bit_count() < delta:
+            # the non-neighbours of v in ascending order
+            cands = _bits(full & ~masks[v] & ~(1 << v))
             w = cands[rng.randrange(len(cands))]
-            adj[v].add(w)
-            adj[w].add(v)
-    g = Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
+            masks[v] |= 1 << w
+            masks[w] |= 1 << v
+    g = Graph._from_masks(masks)
     if g.min_degree() < delta:
         raise InternalInvariantError("degree repair fell short")
     return g

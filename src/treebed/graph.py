@@ -80,82 +80,133 @@ def as_vertex_set(x, universe_size: int) -> VertexSet:
     return VertexSet(x, universe_size)
 
 
-class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
+def _bits(m: int) -> tuple[int, ...]:
+    """Positions of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
-    __slots__ = ("n", "_adj", "_sets", "_masks", "_edges")
+
+def _bfs_layers(masks: Sequence[int], start: int, allowed: int) -> list[int]:
+    """Breadth-first layers, as masks, from the vertex set `start` within `allowed`."""
+    layers = []
+    frontier = start
+    allowed &= ~start
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & allowed
+        allowed &= ~frontier
+    return layers
+
+
+class Graph:
+    """Simple undirected graph on vertices 0..n-1.
+
+    The stored form is one adjacency bitmask per vertex (bit w of mask v set
+    iff vw is an edge) with the degrees beside it.  The neighbour tuples, the
+    sorted edge list and the degree order are derived on first use, cached,
+    and always ascending, so every view reads as if built from sorted edges.
+    """
+
+    __slots__ = ("n", "_masks", "_deg", "_adj", "_edges", "_order")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise PreconditionViolated("vertex count must be nonnegative")
-        self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise PreconditionViolated(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionViolated(f"edge ({u},{v}) outside 0..{n - 1}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._sets: tuple[frozenset, ...] = tuple(frozenset(s) for s in adj)
-        self._masks: Optional[list[int]] = None
-        self._edges: tuple[tuple[int, int], ...] = tuple(
-            sorted((u, v) for u in range(n) for v in self._adj[u] if u < v)
-        )
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._store(masks)
+
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int]) -> "Graph":
+        """A graph on len(masks) vertices read straight from its bitmasks.
+
+        Unchecked: only for masks that are symmetric and loop-free by
+        construction (tests/test_source_rules.py pins the callers).
+        """
+        g = cls.__new__(cls)
+        g._store(masks)
+        return g
+
+    def _store(self, masks: Sequence[int]) -> None:
+        self.n = len(masks)
+        self._masks: tuple[int, ...] = tuple(masks)
+        self._deg: tuple[int, ...] = tuple(map(int.bit_count, self._masks))
+        self._adj: Optional[tuple[tuple[int, ...], ...]] = None
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
+        self._order: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 
+    def masks(self) -> tuple[int, ...]:
+        """Per-vertex adjacency bitmasks."""
+        return self._masks
+
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples (built on first use, cached)."""
+        if self._adj is None:
+            self._adj = tuple(_bits(m) for m in self._masks)
         return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def nbr_set(self, v: int) -> frozenset:
-        return self._sets[v]
-
-    def masks(self) -> list[int]:
-        """Per-vertex adjacency bitmasks (built lazily, cached)."""
-        if self._masks is None:
-            out = []
-            for v in range(self.n):
-                m = 0
-                for w in self._adj[v]:
-                    m |= 1 << w
-                out.append(m)
-            self._masks = out
-        return self._masks
+        return self.adjacency[v]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges (u, v) with u < v in lexicographic order (built on first use, cached)."""
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u, m in enumerate(self._masks) for v in _bits(m >> u + 1 << u + 1)
+            )
         return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(self._deg) // 2
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._deg[v]
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self._adj]
+    def degrees(self) -> tuple[int, ...]:
+        return self._deg
+
+    def degree_order(self) -> tuple[int, ...]:
+        """Vertices by degree, highest first, ties by smaller id (cached)."""
+        if self._order is None:
+            deg = self._deg
+            self._order = tuple(sorted(range(self.n), key=lambda h: (-deg[h], h)))
+        return self._order
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self._adj), default=0)
+        return min(self._deg, default=0)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(self._deg, default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        return v >= 0 and self._masks[u] >> v & 1 == 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
+        # equal masks <=> equal edge sets <=> equal edges()
+        return isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self.edges()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -164,61 +215,56 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
-        seen = [False] * self.n
         out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            dq = deque([s])
-            seen[s] = True
-            while dq:
-                v = dq.popleft()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        dq.append(w)
-            out.append(tuple(sorted(comp)))
+        left = (1 << self.n) - 1
+        while left:
+            comp = sum(_bfs_layers(self._masks, left & -left, left))  # disjoint layers
+            left &= ~comp
+            out.append(_bits(comp))
         return out
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph plus the new->old vertex map."""
+        """Induced subgraph plus the new->old vertex map.
+
+        Each kept mask is compressed run by run: a maximal run of consecutive
+        kept ids start..start+w-1 lands on new ids off..off+w-1.
+        """
         vs = sorted(set(vertices))
-        idx = {v: i for i, v in enumerate(vs)}
-        sub = Graph(
-            len(vs),
-            (
-                (idx[u], idx[v])
-                for u, v in self._edges
-                if u in idx and v in idx
-            ),
-        )
-        return sub, tuple(vs)
+        if vs and (vs[0] < 0 or vs[-1] >= self.n):
+            raise PreconditionViolated(f"vertex ids {vs[0]}..{vs[-1]} outside 0..{self.n - 1}")
+        runs = []  # (start, width mask, off) per maximal run
+        for i, v in enumerate(vs):
+            if i and v == vs[i - 1] + 1:
+                start, width, off = runs[-1]
+                runs[-1] = (start, width << 1 | 1, off)
+            else:
+                runs.append((v, 1, i))
+        sub = []
+        for v in vs:
+            m = self._masks[v]
+            c = 0
+            for start, width, off in runs:
+                c |= (m >> start & width) << off
+            sub.append(c)
+        return Graph._from_masks(sub), tuple(vs)
 
     def deg_within(self, v: int, members: frozenset) -> int:
-        return sum(1 for w in self._adj[v] if w in members)
+        return sum(1 for w in self.neighbors(v) if w in members)
 
     def min_degree_within(self, members: Iterable[int]) -> int:
-        ms = frozenset(members)
-        if not ms:
-            return 0
-        return min(self.deg_within(v, ms) for v in ms)
+        ms = set(members)
+        inside = sum(1 << v for v in ms)
+        return min(((self._masks[v] & inside).bit_count() for v in ms), default=0)
 
     def bfs_dist(self, source: int) -> list[int]:
         """Distances from source, -1 for unreachable."""
         dist = [-1] * self.n
-        dist[source] = 0
-        dq = deque([source])
-        while dq:
-            v = dq.popleft()
-            for w in self._adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    dq.append(w)
+        for d, layer in enumerate(_bfs_layers(self._masks, 1 << source, (1 << self.n) - 1)):
+            for v in _bits(layer):
+                dist[v] = d
         return dist
 
     # -- constructors ------------------------------------------------------
@@ -255,7 +301,7 @@ class Graph:
     def to_edge_list_text(self) -> str:
         """Canonical edge-list serialization (sorted edges, no comments)."""
         lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{u} {v}" for u, v in self._edges)
+        lines.extend(f"{u} {v}" for u, v in self.edges())
         return "\n".join(lines) + "\n"
 
 
@@ -403,23 +449,18 @@ def _heuristic_min_cut(g: Graph, restarts: int = 8) -> tuple[int, int]:
     rng = random.Random(0)
     n = g.n
     masks = g.masks()
-    deg = [m.bit_count() for m in masks]
+    deg = g.degrees()
     best = None  # (num, den, amask)
+    full = (1 << n) - 1
     starts = [1]  # vertex 0 alone, a decent seed for near-disconnected graphs
-    for comp in g.components()[:-1] or []:
-        m = 0
-        for v in comp:
-            m |= 1 << v
-        starts.append(m)
+    starts.extend(sum(1 << v for v in comp) for comp in g.components()[:-1])
     while len(starts) < restarts:
         m = 0
         for v in range(n):
             if rng.random() < 0.5:
                 m |= 1 << v
-        full = (1 << n) - 1
         if 0 < m < full:
             starts.append(m)
-    full = (1 << n) - 1
     for amask in starts:
         bmask = full & ~amask
         cross = sum((masks[v] & bmask).bit_count() for v in range(n) if (amask >> v) & 1)
@@ -501,7 +542,7 @@ def vertex_cover_at_most(
         return VertexSet(range(g.n), g.n)
 
     adj = g.adjacency
-    deg = g.degrees()  # degree among the vertices not yet taken into the cover
+    deg = list(g.degrees())  # degree among the vertices not yet taken into the cover
     removed = [False] * g.n
     picked: list[int] = []
     edges_left = g.edge_count
@@ -635,7 +676,7 @@ def bipartite_matching_lower(g: Graph, x_side, y_side) -> Matching:
                     raise PreconditionViolated(f"edge ({u},{w}) inside one side")
     nbrs = {x: tuple(w for w in g.neighbors(x) if w in ys) for x in xs}
     for y in ys:
-        if not any(y in g.nbr_set(x) for x in xs):
+        if not any(g.has_edge(x, y) for x in xs):
             raise PreconditionViolated(f"y-side vertex {y} has no neighbour in x_side")
     ml = _max_bipartite_matching(list(xs), list(ys), nbrs)
     matching = Matching(tuple(sorted((x, y) for x, y in ml.items())))
@@ -701,24 +742,17 @@ def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
     Component roots (least ids) are coloured with the first class, so an
     edgeless graph comes back as (everything, empty set).
     """
-    colour = [-1] * g.n
-    for s in range(g.n):
-        if colour[s] >= 0:
-            continue
-        colour[s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for w in g.neighbors(v):
-                if colour[w] < 0:
-                    colour[w] = colour[v] ^ 1
-                    dq.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    return (
-        VertexSet((v for v in range(g.n) if colour[v] == 0), g.n),
-        VertexSet((v for v in range(g.n) if colour[v] == 1), g.n),
-    )
+    masks = g.masks()
+    even = odd = 0  # BFS layers from each component's least vertex
+    left = (1 << g.n) - 1
+    while left:
+        layers = _bfs_layers(masks, left & -left, left)
+        even |= sum(layers[0::2])
+        odd |= sum(layers[1::2])
+        left &= ~(even | odd)
+    if any(masks[v] & side for side in (even, odd) for v in _bits(side)):
+        return None
+    return VertexSet(_bits(even), g.n), VertexSet(_bits(odd), g.n)
 
 
 def _greedy_random_path(g: Graph, allowed: frozenset, length: int, rng: random.Random):

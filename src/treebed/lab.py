@@ -70,9 +70,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        d["k_values"] = tuple(d["k_values"])
-        return cls(**d)
+        try:
+            return cls(**{**d, "k_values": tuple(d["k_values"])})
+        except (KeyError, TypeError) as exc:
+            raise PreconditionViolated(f"bad sweep config: {exc!r}") from exc
 
     def digest(self) -> str:
         payload = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
@@ -212,17 +213,16 @@ def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.
     g = gen_random_graph_min_degree(n, delta, trial_seed)
     if g.max_degree() < want_max and want_max <= n - 1:
         # lift one hub to the max-degree demand
-        hub = max(range(n), key=lambda v: (g.degree(v), -v))
-        adj = {v: set(g.neighbors(v)) for v in range(n)}
-        others = [v for v in range(n) if v != hub and v not in adj[hub]]
+        hub = g.degree_order()[0]
+        masks = list(g.masks())
+        others = [v for v in range(n) if v != hub and not masks[hub] >> v & 1]
         rng2 = random.Random(repr(("hub", trial_seed)))
         rng2.shuffle(others)
-        for v in others:
-            if len(adj[hub]) >= want_max:
-                break
-            adj[hub].add(v)
-            adj[v].add(hub)
-        g = Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
+        # each step gives the hub one new neighbour, up to want_max
+        for v in others[: want_max - g.degree(hub)]:
+            masks[hub] |= 1 << v
+            masks[v] |= 1 << hub
+        g = Graph._from_masks(masks)
     return g
 
 

@@ -300,3 +300,148 @@ def test_cut_witness_is_minimal_property(seed, n):
         cross = sum(1 for u, v in g.edges() if (mask >> u & 1) != (mask >> v & 1))
         asz = bin(mask).count("1")
         assert w.density <= Fraction(cross, asz * (n - asz))
+
+
+# ---------------------------------------------------------------------------
+# The bitmask representation against a reference kept as sorted sets
+
+
+def _reference(n, edges):
+    """Every accessor's expected value, from neighbour sets and plain BFS."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    colour, comps, odd = [-1] * n, [], False
+    for s in range(n):
+        if colour[s] >= 0:
+            continue
+        colour[s], comp, queue = 0, [s], [s]
+        for v in queue:
+            for w in sorted(nbrs[v]):
+                if colour[w] < 0:
+                    colour[w] = colour[v] ^ 1
+                    comp.append(w)
+                    queue.append(w)
+                odd = odd or colour[w] == colour[v]
+        comps.append(tuple(sorted(comp)))
+    return {
+        "adjacency": tuple(tuple(sorted(s)) for s in nbrs),
+        "edges": tuple(sorted((u, v) for u in range(n) for v in nbrs[u] if u < v)),
+        "degrees": tuple(len(s) for s in nbrs),
+        "components": comps,
+        "bipartition": None if odd else tuple(
+            VertexSet([v for v in range(n) if colour[v] == c], n) for c in (0, 1)
+        ),
+        "masks": tuple(sum(1 << w for w in s) for s in nbrs),
+    }
+
+
+def _assert_matches_reference(g, n, edges):
+    ref = _reference(n, edges)
+    assert g.n == n
+    assert g.adjacency == ref["adjacency"]
+    assert all(g.neighbors(v) == ref["adjacency"][v] for v in range(n))
+    assert g.edges() == ref["edges"] and g.edge_count == len(ref["edges"])
+    assert g.degrees() == ref["degrees"]
+    assert [g.degree(v) for v in range(n)] == list(ref["degrees"])
+    assert g.min_degree() == min(ref["degrees"], default=0)
+    assert g.max_degree() == max(ref["degrees"], default=0)
+    assert g.degree_order() == tuple(sorted(range(n), key=lambda v: (-ref["degrees"][v], v)))
+    assert g.masks() == ref["masks"]
+    assert all(
+        g.has_edge(u, v) == (v in ref["adjacency"][u]) for u in range(n) for v in range(-1, n + 2)
+    )
+    assert g.components() == ref["components"]
+    assert g.is_connected() == (len(ref["components"]) <= 1)
+    assert bipartition(g) == ref["bipartition"]
+    text = g.to_edge_list_text()
+    assert text == "".join(f"{u} {v}\n" for u, v in [(n, len(ref["edges"])), *ref["edges"]])
+    assert Graph.from_edge_list_text(text) == g
+    from_masks = Graph._from_masks(list(ref["masks"]))
+    assert from_masks == g and hash(from_masks) == hash(g) == hash((n, ref["edges"]))
+
+
+def _reference_cases():
+    rng = random.Random(90210)
+    yield 0, []
+    yield 1, []
+    yield 5, []
+    # 70 vertices: masks wider than 64 bits; vertices 60..69 stay isolated
+    yield 70, [(u, v) for u, v in combinations(range(60), 2) if rng.random() < 0.08]
+    yield 70, [(i, i + 1) for i in range(0, 68, 2)]  # a matching: bipartite, many components
+    for _ in range(40):
+        n = rng.randrange(2, 24)
+        p = rng.choice((0.1, 0.3, 0.6, 0.9))
+        yield n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+
+
+def test_representation_matches_sorted_set_reference():
+    rng = random.Random(5)
+    for n, edges in _reference_cases():
+        # edges in any order and orientation, with repeats, build the same graph
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        shuffled += shuffled[: len(shuffled) // 3]
+        rng.shuffle(shuffled)
+        g = Graph(n, shuffled)
+        _assert_matches_reference(g, n, edges)
+        for _ in range(6):
+            keep = sorted(v for v in range(n) if rng.random() < rng.choice((0.3, 0.7, 0.95)))
+            sub, back = g.induced(reversed(keep))
+            assert back == tuple(keep)
+            idx = {v: i for i, v in enumerate(keep)}
+            sub_edges = [(idx[u], idx[v]) for u, v in edges if u in idx and v in idx]
+            _assert_matches_reference(sub, len(keep), sub_edges)
+
+
+def test_induced_rejects_ids_outside_the_graph():
+    with pytest.raises(PreconditionViolated):
+        P3.induced([0, 3])
+    with pytest.raises(PreconditionViolated):
+        P3.induced([-1, 0])
+
+
+def _is_symmetric_and_loop_free(g):
+    masks = g.masks()
+    return all(
+        m >> g.n == 0
+        and not m >> v & 1
+        and all(masks[w] >> v & 1 for w in range(g.n) if m >> w & 1)
+        for v, m in enumerate(masks)
+    )
+
+
+def test_mask_built_graphs_are_symmetric_and_loop_free(monkeypatch):
+    # Graph._from_masks skips validation; record every graph it builds, with
+    # its caller, while each of its callers runs
+    from treebed import lab
+    from treebed.decompose import refine_cut_dense
+
+    built = []
+    inner = Graph._from_masks.__func__
+
+    def recording(cls, masks):
+        g = inner(cls, masks)
+        built.append((sys._getframe(1).f_code.co_name, g))
+        return g
+
+    monkeypatch.setattr(Graph, "_from_masks", classmethod(recording))
+    for n, delta in [(1, 0), (8, 3), (16, 7), (30, 12), (70, 5)]:
+        for seed in range(4):
+            gen_random_graph_min_degree(n, delta, seed)
+    lab.run_sweep(
+        lab.ExperimentConfig(
+            conjecture="2k3", k_values=(10, 11, 12), tree_max_degree=4, trials=40, seed=3
+        )
+    )
+    blocks = list(combinations(range(6), 2)) + list(combinations(range(8, 14), 2))
+    g = Graph(14, blocks + [(5, 6), (6, 7), (7, 8)])
+    res = refine_cut_dense(
+        g, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), 2, rho=Fraction(1, 10), relax_delta=True
+    )
+    assert res.log and res.removed_vertices
+    callers = {name for name, _ in built}
+    assert callers == {
+        "gen_random_graph_min_degree", "_host_for_trial", "induced", "refine_cut_dense"
+    }
+    assert all(_is_symmetric_and_loop_free(g) for _, g in built)

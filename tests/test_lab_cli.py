@@ -262,6 +262,24 @@ def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"conjecture": "2k3"',
+        '{"conjecture": "2k3", "tree_max_degree": 3, "trials": 2, "seed": 0}',
+        '{"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3, "trials": 2, "seed": 0,'
+        ' "colour": "red"}',
+        '[8, 9]',
+    ],
+    ids=["truncated-json", "without-k-values", "unknown-key", "not-an-object"],
+)
+def test_cli_malformed_sweep_config_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_budget_overrun_is_inconclusive(capsys):
     # an oracle budget overrun is neither a usage error (2) nor a failure (1)
     assert cli.main(["verify-extremal", "--k", "12", "--budget", "1"]) == 3

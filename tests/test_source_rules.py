@@ -44,3 +44,49 @@ def test_no_function_calls_itself():
                 ):
                     sites.append(f"{path.name}:{node.lineno}: {fn.name} calls itself")
     assert sites == []
+
+
+def _functions_with_nodes(tree):
+    """(enclosing function name, node) for every node inside a function."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                yield fn.name, node
+
+
+def test_graph_private_slots_stay_in_graph_module():
+    # the bitmasks, degrees and cached views are Graph's own business; other
+    # modules go through its accessors (their own `self._x` is theirs)
+    from treebed.graph import Graph
+
+    private = {s for s in Graph.__slots__ if s.startswith("_")}
+    assert {"_masks", "_deg"} <= private
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in private
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                sites.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert sites == []
+
+
+def test_unchecked_mask_constructor_callers_are_pinned():
+    # Graph._from_masks skips the edge checks, so only code whose masks are
+    # symmetric and loop-free by construction may call it
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, node in _functions_with_nodes(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_from_masks":
+                callers.add((path.name, name))
+    assert callers == {
+        ("generators.py", "gen_random_graph_min_degree"),
+        ("lab.py", "_host_for_trial"),
+        ("graph.py", "induced"),
+        ("decompose.py", "refine_cut_dense"),
+    }
