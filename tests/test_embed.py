@@ -1,5 +1,8 @@
 """Embedder tests: validator, greedy and structured procedures, the oracle."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,12 @@ from treebed.embed import (
     matching_forest_embed,
     validate,
 )
+from treebed import lab
+from treebed.corpus import all_trees_up_to, host_corpus
 from treebed.errors import PreconditionViolated
 from treebed.generators import (
     gen_caterpillar,
+    gen_clique_chain_apex,
     gen_complete_bipartite,
     gen_path,
     gen_random_graph_min_degree,
@@ -284,3 +290,53 @@ def test_greedy_always_embeds_under_preconditions(seed, k):
         return
     out = greedy_embed(g, t, x)
     assert out.status == "found"
+
+
+# Golden digest of the oracle's (status, mapping, nodes_explored).  The
+# search order decides which embedding is found first and how many nodes it
+# takes, so any change to the root, the BFS order, the sibling order, the
+# symmetry cuts or the host order moves this digest.  It covers every tree on
+# at most 8 vertices against the stored small hosts and the twin-rich
+# families, unpinned and with one pin, plus 300 seeded `2k3` sweep instances.
+_ORACLE_DIGEST = "69ce3b1435e5085acd6fadfcac7975b156b472eadeae551741dacdeed4ad8803"
+
+
+def _oracle_digest_pairs():
+    hosts = host_corpus() + [
+        gen_complete_bipartite(2, 3),
+        gen_complete_bipartite(3, 4),
+        gen_two_cliques_apex(6),
+        gen_two_cliques_apex(9),
+        gen_clique_chain_apex(8, 2),
+        gen_clique_chain_apex(10, 2),
+        Graph.complete(6),
+        Graph.complete(8),
+    ]
+    i = 0
+    for g in hosts:
+        for t in all_trees_up_to(8):
+            yield g, t, None
+            if t.n <= g.n:
+                yield g, t, Embedding.from_dict({i % t.n: 7 * i % g.n})
+            i += 1
+    cfg = lab.ExperimentConfig(
+        conjecture="2k3", k_values=(10, 11, 12), tree_max_degree=4, trials=300, seed=4242
+    )
+    for idx in range(cfg.trials):
+        k = cfg.k_values[idx % 3]
+        trial_seed = cfg.seed * 1_000_003 + idx
+        rng = random.Random(repr(("trial", cfg.seed, idx)))
+        g = lab._host_for_trial(cfg, k, trial_seed, rng)
+        yield g, gen_random_tree(k + 1, cfg.tree_max_degree, trial_seed), None
+
+
+def test_oracle_outcomes_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for g, t, pins in _oracle_digest_pairs():
+        out = brute_force_embed(g, t, pins=pins)
+        mapping = out.embedding.mapping if out.embedding is not None else None
+        h.update(repr((out.status, mapping, out.nodes_explored)).encode())
+        count += 1
+    assert count > 13000
+    assert h.hexdigest() == _ORACLE_DIGEST

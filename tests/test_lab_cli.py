@@ -1,5 +1,6 @@
 """Lab harness and CLI tests: sweeps, reports, file formats, exit codes."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -328,3 +329,17 @@ def test_pipeline_oracle_consistency_is_checked():
     )
     res = lab.run_sweep(cfg)
     assert all(not r.consistency_failure for r in res.records)
+
+
+# Golden digest of the canonical report of a 300-trial `2k3` sweep, the kind
+# the benchmark's oracle workload runs.  It pins every record's
+# `pipeline_stages`, oracle status and oracle node count.
+_SWEEP_REPORT_DIGEST = "53cd6f8f63f169508fe254936a51dc9d451075fcce2499b4ca28e4271ff744c7"
+
+
+def test_sweep_report_pinned():
+    cfg = lab.ExperimentConfig(
+        conjecture="2k3", k_values=(10, 11, 12), tree_max_degree=4, trials=300, seed=7000
+    )
+    text = lab.render_report(lab.run_sweep(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_REPORT_DIGEST
