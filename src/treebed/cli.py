@@ -158,9 +158,11 @@ def cmd_embed(args) -> int:
     t = _load_tree(args.tree)
     pins = None
     if args.pin:
-        pins = Embedding.from_dict(
-            {int(p.split(":")[0]): int(p.split(":")[1]) for p in args.pin}
-        )
+        try:
+            pairs = [(int(tv), int(hv)) for tv, _, hv in (p.partition(":") for p in args.pin)]
+        except ValueError:
+            raise PreconditionViolated(f"--pin takes tree:host integers, got {args.pin}") from None
+        pins = Embedding(tuple(sorted(pairs)))  # rejects a tree vertex pinned twice
     if args.method == "oracle":
         out = brute_force_embed(g, t, pins=pins, budget=args.budget)
     elif args.method == "greedy":

@@ -264,6 +264,24 @@ def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
 
 
 @pytest.mark.parametrize(
+    "pins",
+    [["3"], ["a:1"], ["0:1", "0:2"]],
+    ids=["without-colon", "non-integer", "tree-vertex-twice"],
+)
+def test_cli_malformed_pin_is_usage_error(tmp_path, capsys, pins):
+    host = tmp_path / "g.txt"
+    tree = tmp_path / "t.json"
+    cli.main(["gen", "two_cliques_apex", "--param", "k=6", "--out", str(host)])
+    cli.main(["gen", "three_branch", "--param", "k=6", "--out", str(tree)])
+    capsys.readouterr()
+    argv = ["embed", "--host", str(host), "--tree", str(tree)]
+    for pin in pins:
+        argv += ["--pin", pin]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"conjecture": "2k3"',
