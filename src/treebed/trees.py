@@ -24,7 +24,8 @@ class Tree:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], root: Optional[int] = None):
         self.n = n
-        es = sorted(tuple(sorted((int(u), int(v)))) for u, v in edges)
+        es = [(int(u), int(v)) for u, v in edges]
+        es = sorted([(u, v) if u < v else (v, u) for u, v in es])
         if len(es) != max(n - 1, 0):
             raise PreconditionViolated(f"tree on {n} vertices needs {n - 1} edges, got {len(es)}")
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -33,21 +34,20 @@ class Tree:
                 raise PreconditionViolated(f"bad tree edge ({u},{v})")
             adj[u].append(v)
             adj[v].append(u)
+        # es is sorted, so no list needs sorting: each gets its smaller
+        # neighbours ascending (edges (w, v), w < v), then its larger ones
         self.edges: tuple[tuple[int, int], ...] = tuple(es)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         if n > 0:
             seen = [False] * n
-            dq = deque([0])
             seen[0] = True
-            cnt = 1
-            while dq:
-                v = dq.popleft()
+            reached = [0]
+            for v in reached:  # the list grows while it is walked
                 for w in self._adj[v]:
                     if not seen[w]:
                         seen[w] = True
-                        cnt += 1
-                        dq.append(w)
-            if cnt != n:
+                        reached.append(w)
+            if len(reached) != n:
                 raise PreconditionViolated("edge list is not connected (not a tree)")
         if root is not None and not (0 <= root < n):
             raise PreconditionViolated(f"root {root} out of range")
@@ -60,6 +60,11 @@ class Tree:
         """Edge count; trees are conventionally sized by it."""
         return max(self.n - 1, 0)
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, one per vertex."""
+        return self._adj
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -67,7 +72,7 @@ class Tree:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self._adj), default=0)
 
     def rooted(self, r: int) -> "RootedView":
         return RootedView(self, r)
