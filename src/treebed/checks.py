@@ -37,8 +37,9 @@ from .generators import (
 from .graph import (
     Graph,
     VertexSet,
+    _bits,
+    _two_sides,
     bipartite_matching_lower,
-    bipartition,
     cut_density,
     diameter,
     path_in_range,
@@ -489,25 +490,20 @@ def pipeline_attempts(g: Graph, t: Tree):
     if g.n == 0 or t.n == 0:
         return
     x = g.degree_order()[0]
-    root = max(range(t.n), key=lambda v: (t.degree(v), -v))
+    deg = list(map(len, t.adjacency))
+    root = deg.index(max(deg))  # the first vertex of maximum degree
     yield "greedy", lambda: greedy_embed(g, t, x, root=root)
 
-    rest = [v for v in range(g.n) if v != x]
-    if rest:
-        sub, back = g.induced(rest)
-        comps = sorted(sub.components(), key=len, reverse=True)
-        if len(comps) >= 2:
-            c1 = VertexSet([back[i] for i in comps[0]], g.n)
-            c2 = VertexSet([back[i] for i in comps[1]], g.n)
-            yield "apex_split", lambda: apex_split_embed(g, x, c1, c2, t)
-        if len(comps) >= 3:
-            cs = [VertexSet([back[i] for i in comp], g.n) for comp in comps[:3]]
+    parts = g.component_layers(1 << x)  # the components of g - x
+    if len(parts) >= 2:
+        biggest = sorted(parts, key=lambda p: p[0].bit_count(), reverse=True)[:3]
+        cs = [VertexSet(_bits(comp), g.n) for comp, _, _ in biggest]
+        yield "apex_split", lambda: apex_split_embed(g, x, cs[0], cs[1], t)
+        if len(cs) == 3:
             yield "apex_three_split", lambda: apex_three_split_embed(g, x, cs[0], cs[1], cs[2], t)
-        parts = bipartition(sub)
-        if parts is not None:
-            y1 = VertexSet([back[i] for i in parts[0].members], g.n)
-            y2 = VertexSet([back[i] for i in parts[1].members], g.n)
-            yield "bipartite_apex", lambda: bipartite_apex_embed(g, x, y1, y2, t)
+    sides = _two_sides(g, parts) if parts else None
+    if sides is not None:
+        yield "bipartite_apex", lambda: bipartite_apex_embed(g, x, sides[0], sides[1], t)
 
 
 def cross_check_pair(g: Graph, t: Tree, budget: int = 10**7) -> list[str]:

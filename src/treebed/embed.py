@@ -37,13 +37,12 @@ class Embedding:
     mapping: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        tvs = [tv for tv, _ in self.mapping]
-        hvs = [hv for _, hv in self.mapping]
-        if len(set(tvs)) != len(tvs):
+        m = self.mapping
+        if len({tv for tv, _ in m}) != len(m):
             raise PreconditionViolated("a tree vertex is mapped twice")
-        if len(set(hvs)) != len(hvs):
+        if len({hv for _, hv in m}) != len(m):
             raise PreconditionViolated("embedding is not injective")
-        if list(self.mapping) != sorted(self.mapping):
+        if list(m) != sorted(m):
             raise PreconditionViolated("mapping pairs must be sorted")
 
     @classmethod
@@ -60,7 +59,8 @@ class Embedding:
         return len(self.mapping)
 
     def is_total_for(self, t: Tree) -> bool:
-        return len(self.mapping) == t.n and all(0 <= tv < t.n for tv, _ in self.mapping)
+        m = self.mapping  # distinct ascending tree vertices: the ends bound them all
+        return len(m) == t.n and (not m or (m[0][0] >= 0 and m[-1][0] < t.n))
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,18 @@ def validate(g: Graph, t: Tree, e: Embedding) -> tuple[bool, Optional[str]]:
     """
     if not e.is_total_for(t):
         raise PreconditionViolated("validate requires a total embedding")
-    phi = e.as_dict()
     for tv, hv in e.mapping:
         if not (0 <= hv < g.n):
             return False, f"tree vertex {tv} mapped outside the host ({hv})"
+    phi = [hv for _, hv in e.mapping]  # total and sorted: pair i is (i, phi[i])
+    masks = g.masks()
     for u, v in t.edges:
-        if not g.has_edge(phi[u], phi[v]):
+        if not masks[phi[u]] >> phi[v] & 1:
             return False, f"tree edge ({u},{v}) maps to non-edge ({phi[u]},{phi[v]})"
     return True, None
 
 
-def _certify_found(g: Graph, t: Tree, phi: dict, nodes: int) -> EmbedOutcome:
-    emb = Embedding.from_dict(phi)
+def _certify_found(g: Graph, t: Tree, emb: Embedding, nodes: int) -> EmbedOutcome:
     ok, why = validate(g, t, emb)
     if not ok:
         raise InternalInvariantError(f"produced embedding fails validation: {why}")
@@ -110,16 +110,6 @@ def _certify_found(g: Graph, t: Tree, phi: dict, nodes: int) -> EmbedOutcome:
 
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
-
-
-def _ahu_codes(t: Tree, rv) -> list[int]:
-    """Canonical rooted-subtree codes (equal code <=> isomorphic rooted subtree)."""
-    intern: dict[tuple, int] = {}
-    code = [0] * t.n
-    for v in reversed(rv.order):
-        key = tuple(sorted(code[c] for c in rv.children[v]))
-        code[v] = intern.setdefault(key, len(intern))
-    return code
 
 
 def _lower_twins(adj: list[int], pinned: set) -> list[int]:
@@ -135,11 +125,64 @@ def _lower_twins(adj: list[int], pinned: set) -> list[int]:
     for h, nb in enumerate(adj):
         if h in pinned:
             continue
-        for key in (nb, nb | 1 << h):
-            prior = seen.get(key, 0)
-            lower[h] |= prior
-            seen[key] = prior | 1 << h
+        bit = 1 << h
+        false_twins, true_twins = seen.get(nb, 0), seen.get(nb | bit, 0)
+        lower[h] = false_twins | true_twins
+        seen[nb], seen[nb | bit] = false_twins | bit, true_twins | bit
     return lower
+
+
+def _search_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
+    """The oracle's placement order and per-position tables for t (n >= 1).
+
+    The root is the least pinned vertex, else the first of maximum degree.
+    A BFS from it finds the children; AHU codes, interned bottom-up in
+    reversed BFS order, are equal exactly on isomorphic rooted subtrees.  A
+    second BFS takes each vertex's children by (code, id) and emits
+    (order, parent_pos, tdeg, nchild, symprev), where symprev is the previous
+    pin-free sibling of the same code (-1 if none, or if the subtree holds a pin).
+    """
+    n = t.n
+    nbrs = t.adjacency
+    deg = list(map(len, nbrs))
+    root = min(pin_map) if pin_map else deg.index(max(deg))
+    parent = [-1] * n
+    kids: list = [()] * n
+    bfs = [root]
+    for v in bfs:  # the list grows while it is walked
+        p = parent[v]
+        first = len(bfs)
+        for w in nbrs[v]:
+            if w != p:
+                parent[w] = v
+                bfs.append(w)
+        if len(bfs) > first:
+            kids[v] = bfs[first:]
+    code = [0] * n
+    code_of = code.__getitem__
+    intern = {(): 0}  # the last BFS vertex is a leaf, so leaves get code 0
+    for v in reversed(bfs):
+        if kids[v]:
+            kids[v].sort(key=code_of)
+            code[v] = intern.setdefault(tuple(map(code_of, kids[v])), len(intern))
+    holds_pin = [False] * n
+    for v in pin_map:
+        while v >= 0 and not holds_pin[v]:
+            holds_pin[v] = True
+            v = parent[v]
+    order, parent_pos, symprev = [root], [-1], [-1]
+    for pos, v in enumerate(order):
+        last = -1
+        for c in kids[v]:
+            parent_pos.append(pos)
+            if holds_pin[c]:
+                symprev.append(-1)
+            else:
+                symprev.append(last if last >= 0 and code[order[last]] == code[c] else -1)
+                last = len(order)
+            order.append(c)
+    nchild = map(len, map(kids.__getitem__, order))
+    return order, parent_pos, list(map(deg.__getitem__, order)), list(nchild), symprev
 
 
 def brute_force_embed(
@@ -181,40 +224,9 @@ def brute_force_embed(
     if t.n > g.n or t.max_degree() > g.max_degree():
         return EmbedOutcome("not_found", None, 0)
 
-    root = min(pin_map) if pin_map else max(range(t.n), key=lambda v: (t.degree(v), -v))
-    rv = t.rooted(root)
-    code = _ahu_codes(t, rv)
-    contains_pin = [False] * t.n
-    for v in reversed(rv.order):
-        contains_pin[v] = v in pin_map or any(contains_pin[c] for c in rv.children[v])
-
+    order_t, parent_pos, tdeg, nchild, symprev = _search_plan(t, pin_map)
     full = (1 << g.n) - 1
-    order_t = [root]
-    pos_of = {root: 0}
-    parent_pos = [-1]
-    symprev = [-1]
-    qhead = 0
-    while qhead < len(order_t):
-        v = order_t[qhead]
-        qhead += 1
-        kids = sorted(rv.children[v], key=lambda c: (code[c], c))
-        prev_free: dict[int, int] = {}
-        for c in kids:
-            pos = len(order_t)
-            order_t.append(c)
-            pos_of[c] = pos
-            parent_pos.append(pos_of[v])
-            if contains_pin[c]:
-                symprev.append(-1)
-            else:
-                symprev.append(prev_free.get(code[c], -1))
-                prev_free[code[c]] = pos
-    allowed = [
-        (1 << pin_map[v]) if v in pin_map else full
-        for v in order_t
-    ]
-    tdeg = [t.degree(v) for v in order_t]
-    nchild = [len(rv.children[v]) for v in order_t]
+    allowed = [1 << pin_map[v] if v in pin_map else full for v in order_t]
     adj = g.masks()
     lower_twins = _lower_twins(adj, set(pin_map.values()))
     if any(lower_twins):
@@ -225,8 +237,10 @@ def brute_force_embed(
         lower_twins, budget,
     )
     if status == kernel.FOUND:
-        phi = {order_t[i]: imgs[i] for i in range(t.n)}
-        return _certify_found(g, t, phi, nodes)
+        phi = [0] * t.n
+        for v, h in zip(order_t, imgs):
+            phi[v] = h
+        return _certify_found(g, t, Embedding(tuple(enumerate(phi))), nodes)
     if status == kernel.BUDGET:
         return EmbedOutcome("budget_exhausted", None, nodes)
     return EmbedOutcome("not_found", None, nodes)
@@ -305,7 +319,7 @@ def greedy_embed(g: Graph, t: Tree, x: int, root: Optional[int] = None) -> Embed
     placed = _greedy_subtree(
         g, t, frozenset(range(t.n)), r, phi, used, lambda _: everything, "greedy"
     )
-    return _certify_found(g, t, phi, placed + 1)
+    return _certify_found(g, t, Embedding.from_dict(phi), placed + 1)
 
 
 def apex_split_embed(g: Graph, x: int, c1, c2, t: Tree) -> EmbedOutcome:
@@ -339,7 +353,7 @@ def apex_split_embed(g: Graph, x: int, c1, c2, t: Tree) -> EmbedOutcome:
             lambda _: pf,
             "apex_split",
         )
-    return _certify_found(g, t, phi, placed)
+    return _certify_found(g, t, Embedding.from_dict(phi), placed)
 
 
 def apex_three_split_embed(g: Graph, x: int, c1, c2, c3, t: Tree) -> EmbedOutcome:
@@ -381,7 +395,7 @@ def apex_three_split_embed(g: Graph, x: int, c1, c2, c3, t: Tree) -> EmbedOutcom
         phi[u] = y
         used.add(y)
         placed += 1 + _greedy_subtree(g, t, f3, u, phi, used, lambda _: pf3, "apex_three_f3")
-    return _certify_found(g, t, phi, placed)
+    return _certify_found(g, t, Embedding.from_dict(phi), placed)
 
 
 def bipartite_apex_embed(g: Graph, x: int, y1, y2, t: Tree) -> EmbedOutcome:
@@ -440,7 +454,7 @@ def bipartite_apex_embed(g: Graph, x: int, y1, y2, t: Tree) -> EmbedOutcome:
         want = side_sets[j] if rv.depth[w] % 2 == 1 else side_sets[3 - j]
         if phi[w] not in want:
             raise InternalInvariantError("parity discipline violated")
-    return _certify_found(g, t, phi, placed)
+    return _certify_found(g, t, Embedding.from_dict(phi), placed)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +524,7 @@ def embed_via_path(
         pa, pb = A.as_set(), B1.as_set()
         placed += _greedy_subtree(g, t, f1, r, phi, used, lambda _: pa, "split_A")
         placed += _greedy_subtree(g, t, f2, r, phi, used, lambda _: pb, "split_B1")
-        return _certify_found(g, t, phi, placed)
+        return _certify_found(g, t, Embedding.from_dict(phi), placed)
 
     if len(comps) < 2:
         raise EmbedNotFound("structure", "separator left a single component")
@@ -609,7 +623,7 @@ def embed_via_path(
         placed += _greedy_subtree(
             g, t, rest | {r}, r, phi, used, lambda _: all_b1, "rest_B1"
         )
-    return _certify_found(g, t, phi, placed)
+    return _certify_found(g, t, Embedding.from_dict(phi), placed)
 
 
 def _branch_vertices(rv, p_i: int, p_next: int) -> frozenset:
@@ -713,5 +727,5 @@ def matching_forest_embed(
                 ok = False
                 break
         if ok and len(phi) == t.n:
-            return _certify_found(g, t, phi, nodes_total + placed)
+            return _certify_found(g, t, Embedding.from_dict(phi), nodes_total + placed)
     raise EmbedNotFound("s_placement", "no portal assignment admits the central tree")

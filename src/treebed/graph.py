@@ -215,12 +215,19 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
+        return [_bits(comp) for comp, _, _ in self.component_layers()]
+
+    def component_layers(self, removed: int = 0) -> list[tuple[int, int, int]]:
+        """Components of the graph minus the vertex mask `removed`, by least
+        vertex, each as (mask, even BFS layers, odd BFS layers) from that vertex."""
         out = []
-        left = (1 << self.n) - 1
+        left = (1 << self.n) - 1 & ~removed
         while left:
-            comp = sum(_bfs_layers(self._masks, left & -left, left))  # disjoint layers
-            left &= ~comp
-            out.append(_bits(comp))
+            layers = _bfs_layers(self._masks, left & -left, left)
+            even = sum(layers[0::2])  # the layers are disjoint
+            odd = sum(layers[1::2])
+            left &= ~(even | odd)
+            out.append((even | odd, even, odd))
         return out
 
     def is_connected(self) -> bool:
@@ -742,14 +749,17 @@ def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
     Component roots (least ids) are coloured with the first class, so an
     edgeless graph comes back as (everything, empty set).
     """
+    return _two_sides(g, g.component_layers())
+
+
+def _two_sides(g: Graph, parts: list[tuple[int, int, int]]) -> Optional[tuple[VertexSet, VertexSet]]:
+    """The even and odd layers of `parts` (from `component_layers`) as a
+    2-colouring, or None if an edge joins two vertices on one side."""
     masks = g.masks()
-    even = odd = 0  # BFS layers from each component's least vertex
-    left = (1 << g.n) - 1
-    while left:
-        layers = _bfs_layers(masks, left & -left, left)
-        even |= sum(layers[0::2])
-        odd |= sum(layers[1::2])
-        left &= ~(even | odd)
+    even = odd = 0
+    for _, e, o in parts:
+        even |= e
+        odd |= o
     if any(masks[v] & side for side in (even, odd) for v in _bits(side)):
         return None
     return VertexSet(_bits(even), g.n), VertexSet(_bits(odd), g.n)

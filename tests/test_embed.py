@@ -18,7 +18,7 @@ from treebed.embed import (
     matching_forest_embed,
     validate,
 )
-from treebed import lab
+from treebed import checks, lab
 from treebed.corpus import all_trees_up_to, host_corpus
 from treebed.errors import PreconditionViolated
 from treebed.generators import (
@@ -33,7 +33,7 @@ from treebed.generators import (
     gen_two_cliques_apex,
     gen_two_cliques_apex_grown,
 )
-from treebed.graph import Graph, VertexSet
+from treebed.graph import Graph, VertexSet, bipartition
 from treebed.trees import Tree
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -51,6 +51,23 @@ def test_validate_examples():
     assert not ok and "non-edge" in why
     with pytest.raises(PreconditionViolated):
         validate(C4, t, Embedding.from_dict({0: 0}))  # partial map rejected
+    for off_tree in ({0: 0, 1: 1, 2: 2, 4: 3}, {-1: 3, 0: 0, 1: 1, 2: 2}):
+        with pytest.raises(PreconditionViolated, match="total"):
+            validate(C4, t, Embedding.from_dict(off_tree))
+
+
+@pytest.mark.parametrize(
+    "mapping, error",
+    [
+        (((0, 1), (0, 1)), "mapped twice"),  # checked before injectivity
+        (((0, 1), (0, 2)), "mapped twice"),
+        (((0, 1), (1, 1)), "not injective"),
+        (((1, 0), (0, 1)), "must be sorted"),
+    ],
+)
+def test_embedding_rejects_malformed_mappings(mapping, error):
+    with pytest.raises(PreconditionViolated, match=error):
+        Embedding(mapping)
 
 
 def test_greedy_examples():
@@ -340,3 +357,61 @@ def test_oracle_outcomes_pinned():
         count += 1
     assert count > 13000
     assert h.hexdigest() == _ORACLE_DIGEST
+
+
+def _reference_attempts(g, t):
+    """pipeline_attempts' calls as it made them by copying G - x with
+    `induced` and reading `components()` and `bipartition()` off the copy."""
+    if g.n == 0 or t.n == 0:
+        return []
+    x = g.degree_order()[0]
+    root = max(range(t.n), key=lambda v: (t.degree(v), -v))
+    out = [("greedy", x, root)]
+    if g.n > 1:
+        sub, back = g.induced(v for v in range(g.n) if v != x)
+        comps = sorted(sub.components(), key=len, reverse=True)
+        sets = [VertexSet([back[i] for i in comp], g.n) for comp in comps[:3]]
+        if len(comps) >= 2:
+            out.append(("apex_split", x, *sets[:2]))
+        if len(comps) >= 3:
+            out.append(("apex_three_split", x, *sets))
+        parts = bipartition(sub)
+        if parts is not None:
+            sides = [VertexSet([back[i] for i in p], g.n) for p in parts]
+            out.append(("bipartite_apex", x, *sides))
+    return out
+
+
+def test_pipeline_attempts_match_induced_reference(monkeypatch):
+    # each embedder is replaced by a recorder of the host sets it is given
+    monkeypatch.setattr(checks, "greedy_embed", lambda g, t, x, root: ("greedy", x, root))
+    monkeypatch.setattr(
+        checks, "apex_split_embed", lambda g, x, c1, c2, t: ("apex_split", x, c1, c2)
+    )
+    monkeypatch.setattr(
+        checks,
+        "apex_three_split_embed",
+        lambda g, x, c1, c2, c3, t: ("apex_three_split", x, c1, c2, c3),
+    )
+    monkeypatch.setattr(
+        checks, "bipartite_apex_embed", lambda g, x, y1, y2, t: ("bipartite_apex", x, y1, y2)
+    )
+    hosts = host_corpus()[::4] + [
+        Graph(0, []),
+        Graph(1, []),
+        gen_complete_bipartite(1, 5),
+        gen_complete_bipartite(3, 4),
+        gen_two_cliques_apex(9),
+        gen_clique_chain_apex(10, 2),
+        _three_pool_host(4)[0],
+        _bipartite_apex_host()[0],
+        Graph(70, [(0, v) for v in range(1, 70)] + [(v, v + 1) for v in range(1, 69, 3)]),
+    ]
+    names = set()
+    for g in hosts:
+        for t in (Tree(0, []), gen_path(1), gen_path(4), gen_three_branch_tree(6)):
+            got = [(name, attempt()) for name, attempt in checks.pipeline_attempts(g, t)]
+            assert all(name == call[0] for name, call in got)
+            assert [call for _, call in got] == _reference_attempts(g, t)
+            names.update(name for name, _ in got)
+    assert names == {"greedy", "apex_split", "apex_three_split", "bipartite_apex"}

@@ -17,6 +17,7 @@ from treebed.graph import (
     Graph,
     VertexSet,
     _heuristic_min_cut,
+    _two_sides,
     bipartite_matching_lower,
     bipartition,
     cut_density,
@@ -445,3 +446,49 @@ def test_mask_built_graphs_are_symmetric_and_loop_free(monkeypatch):
         "gen_random_graph_min_degree", "_host_for_trial", "induced", "refine_cut_dense"
     }
     assert all(_is_symmetric_and_loop_free(g) for _, g in built)
+
+
+# ---------------------------------------------------------------------------
+# Components of g minus a vertex set, walked on masks
+
+
+def _minus_reference(g, removed):
+    """Components and 2-colouring of g minus `removed` by copying the rest with
+    `induced` and mapping `components()` and `bipartition()` back."""
+    sub, back = g.induced(v for v in range(g.n) if not removed >> v & 1)
+    comps = [sum(1 << back[i] for i in comp) for comp in sub.components()]
+    parts = bipartition(sub)
+    if parts is None:
+        return comps, None
+    return comps, tuple(VertexSet([back[i] for i in p], g.n) for p in parts)
+
+
+def _minus_cases():
+    for n, edges in _reference_cases():
+        yield Graph(n, edges)
+    hub = [(0, v) for v in range(1, 70)]
+    yield Graph(70, hub + [(v, v + 1) for v in range(1, 69)])  # G - 0 is a path
+    yield Graph(70, hub + [(v, v + 1) for v in range(1, 69, 2)])  # G - 0 is 35 edges
+    yield Graph(70, hub + list(combinations(range(1, 8), 2)) + [(8, 9), (9, 10), (8, 10)])
+    yield Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (1, 3), (4, 5)])
+    yield C5
+    yield C7
+
+
+def test_component_layers_match_induced_reference():
+    rng = random.Random(8)
+    counts, two_colourable = set(), set()
+    for g in _minus_cases():
+        removals = [0] + [1 << x for x in range(g.n)]
+        removals += [rng.getrandbits(g.n) for _ in range(3)]
+        for removed in removals:
+            parts = g.component_layers(removed)
+            comps, sides = _minus_reference(g, removed)
+            assert [comp for comp, _, _ in parts] == comps
+            for comp, even, odd in parts:
+                # disjoint layers, the least vertex on the even side
+                assert even | odd == comp and not even & odd and even & -even == comp & -comp
+            assert _two_sides(g, parts) == sides
+            counts.add(min(len(comps), 3))
+            two_colourable.add(sides is not None)
+    assert counts == {0, 1, 2, 3} and two_colourable == {True, False}

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import pytest
 
 from treebed.corpus import all_trees_up_to, connected_hosts_up_to_5, sampled_hosts_6_to_8
-from treebed.embed import Embedding, _lower_twins, brute_force_embed
+from treebed.embed import Embedding, _lower_twins, _search_plan, brute_force_embed
 from treebed.generators import (
     gen_clique_chain_apex,
     gen_complete_bipartite,
@@ -199,3 +199,44 @@ def test_twin_cut_agrees_with_naive_reference_under_two_pins():
                     _check(g, t, {tv1: hv1, tv2: hv2})
                     checked += 1
     assert checked > 4500
+
+
+def _reference_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
+    """The oracle's search plan built the long way: a RootedView, AHU codes
+    interned over its reversed BFS order, and a position dict."""
+    root = min(pin_map) if pin_map else max(range(t.n), key=lambda v: (t.degree(v), -v))
+    rv = t.rooted(root)
+    intern: dict[tuple, int] = {}
+    code = [0] * t.n
+    for v in reversed(rv.order):
+        code[v] = intern.setdefault(tuple(sorted(code[c] for c in rv.children[v])), len(intern))
+    contains_pin = [False] * t.n
+    for v in reversed(rv.order):
+        contains_pin[v] = v in pin_map or any(contains_pin[c] for c in rv.children[v])
+    order, pos_of, parent_pos, symprev = [root], {root: 0}, [-1], [-1]
+    for v in order:
+        prev_free: dict[int, int] = {}
+        for c in sorted(rv.children[v], key=lambda c: (code[c], c)):
+            pos_of[c] = len(order)
+            order.append(c)
+            parent_pos.append(pos_of[v])
+            if contains_pin[c]:
+                symprev.append(-1)
+            else:
+                symprev.append(prev_free.get(code[c], -1))
+                prev_free[code[c]] = pos_of[c]
+    tdeg = [t.degree(v) for v in order]
+    nchild = [len(rv.children[v]) for v in order]
+    return order, parent_pos, tdeg, nchild, symprev
+
+
+def test_search_plan_matches_rooted_view_reference():
+    checked = 0
+    for t in all_trees_up_to(10):
+        pin_maps = [{}] + [{tv: 0} for tv in range(t.n)]
+        if t.n <= 8:  # a second pin below the root marks whole sibling subtrees
+            pin_maps += [{a: 0, b: 1} for a, b in combinations(range(t.n), 2)]
+        for pin_map in pin_maps:
+            assert _search_plan(t, pin_map) == _reference_plan(t, pin_map), (t.edges, pin_map)
+            checked += 1
+    assert checked > 3000
