@@ -752,7 +752,7 @@ def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
     return _two_sides(g, g.component_layers())
 
 
-def _two_sides(g: Graph, parts: list[tuple[int, int, int]]) -> Optional[tuple[VertexSet, VertexSet]]:
+def _two_sides(g: Graph, parts: list) -> Optional[tuple[VertexSet, VertexSet]]:
     """The even and odd layers of `parts` (from `component_layers`) as a
     2-colouring, or None if an edge joins two vertices on one side."""
     masks = g.masks()
