@@ -139,8 +139,9 @@ def _search_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
     A BFS from it finds the children; AHU codes, interned bottom-up in
     reversed BFS order, are equal exactly on isomorphic rooted subtrees.  A
     second BFS takes each vertex's children by (code, id) and emits
-    (order, parent_pos, tdeg, nchild, symprev), where symprev is the previous
-    pin-free sibling of the same code (-1 if none, or if the subtree holds a pin).
+    (order, parent_pos, tdeg, nchild, symprev), where symprev is the position
+    of the previous pin-free sibling with the same code (-1 if there is none,
+    and always -1 for a vertex whose subtree holds a pin).
     """
     n = t.n
     nbrs = t.adjacency
