@@ -10,8 +10,12 @@ from __future__ import annotations
 import heapq
 import random
 import struct
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, count
+from math import factorial, gcd
 from operator import eq
 from typing import Optional, Sequence
 
@@ -197,9 +201,11 @@ def gen_path(n: int) -> Tree:
 # Seeded random corpora
 
 
-_BYTES = bytes(range(256))
 # _TOP_BITS[k] maps a word's top byte to the word's top k bits (k <= 8)
 _TOP_BITS = tuple(bytes(b >> (8 - k) for b in range(256)) for k in range(9))
+# uniform-code rounds before the exact stage; a bound that rejects this many
+# codes in a row is tight, and the exact stage is the cheaper one there
+_REJECTION_ROUNDS = 8
 
 
 def _words(raw: bytes) -> tuple[int, ...]:
@@ -207,19 +213,72 @@ def _words(raw: bytes) -> tuple[int, ...]:
     return struct.unpack(f"<{len(raw) // 4}I", raw)
 
 
-def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 300) -> Tree:
-    """Seeded random tree with max degree <= max_deg.
+def _accepter(bound: int, cum: Optional[tuple[int, ...]] = None):
+    """The values a getrandbits(32 * W).to_bytes(4 * W, "little") buffer yields
+    under CPython's randrange(bound) rule: the top k = bound.bit_length() bits
+    of each 32-bit Mersenne Twister output, lowest word first, retried while
+    >= bound.  Given cumulative integer weights `cum` ending at bound, each
+    value v becomes the i with cum[i - 1] <= v < cum[i], an exact weighted draw."""
+    k = bound.bit_length()
+    if k <= 8:
+        # the top byte of each little-endian word holds the k bits; translate
+        # deletes the rejected bytes and maps the kept ones in one C pass
+        table = _TOP_BITS[k] if cum is None else bytes(bisect(cum, v) for v in _TOP_BITS[k])
+        reject = bytes(range(bound << (8 - k), 256))
+        return lambda raw: raw[3::4].translate(table, reject)
+    if cum is None:
+        return lambda raw: [v for w in _words(raw) if (v := w >> (32 - k)) < bound]
+    return lambda raw: [bisect(cum, v) for w in _words(raw) if (v := w >> (32 - k)) < bound]
 
-    Rejection-samples uniform trees via random parent codes; if the degree
-    bound keeps rejecting (tight bounds on large n), falls back to drawing
-    each code symbol only from vertices with remaining degree headroom.
 
-    The code symbols are exactly those that repeated rng.randrange(n) calls
-    would return, drawn in bulk: CPython's randrange(n) takes the top
-    k = n.bit_length() bits of one 32-bit Mersenne Twister output and retries
-    while the value is >= n, and getrandbits(32 * W) returns the next W
-    outputs, lowest word first.  The seeded corpus depends on that rule;
-    tests/test_generators.py pins it by digest.
+@lru_cache(maxsize=None)
+def _multiplicity_law(n: int, cap: int):
+    """Integer weights w[c] proportional to lam**c / c! on c = 0..cap < 13 (a
+    truncated Poisson(lam) law), with their accepter.  n draws conditioned on
+    summing to n - 2 have one law whatever lam is, so lam = p/q only sets how
+    often they do: the first q is taken (small weights draw fastest) with a p
+    that puts the expected sum within one standard deviation of n - 2.
+    """
+    m, law = n - 2, None
+    for q in count(1):
+        def at(p: int):  # the weights for lam = p/q, and their sums of c**j * w[c], j = 0, 1, 2
+            w = [q**cap * factorial(cap)]
+            for c in range(1, cap + 1):
+                w.append(w[-1] * p // (q * c))
+            return w, *(sum(c**j * x for c, x in enumerate(w)) for j in range(3))
+
+        # the expected sum, n * s1 / s0, is below m at lam = lo/q, not at hi/q
+        lo, hi = 0, q * n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            _, s0, s1, _ = at(mid)
+            lo, hi = (mid, hi) if n * s1 < m * s0 else (lo, mid)
+        for p in filter(None, (lo, hi)):
+            w, s0, s1, s2 = at(p)
+            g = gcd(*w)
+            w = [x // g for x in w]
+            if sum(w) >> 32:
+                return law
+            law = tuple(w), _accepter(sum(w), tuple(accumulate(w)))
+            if (n * s1 - m * s0) ** 2 <= n * (s2 * s0 - s1 * s1):
+                return law
+
+
+def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = _REJECTION_ROUNDS) -> Tree:
+    """Seeded random tree, exactly uniform over the labelled trees on 0..n-1
+    with max degree <= max_deg.
+
+    Vertex v appears degree(v) - 1 times in a tree's Pruefer code, so this
+    draws a uniform code whose symbols each appear at most max_deg - 1 times.
+    Stage 1 tries up to _REJECTION_ROUNDS uniform codes, drawn in bulk as
+    repeated rng.randrange(n) calls would (see _accepter), and keeps the first
+    within the bound.  Stage 2, on the same stream, draws the multiplicities
+    of n - 1 symbols i.i.d. from a truncated Poisson law (_multiplicity_law),
+    gives the last symbol the rest r of n - 2 with probability w[r] / max(w),
+    and retries otherwise: the kept multiplicities are multinomial under the
+    bound.  It shuffles and decodes that multiset.  Both stages are uniform on
+    the bounded codes, so their mixture is too.  The corpus is pinned by
+    digest in tests/test_generators.py.
     """
     if n < 1:
         raise PreconditionViolated("need n >= 1")
@@ -227,8 +286,7 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 30
         raise Infeasible("a tree on 3+ vertices needs max degree >= 2")
     if n == 2 and max_deg < 1:
         raise Infeasible("an edge needs degree 1")
-    seed_key = repr(("tree", n, max_deg, seed))
-    rng = random.Random(seed_key)
+    rng = random.Random(repr(("tree", n, max_deg, seed)))
     if n == 1:
         return Tree(1, (), root=0)
     if n == 2:
@@ -238,93 +296,50 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = 30
         degree = [1] * n
         for v in code:
             degree[v] += 1
-        heap = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(heap)
+        heap = [v for v in range(n) if degree[v] == 1]  # sorted, so a heap
         edges = []
         for v in code:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, v))
+            edges.append((heapq.heappop(heap), v))
             degree[v] -= 1
             if degree[v] == 1:
                 heapq.heappush(heap, v)
-        u = heapq.heappop(heap)
-        w = heapq.heappop(heap)
-        edges.append((u, w))
-        return Tree(n, edges, root=0)
+        edges.append((heapq.heappop(heap), heapq.heappop(heap)))
+        t = Tree(n, edges, root=0)
+        if t.max_degree() > max_deg:
+            raise InternalInvariantError("degree bound slipped through decoding")
+        return t
 
     m = n - 2
-    cap = max_deg - 1
-    k = n.bit_length()
     # outputs per getrandbits call; at least half are accepted, so one call
     # usually covers a round
     batch = 2 * m + 16
-    if k <= 8:
-        # the top byte of each little-endian word holds the k bits; translate
-        # deletes the rejected bytes and shifts the kept ones in one C pass
-        table, reject = _TOP_BITS[k], _BYTES[n << (8 - k):]
 
-        def accepted(raw: bytes):
-            return raw[3::4].translate(table, reject)
+    def draw(accepted, size: int, left):  # the next `size` accepted values, and the rest
+        while len(left) < size:
+            left += accepted(rng.getrandbits(32 * batch).to_bytes(4 * batch, "little"))
+        return left[:size], left[size:]
 
-        left = b""
-    else:
-
-        def accepted(raw: bytes):
-            return [v for w in _words(raw) if (v := w >> (32 - k)) < n]
-
-        left = []
-    raw = b""  # the last batch drawn
-    batches = 0
-    for _ in range(_rejection_rounds):
-        while len(left) < m:
-            raw = rng.getrandbits(32 * batch).to_bytes(4 * batch, "little")
-            batches += 1
-            left += accepted(raw)
-        code, left = left[:m], left[m:]
-        if cap == 1:
-            ok = len(set(code)) == m
-        else:
-            # in sorted order, a symbol used more than cap times gives
-            # s[i] == s[i + cap]
-            s = sorted(code)
-            ok = not any(map(eq, s, s[cap:]))
-        if ok:
-            t = decode(code)
-            if t.max_degree() > max_deg:
-                raise InternalInvariantError("degree bound slipped through decoding")
-            return t
-    if batches:
-        # Rewind to just past the last output the rounds used: replay every
-        # batch but the last, then the last one up to its final used symbol.
-        # The unused symbols in `left` all come from the last batch.
-        rng = random.Random(seed_key)
-        for _ in range(batches - 1):
-            rng.getrandbits(32 * batch)
-        need = len(accepted(raw)) - len(left)
-        for used, w in enumerate(_words(raw), 1):
-            if w >> (32 - k) < n:
-                need -= 1
-                if not need:
-                    break
-        rng.getrandbits(32 * used)
-    # constrained draw: symbols only from vertices with headroom left; the
-    # pool stays sorted, as if rebuilt from range(n) for every symbol
-    counts = [0] * n
-    pool = list(range(n))
-    code = []
-    for _ in range(m):
-        if not pool:
-            raise Infeasible("no degree headroom left during constrained draw")
-        i = rng.randrange(len(pool))
-        v = pool[i]
-        counts[v] += 1
-        if counts[v] == cap:
-            del pool[i]
-        code.append(v)
-    t = decode(code)
-    if t.max_degree() > max_deg:
-        raise InternalInvariantError("constrained draw exceeded the degree bound")
-    return t
+    cap = min(max_deg - 1, m)
+    accepted = _accepter(n)
+    left = accepted(b"")  # empty, of the type the accepter returns
+    # from cap 13 on, a uniform code breaks the bound with probability below
+    # n / 13!, and stage 2's weights would not fit in 32 bits (13! > 2**32)
+    for _ in range(_rejection_rounds) if cap < 13 else count():
+        code, left = draw(accepted, m, left)
+        # in sorted order, a symbol used more than cap times gives s[i] == s[i + cap]
+        s = sorted(code)
+        if not any(map(eq, s, s[cap:])):
+            return decode(code)
+    w, accepted = _multiplicity_law(n, cap)
+    left = accepted(b"")
+    while True:
+        counts, left = draw(accepted, n - 1, left)
+        r = m - sum(counts)
+        if 0 <= r <= cap and rng.randrange(max(w)) < w[r]:
+            break
+    code = [v for v, c in enumerate(counts) for _ in range(c)] + [n - 1] * r
+    rng.shuffle(code)
+    return decode(code)
 
 
 def gen_caterpillar(spine: int, legs: int, seed: int) -> Tree:

@@ -2,13 +2,16 @@
 and golden digests that pin the seeded random corpora."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from treebed.embed import brute_force_embed
 from treebed.errors import Infeasible, PreconditionViolated
 from treebed.generators import (
+    _REJECTION_ROUNDS,
     FamilySpec,
     build_graph,
     build_tree,
@@ -105,11 +108,49 @@ def test_random_generators_deterministic():
 
 
 def test_random_tree_degree_bound_tight():
-    # tight bound on a large tree exercises the constrained-draw fallback
+    # a tight bound on a large tree rejects every uniform code in stage 1, so
+    # the tree comes from the exact stage
     t = gen_random_tree(200, 3, seed=11)
     assert t.n == 200 and t.max_degree() <= 3
     with pytest.raises(Infeasible):
         gen_random_tree(10, 1, seed=0)
+
+
+@pytest.mark.parametrize("max_deg", [2, 3])
+def test_random_tree_large_tight_bound_is_total(max_deg):
+    t = gen_random_tree(5000, max_deg, seed=1)
+    assert t.n == 5000 and len(t.edges) == 4999 and t.max_degree() <= max_deg
+
+
+def _pruefer_code(t) -> tuple:
+    """The Pruefer code of a tree: remove the smallest leaf n - 2 times, each
+    time writing down its neighbour."""
+    nbrs = [set(t.neighbors(v)) for v in range(t.n)]
+    code = []
+    for _ in range(t.n - 2):
+        leaf = min(v for v in range(t.n) if len(nbrs[v]) == 1)
+        (v,) = nbrs[leaf]
+        code.append(v)
+        nbrs[v].discard(leaf)
+        nbrs[leaf].clear()
+    return tuple(code)
+
+
+@pytest.mark.parametrize("n, max_deg, draws", [(6, 3, 11_700), (6, 2, 3_600)])
+def test_random_tree_exact_stage_is_uniform(n, max_deg, draws):
+    # every Pruefer code whose symbols each appear at most max_deg - 1 times
+    # is one labelled tree with max degree <= max_deg, and the exact stage
+    # alone must hit each equally often: 1,170 trees for (6, 3), 360 paths
+    # for (6, 2), about 10 draws each
+    trees = [c for c in product(range(n), repeat=n - 2) if max(Counter(c).values()) < max_deg]
+    assert len(trees) == {3: 1170, 2: 360}[max_deg]
+    seen = Counter(_pruefer_code(gen_random_tree(n, max_deg, s, _rejection_rounds=0)) for s in range(draws))
+    assert set(seen) <= set(trees)
+    expected = draws / len(trees)
+    chi2 = sum((seen[c] - expected) ** 2 / expected for c in trees)
+    df = len(trees) - 1
+    # about five standard deviations, (2 df) ** 0.5, above the mean df
+    assert chi2 < df + 5 * (2 * df) ** 0.5
 
 
 def test_family_dispatch():
@@ -123,16 +164,16 @@ def test_family_dispatch():
 
 # Golden digests of the seeded corpora.  A seeded generator must give the same
 # object for the same (params, seed) across releases, so these change only with
-# a deliberate, recorded corpus change.  gen_random_tree reproduces the stream
-# of CPython's randrange (one 32-bit Mersenne Twister output per try, top
-# n.bit_length() bits, retried while >= n); the n = 255/256/257 sizes sit on
-# both sides of the 8-bit boundary, and the three round counts pin the
-# rejection path, the constrained fallback, and the fallback after a round.
+# a deliberate, recorded corpus change.  gen_random_tree's first stage
+# reproduces the stream of CPython's randrange (one 32-bit Mersenne Twister
+# output per try, top n.bit_length() bits, retried while >= n); the
+# n = 255/256/257 sizes sit on both sides of the 8-bit boundary.  Round count 0
+# pins the exact stage alone (a cap of 13 or more, here d = n - 1 from n = 15,
+# has no exact stage and stays with rejection); the default pins the corpus.
 _TREE_NS = (*range(1, 61), 100, 199, 200, 255, 256, 257, 300)
 _TREE_DIGESTS = {
-    0: "d6e62af8388fec58b5b67f9d407d5f9a963638d72d615c93124891ceb08bfa26",
-    1: "fe89103e2c81d0d59e519253422a19841198003e201c05b885f6c4484543f3ca",
-    300: "ab69d20614ae99f6cb497e743e04d7465cca32bb464bfc13a65de0ff6d34da5f",
+    0: "481e718b5b133c182a30900cffc0f5a50173edb2bf0944d418b4307cdbe9df9b",
+    _REJECTION_ROUNDS: "605670f20c32748e3d1347ac6d9a731451f7f9026b2e2c6f19fc62d39572c736",
 }
 _GRAPH_DIGEST = "c5e22bae949b56aa7179dd4483327b732511dc128bfcc609f73ef98ede1534c3"
 

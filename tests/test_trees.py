@@ -320,7 +320,7 @@ def test_chain_split_property(seed, n):
 # Golden digests of the splitting outputs and of the free-tree codes.  The
 # splits are deterministic functions of the tree, so a change of any root,
 # class, core, piece or code is a deliberate, recorded change.
-_SPLIT_DIGEST = "20065f094fc5016e06f83e93da8b3406f1ef1bfb26298041bbdb238c9446d845"
+_SPLIT_DIGEST = "cdd483d7d11b1a9f3f3167d26357ef5ff54682c86e017f470263ca6df7d2ffdd"
 _TREE_CODE_DIGEST = "f7bcc1d0b412562764270483fbe740ea96090cc48507950c99a4f6f0a1731078"
 
 
