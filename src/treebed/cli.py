@@ -156,6 +156,10 @@ def cmd_split(args) -> int:
 def cmd_embed(args) -> int:
     g = _load_graph(args.host)
     t = _load_tree(args.tree)
+    if args.method == "greedy" and args.pin:
+        raise PreconditionViolated("--pin applies only to --method oracle")
+    if args.method == "oracle" and args.x is not None:
+        raise PreconditionViolated("--x applies only to --method greedy")
     pins = None
     if args.pin:
         try:

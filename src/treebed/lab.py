@@ -62,6 +62,16 @@ class ExperimentConfig:
             raise PreconditionViolated(f"unknown conjecture id {self.conjecture!r}")
         if not self.k_values or self.trials < 0:
             raise PreconditionViolated("need a nonempty k range and trials >= 0")
+        # a host on at most n_hi vertices has no degree above n_hi - 1, so a
+        # k demanding more would make every one of its trials inconclusive
+        n_hi = min(self.host_params.get("n_hi", self.envelope_n), self.envelope_n)
+        for k in self.k_values:
+            need = max(_degree_demand(self, k))
+            if need > n_hi - 1:
+                raise PreconditionViolated(
+                    f"{self.conjecture} at k={k} asks hosts for degree {need},"
+                    f" but they have at most {n_hi} vertices"
+                )
 
     def to_jsonable(self) -> dict:
         d = asdict(self)
@@ -189,22 +199,22 @@ def _is_planted_trial(cfg: ExperimentConfig, k: int, idx: int) -> bool:
     return cfg.extremal_mix and k % 3 == 0 and idx % 5 == 0
 
 
+def _degree_demand(cfg: ExperimentConfig, k: int) -> tuple[int, int]:
+    """The (min degree, max degree) that a host for k is built to reach."""
+    if cfg.conjecture == "2k3":
+        return (2 * k) // 3 + cfg.min_degree_offset, k
+    if cfg.conjecture == "alpha":
+        alpha = Fraction(cfg.alpha or "1/5")
+        return int(-(-((1 + alpha) * k) // 2)), int(-(-2 * (1 - alpha) * k // 1))
+    if cfg.conjecture == "k2_maxdeg":
+        return -(-k // 2), int(-(-2 * (1 - Fraction(1, cfg.tree_max_degree)) * k // 1))
+    return -(-k // 2), int(-(-Fraction(4 * k, 3) // 1))
+
+
 def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.Random) -> Graph:
     """Build a host aimed at the template (repairs may still miss; the trial
     then counts as template-violating and is skipped)."""
-    if cfg.conjecture == "2k3":
-        delta = (2 * k) // 3 + cfg.min_degree_offset
-        want_max = k
-    elif cfg.conjecture == "alpha":
-        alpha = Fraction(cfg.alpha or "1/5")
-        delta = int(-(-((1 + alpha) * k) // 2))
-        want_max = int(-(-2 * (1 - alpha) * k // 1))
-    elif cfg.conjecture == "k2_maxdeg":
-        delta = -(-k // 2)
-        want_max = int(-(-2 * (1 - Fraction(1, cfg.tree_max_degree)) * k // 1))
-    else:
-        delta = -(-k // 2)
-        want_max = int(-(-Fraction(4 * k, 3) // 1))
+    delta, want_max = _degree_demand(cfg, k)
     n_hi = min(cfg.host_params.get("n_hi", cfg.envelope_n), cfg.envelope_n)
     # the hub needs want_max neighbours, so aim the order above it when possible
     n_lo = cfg.host_params.get("n_lo", max(k + 1, min(want_max + 1, n_hi)))

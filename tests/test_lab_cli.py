@@ -97,6 +97,23 @@ def test_alpha_and_k2_templates():
         lab.template_check("alpha", Graph(2, [(0, 1)]), 4, alpha=None)
 
 
+def test_alpha_sweep_beyond_the_envelope_is_usage_error(capsys):
+    # alpha = 1/5 at k = 10 asks for a hub of degree ceil(2 * (4/5) * 10) = 16,
+    # which no host inside the 16-vertex envelope has
+    with pytest.raises(PreconditionViolated, match="k=10"):
+        lab.ExperimentConfig(
+            conjecture="alpha", k_values=(8, 10), tree_max_degree=3, trials=4, seed=4,
+            alpha="1/5",
+        )
+    lab.ExperimentConfig(
+        conjecture="alpha", k_values=(8, 10), tree_max_degree=3, trials=4, seed=4,
+        alpha="1/5", envelope_n=17,
+    )
+    argv = ["sweep", "--conjecture", "alpha", "--alpha", "1/5", "--k", "10", "--trials", "4"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_report_formats(tmp_path):
     cfg = lab.ExperimentConfig(
         conjecture="2k3", k_values=(8,), tree_max_degree=3, trials=3, seed=1
@@ -278,6 +295,22 @@ def test_cli_malformed_pin_is_usage_error(tmp_path, capsys, pins):
     for pin in pins:
         argv += ["--pin", pin]
     assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--method", "greedy", "--pin", "0:0"], ["--method", "oracle", "--x", "5"]],
+    ids=["greedy-with-pin", "oracle-with-x"],
+)
+def test_cli_embed_flag_of_the_other_method_is_usage_error(tmp_path, capsys, extra):
+    # greedy takes no pins and the oracle no apex, so neither flag may be dropped silently
+    host = tmp_path / "g.txt"
+    tree = tmp_path / "t.json"
+    cli.main(["gen", "complete", "--param", "n=6", "--out", str(host)])
+    cli.main(["gen", "path", "--param", "n=4", "--out", str(tree)])
+    capsys.readouterr()
+    assert cli.main(["embed", "--host", str(host), "--tree", str(tree), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
