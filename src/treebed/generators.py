@@ -214,11 +214,11 @@ def _words(raw: bytes) -> tuple[int, ...]:
 
 
 def _accepter(bound: int, cum: Optional[tuple[int, ...]] = None):
-    """The values a getrandbits(32 * W).to_bytes(4 * W, "little") buffer yields
-    under CPython's randrange(bound) rule: the top k = bound.bit_length() bits
-    of each 32-bit Mersenne Twister output, lowest word first, retried while
-    >= bound.  Given cumulative integer weights `cum` ending at bound, each
-    value v becomes the i with cum[i - 1] <= v < cum[i], an exact weighted draw."""
+    """A map from a getrandbits(32 * W).to_bytes(4 * W, "little") buffer to the
+    values CPython's randrange(bound) takes from it: the top bound.bit_length()
+    bits of each 32-bit Mersenne Twister output, lowest word first, retried
+    while >= bound.  Given cumulative integer weights `cum` ending at bound,
+    each value v becomes the i with cum[i - 1] <= v < cum[i], a weighted draw."""
     k = bound.bit_length()
     if k <= 8:
         # the top byte of each little-endian word holds the k bits; translate
@@ -231,13 +231,13 @@ def _accepter(bound: int, cum: Optional[tuple[int, ...]] = None):
     return lambda raw: [bisect(cum, v) for w in _words(raw) if (v := w >> (32 - k)) < bound]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _multiplicity_law(n: int, cap: int):
-    """Integer weights w[c] proportional to lam**c / c! on c = 0..cap < 13 (a
-    truncated Poisson(lam) law), with their accepter.  n draws conditioned on
-    summing to n - 2 have one law whatever lam is, so lam = p/q only sets how
-    often they do: the first q is taken (small weights draw fastest) with a p
-    that puts the expected sum within one standard deviation of n - 2.
+    """Integer weights w[c] proportional to lam**c / c! on c = 0..cap < 13, a
+    truncated Poisson(lam) law.  n draws conditioned on summing to n - 2 have
+    one law whatever lam is, so lam = p/q only sets how often they do: q is
+    the first (small weights draw fastest) whose p puts the expected sum within
+    one standard deviation of n - 2, unless the weights outgrow 32 bits first.
     """
     m, law = n - 2, None
     for q in count(1):
@@ -256,10 +256,9 @@ def _multiplicity_law(n: int, cap: int):
         for p in filter(None, (lo, hi)):
             w, s0, s1, s2 = at(p)
             g = gcd(*w)
-            w = [x // g for x in w]
-            if sum(w) >> 32:
+            if sum(w) // g >> 32:
                 return law
-            law = tuple(w), _accepter(sum(w), tuple(accumulate(w)))
+            law = tuple(x // g for x in w)
             if (n * s1 - m * s0) ** 2 <= n * (s2 * s0 - s1 * s1):
                 return law
 
@@ -330,7 +329,8 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = _R
         s = sorted(code)
         if not any(map(eq, s, s[cap:])):
             return decode(code)
-    w, accepted = _multiplicity_law(n, cap)
+    w = _multiplicity_law(n, cap)
+    accepted = _accepter(sum(w), tuple(accumulate(w)))
     left = accepted(b"")
     while True:
         counts, left = draw(accepted, n - 1, left)
