@@ -248,7 +248,8 @@ def _multiplicity_law(n: int, cap: int):
             return w, *(sum(c**j * x for c, x in enumerate(w)) for j in range(3))
 
         # the expected sum, n * s1 / s0, is below m at lam = lo/q, not at hi/q
-        lo, hi = 0, q * n
+        # (for cap >= 2 the mean is above 1 at lam = 2)
+        lo, hi = 0, q * (n if cap == 1 else 2)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             _, s0, s1, _ = at(mid)
@@ -275,9 +276,8 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = _R
     of n - 1 symbols i.i.d. from a truncated Poisson law (_multiplicity_law),
     gives the last symbol the rest r of n - 2 with probability w[r] / max(w),
     and retries otherwise: the kept multiplicities are multinomial under the
-    bound.  It shuffles and decodes that multiset.  Both stages are uniform on
-    the bounded codes, so their mixture is too.  The corpus is pinned by
-    digest in tests/test_generators.py.
+    bound.  It shuffles and decodes that multiset.  Both stages are uniform
+    on the bounded codes, so their mixture is too.
     """
     if n < 1:
         raise PreconditionViolated("need n >= 1")
