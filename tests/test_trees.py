@@ -14,6 +14,7 @@ from treebed.errors import PreconditionViolated
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
 from treebed.trees import (
     Tree,
+    _component_vertices,
     _subset_with_sum,
     balanced_separator_vertex,
     bipartition_classes,
@@ -359,6 +360,90 @@ def test_split_outputs_pinned():
         d = msf_decomposition(t)
         h.update(f"{label} msf {d.root} {d.matching} {d.s_vertices} {d.f_components}\n".encode())
     assert h.hexdigest() == _SPLIT_DIGEST
+
+
+_SEPARATOR_SPLIT_DIGEST = "fffc8cb3345b24a7470e5ad70f557627e726e1c154c19082d1d28c814e0b442d"
+
+
+def test_separator_splits_and_classes_pinned():
+    h = hashlib.sha256()
+    for label, t in _digest_trees():
+        n = t.n
+        h.update(f"{label} sep {balanced_separator_vertex(t)}\n".encode())
+        if n >= 3:
+            two = split_two_forests(t)
+            h.update(f"{label} two {two.pivot} {two.f1.members} {two.f2.members}\n".encode())
+        three = split_three_forests(t)
+        h.update(
+            f"{label} three {three.pivot} {three.f1.members} {three.f2.members} "
+            f"{three.f3.members}\n".encode()
+        )
+        c0, c1 = bipartition_classes(t)
+        h.update(f"{label} classes {c0.members} {c1.members}\n".encode())
+        for v in (0, n - 1):
+            ev, od = even_odd_sets(t, v)
+            h.update(f"{label} even_odd {v} {ev.members} {od.members}\n".encode())
+    assert h.hexdigest() == _SEPARATOR_SPLIT_DIGEST
+
+
+def _plain_walk(t, root):
+    """Parent, depth and children of t rooted at root, by a stack walk that
+    shares no code with RootedView."""
+    parent, depth, children = {root: -1}, {root: 0}, {v: [] for v in range(t.n)}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in t.neighbors(v):
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                children[v].append(w)
+                stack.append(w)
+    return parent, depth, {v: sorted(cs) for v, cs in children.items()}
+
+
+def _plain_components(t, removed):
+    """Components of t - removed as sorted tuples, ordered by least vertex."""
+    comps, seen = [], {removed}
+    for s in range(t.n):
+        if s in seen:
+            continue
+        comp, stack = [], [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in t.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def test_rooted_view_matches_a_plain_walk():
+    for t in all_trees_up_to(9):
+        for root in range(t.n):
+            rv = t.rooted(root)
+            parent, depth, children = _plain_walk(t, root)
+            assert rv.tree is t and rv.root == root
+            assert sorted(rv.order) == list(range(t.n)) and rv.order[0] == root
+            assert [depth[v] for v in rv.order] == sorted(depth.values())
+            for v in range(t.n):
+                below = [u for u in range(t.n) if u == v or _is_below(parent, u, v)]
+                assert rv.parent[v] == parent[v]
+                assert rv.depth[v] == depth[v]
+                assert sorted(rv.children[v]) == children[v]
+                assert rv.subtree_size[v] == len(below)
+                assert rv.subtree_vertices(v) == tuple(below)
+                assert _component_vertices(t, v) == _plain_components(t, v)
+
+
+def _is_below(parent, u, v):
+    while u != -1:
+        u = parent[u]
+        if u == v:
+            return True
+    return False
 
 
 def test_free_tree_codes_pinned():
