@@ -224,10 +224,9 @@ def check_path_in_range(seed: int = 0, count: int = 120) -> CheckResult:
 # tree-splitting invariants
 
 
-def _recheck_components(t: Tree, pivot: int, parts: list[frozenset]) -> bool:
-    """Re-derive the components of T - pivot from scratch and confirm each part
-    is a union of whole components."""
-    seen = {pivot}
+def _components_without(t: Tree, removed: int) -> list[frozenset]:
+    """The components of T - removed, by a search of the check's own."""
+    seen = {removed}
     comps = []
     for s in range(t.n):
         if s in seen:
@@ -243,6 +242,13 @@ def _recheck_components(t: Tree, pivot: int, parts: list[frozenset]) -> bool:
                     seen.add(w)
                     stack.append(w)
         comps.append(frozenset(comp))
+    return comps
+
+
+def _recheck_components(t: Tree, pivot: int, parts: list[frozenset]) -> bool:
+    """Re-derive the components of T - pivot from scratch and confirm each part
+    is a union of whole components."""
+    comps = _components_without(t, pivot)
     for part in parts:
         for comp in comps:
             if part & comp and not comp <= part:
@@ -262,22 +268,7 @@ def check_tree_splitting(seed: int = 0, count: int = 1000, max_n: int = 200) -> 
         res.runs += 1
         try:
             sep = balanced_separator_vertex(t)
-            comp_sizes = []
-            seen = {sep}
-            for s in range(n):
-                if s in seen:
-                    continue
-                stack, c = [s], 0
-                seen.add(s)
-                while stack:
-                    v = stack.pop()
-                    c += 1
-                    for w in t.neighbors(v):
-                        if w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-                comp_sizes.append(c)
-            if any(2 * c > n for c in comp_sizes):
+            if any(2 * len(c) > n for c in _components_without(t, sep)):
                 res.fail(f"instance {i}: separator left a heavy component")
 
             two = split_two_forests(t)
@@ -329,16 +320,8 @@ def check_even_odd_exhaustive(seed: int = 0, count: int = 120) -> CheckResult:
             rv = t.rooted(r)
             comps = []
             for w in t.neighbors(r):
-                ev = od = 0
-                stack = [w]
-                while stack:
-                    x = stack.pop()
-                    if rv.depth[x] % 2 == 0:
-                        ev += 1
-                    else:
-                        od += 1
-                    stack.extend(rv.children[x])
-                comps.append((ev, od))
+                od = sum(rv.depth[x] % 2 for x in rv.subtree_vertices(w))
+                comps.append((rv.subtree_size[w] - od, od))
             mm = len(comps)
             for pick in range(1 << mm):
                 load1 = sum(comps[j][0] if pick >> j & 1 else comps[j][1] for j in range(mm))

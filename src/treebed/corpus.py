@@ -124,8 +124,6 @@ def _free_tree_code(t: Tree) -> str:
             code[v] = "(" + "".join(sorted(code[c] for c in rv.children[v])) + ")"
         return code[root]
 
-    if t.n == 1:
-        return "()"
     rv = t.rooted(0)
     size = rv.subtree_size
     centroids = [

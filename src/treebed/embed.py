@@ -18,7 +18,6 @@ from .errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
 from .graph import Graph, as_vertex_set, path_in_range
 from .trees import (
     Tree,
-    _component_vertices,
     _subset_with_sum,
     balanced_separator_vertex,
     even_odd_split,
@@ -509,7 +508,8 @@ def embed_via_path(
         raise PreconditionViolated("b is not in the 2*max_degree periphery of B2")
 
     r = balanced_separator_vertex(t)
-    comps = sorted(_component_vertices(t, r), key=lambda c: (-len(c), c))
+    rv = t.rooted(r)
+    comps = sorted(rv.components_without(r), key=lambda c: (-len(c), c))
 
     # splittable short-circuit: direct degree feasibility of a two-pool split
     degA = g.min_degree_within(A.members)
@@ -532,7 +532,6 @@ def embed_via_path(
     s1 = comps[0]
 
     # heavy path: always descend into the largest remaining subtree
-    rv = t.rooted(r)
     p_path = [r]
     nxt = next(w for w in t.neighbors(r) if w in set(s1))
     p_path.append(nxt)

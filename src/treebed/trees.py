@@ -7,8 +7,7 @@ construction, so a successful return *is* the certificate.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import log
 from typing import Iterable, Optional, Sequence
@@ -110,7 +109,9 @@ class Tree:
 
 
 class RootedView:
-    """Parent/children/subtree bookkeeping of a tree rooted at a chosen vertex."""
+    """Parent, children, depth and subtree sizes of a tree rooted at a chosen
+    vertex, with `order` its BFS order.  The tree layer's one source of these
+    facts and of the components of T - v."""
 
     __slots__ = ("tree", "root", "parent", "children", "subtree_size", "depth", "order")
 
@@ -119,31 +120,24 @@ class RootedView:
             raise PreconditionViolated(f"root {root} out of range")
         self.tree = tree
         self.root = root
-        n = tree.n
+        n, adj = tree.n, tree.adjacency
         parent = [-1] * n
         depth = [0] * n
-        order = []
-        dq = deque([root])
-        seen = [False] * n
-        seen[root] = True
-        while dq:
-            v = dq.popleft()
-            order.append(v)
-            for w in tree.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
+        children: list[tuple[int, ...]] = [()] * n
+        order = [root]
+        for v in order:  # the list grows while it is walked
+            p, d, start = parent[v], depth[v] + 1, len(order)
+            for w in adj[v]:
+                if w != p:
                     parent[w] = v
-                    depth[w] = depth[v] + 1
-                    dq.append(w)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in order[1:]:
-            children[parent[v]].append(v)
+                    depth[w] = d
+                    order.append(w)
+            children[v] = tuple(order[start:])
         size = [1] * n
-        for v in reversed(order):
-            if parent[v] >= 0:
-                size[parent[v]] += size[v]
+        for v in order[:0:-1]:  # leaves first, the root left out
+            size[parent[v]] += size[v]
         self.parent = tuple(parent)
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(children)
         self.subtree_size = tuple(size)
         self.depth = tuple(depth)
         self.order = tuple(order)
@@ -151,39 +145,32 @@ class RootedView:
             raise InternalInvariantError("subtree sizes inconsistent")
 
     def subtree_vertices(self, v: int) -> tuple[int, ...]:
-        out = []
-        stack = [v]
+        children, out, stack = self.children, [], [v]
         while stack:
             u = stack.pop()
             out.append(u)
-            stack.extend(self.children[u])
+            stack.extend(children[u])
         return tuple(sorted(out))
+
+    def components_without(self, v: int) -> list[tuple[int, ...]]:
+        """Components of T - v, each sorted, ordered by least vertex: the
+        subtrees of v's children, and the rest when v is not the root."""
+        comps = [self.subtree_vertices(c) for c in self.children[v]]
+        if v != self.root:
+            below = {v}.union(*comps)
+            comps.append(tuple(u for u in range(self.tree.n) if u not in below))
+        comps.sort()
+        return comps
+
+
+def _check_view(record, view: RootedView, root: int) -> None:
+    """A record checks its bounds only on a view of its own tree at `root`."""
+    if view.tree is not record.tree or view.root != root:
+        raise InternalInvariantError(f"{type(record).__name__} got a view of another tree or root")
 
 
 # ---------------------------------------------------------------------------
 # Small helpers
-
-
-def _component_vertices(t: Tree, removed: int) -> list[tuple[int, ...]]:
-    """Connected components of T - removed, each sorted, ordered by least vertex."""
-    seen = [False] * t.n
-    seen[removed] = True
-    comps = []
-    for s in range(t.n):
-        if seen[s]:
-            continue
-        comp = []
-        dq = deque([s])
-        seen[s] = True
-        while dq:
-            v = dq.popleft()
-            comp.append(v)
-            for w in t.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    dq.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def even_odd_sets(t: Tree, v: int) -> tuple[VertexSet, VertexSet]:
@@ -200,15 +187,14 @@ def bipartition_classes(t: Tree) -> tuple[VertexSet, VertexSet]:
     """The unique 2-colouring; both classes hold at least k/max_degree vertices."""
     if t.n == 0:
         return VertexSet((), 0), VertexSet((), 0)
-    rv = t.rooted(0)
-    c0 = [v for v in range(t.n) if rv.depth[v] % 2 == 0]
-    c1 = [v for v in range(t.n) if rv.depth[v] % 2 == 1]
+    even, c1 = even_odd_sets(t, 0)
+    c0 = VertexSet((0, *even), t.n)
     dmax = t.max_degree()
     if dmax:
         floor = Fraction(t.k, dmax)
         if len(c0) < floor or len(c1) < floor:
             raise InternalInvariantError("bipartition class fell below k/max_degree")
-    return VertexSet(c0, t.n), VertexSet(c1, t.n)
+    return c0, c1
 
 
 def balanced_separator_vertex(t: Tree) -> int:
@@ -219,20 +205,23 @@ def balanced_separator_vertex(t: Tree) -> int:
     """
     if t.n < 1:
         raise PreconditionViolated("empty tree")
-    if t.n == 1:
-        return 0
-    rv = t.rooted(0)
+    return _separator(t.rooted(0))
+
+
+def _separator(rv: RootedView) -> int:
+    """balanced_separator_vertex's walk, on the view of the tree rooted at 0."""
+    if rv.root != 0:
+        raise InternalInvariantError("the separator walk starts from vertex 0")
+    n, size = rv.tree.n, rv.subtree_size
     v = 0
     while True:
         heaviest = None
         for c in rv.children[v]:
-            if 2 * rv.subtree_size[c] > t.n and (
-                heaviest is None or rv.subtree_size[c] > rv.subtree_size[heaviest]
-            ):
+            if 2 * size[c] > n and (heaviest is None or size[c] > size[heaviest]):
                 heaviest = c
         if heaviest is None:
             # parent-side component is fine too: its size is n - subtree_size(v)
-            if v != 0 and 2 * (t.n - rv.subtree_size[v]) > t.n:
+            if v != 0 and 2 * (n - size[v]) > n:
                 raise InternalInvariantError("separator walk overshot")
             return v
         v = heaviest
@@ -352,12 +341,20 @@ def sum_partition_three(
 # Forest splits around a separator vertex
 
 
-def _whole_component_check(comps: list[tuple[int, ...]], part: frozenset) -> bool:
-    for comp in comps:
-        inside = sum(1 for v in comp if v in part)
-        if inside not in (0, len(comp)):
-            return False
-    return True
+def _check_forests(rv: RootedView, pivot: int, parts: list[frozenset]) -> None:
+    """Raise unless the parts partition T - pivot and each is a union of its
+    components, that is, every edge away from pivot has both ends in one part."""
+    label = [-1] * rv.tree.n
+    label[pivot] = len(parts)
+    for i, part in enumerate(parts):
+        for v in part:
+            if label[v] != -1:
+                raise InternalInvariantError("forests do not partition T - pivot")
+            label[v] = i
+    if -1 in label:
+        raise InternalInvariantError("forests do not partition T - pivot")
+    if any(label[v] != label[p] for v, p in enumerate(rv.parent) if p >= 0 and pivot not in (v, p)):
+        raise InternalInvariantError("a forest breaks a component of T - pivot")
 
 
 @dataclass(frozen=True)
@@ -368,15 +365,12 @@ class TwoForestSplit:
     pivot: int
     f1: VertexSet
     f2: VertexSet
+    view: InitVar[RootedView]  # the tree rooted at 0, checked on and not kept
 
-    def __post_init__(self):
-        t, k = self.tree, self.tree.k
-        a, b = self.f1.as_set(), self.f2.as_set()
-        if a & b or len(a) + len(b) != t.n - 1 or self.pivot in a | b:
-            raise InternalInvariantError("forests do not partition T - pivot")
-        comps = _component_vertices(t, self.pivot)
-        if not (_whole_component_check(comps, a) and _whole_component_check(comps, b)):
-            raise InternalInvariantError("forest breaks a component of T - pivot")
+    def __post_init__(self, view: RootedView):
+        _check_view(self, view, 0)
+        k, a = self.tree.k, self.f1.as_set()
+        _check_forests(view, self.pivot, [a, self.f2.as_set()])
         if not (Fraction(k, 2) <= len(a) <= (2 * k) // 3):
             raise InternalInvariantError(f"|f1| = {len(a)} outside [k/2, floor(2k/3)]")
 
@@ -390,25 +384,18 @@ class ThreeForestSplit:
     f1: VertexSet
     f2: VertexSet
     f3: VertexSet
+    view: InitVar[RootedView]  # the tree rooted at 0, checked on and not kept
 
-    def __post_init__(self):
-        t, k = self.tree, self.tree.k
+    def __post_init__(self, view: RootedView):
+        _check_view(self, view, 0)
         sets = [self.f1.as_set(), self.f2.as_set(), self.f3.as_set()]
-        union = set()
-        for s in sets:
-            if union & s:
-                raise InternalInvariantError("three-forest parts overlap")
-            union |= s
-        if len(union) != t.n - 1 or self.pivot in union:
-            raise InternalInvariantError("three-forest parts do not partition T - pivot")
-        cap = -(-k // 2)
+        _check_forests(view, self.pivot, sets)
+        cap = -(-self.tree.k // 2)
         if any(len(s) > cap for s in sets):
             raise InternalInvariantError("a three-forest part exceeds ceil(k/2)")
-        comps = _component_vertices(t, self.pivot)
-        for s in sets:
-            if not _whole_component_check(comps, s):
-                raise InternalInvariantError("three-forest part breaks a component")
-        if len(sets[2]) > 0 and sum(1 for c in comps if set(c) <= sets[2]) != 1:
+        # a component of T - pivot has one vertex whose parent lies outside it
+        tops = sum(1 for v in sets[2] if view.parent[v] in (-1, self.pivot))
+        if sets[2] and tops != 1:
             raise InternalInvariantError("f3 must be empty or a single component")
 
 
@@ -420,28 +407,30 @@ def split_two_forests(t: Tree) -> TwoForestSplit:
     """
     if t.n < 3:
         raise PreconditionViolated("two-forest split needs at least 3 vertices")
-    pivot = balanced_separator_vertex(t)
-    comps = _component_vertices(t, pivot)
+    rv = t.rooted(0)
+    pivot = _separator(rv)
+    comps = rv.components_without(pivot)
     sizes = [len(c) for c in comps]
     j1, j2 = sum_partition_two(sizes, t.k)
     f1 = [v for i in j1 for v in comps[i]]
     f2 = [v for i in j2 for v in comps[i]]
-    return TwoForestSplit(t, pivot, VertexSet(f1, t.n), VertexSet(f2, t.n))
+    return TwoForestSplit(t, pivot, VertexSet(f1, t.n), VertexSet(f2, t.n), rv)
 
 
 def split_three_forests(t: Tree) -> ThreeForestSplit:
     """Group the components of T - separator into three small forests."""
     if t.n < 2:
         raise PreconditionViolated("need at least 2 vertices")
-    pivot = balanced_separator_vertex(t)
-    comps = _component_vertices(t, pivot)
+    rv = t.rooted(0)
+    pivot = _separator(rv)
+    comps = rv.components_without(pivot)
     sizes = [len(c) for c in comps]
     i1, i2, i3 = sum_partition_three(sizes, t.k)
     fs = [
         VertexSet([v for i in idx for v in comps[i]], t.n)
         for idx in (i1, i2, i3)
     ]
-    return ThreeForestSplit(t, pivot, fs[0], fs[1], fs[2])
+    return ThreeForestSplit(t, pivot, fs[0], fs[1], fs[2], rv)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +613,7 @@ class EvenOddSplit:
     class2: tuple[int, ...]
     even_counts: tuple[int, ...]
     odd_counts: tuple[int, ...]
+    view: InitVar[RootedView]  # the tree rooted at 0, checked on and not kept
 
     def bound(self) -> Fraction:
         d = self.tree.max_degree()
@@ -636,20 +626,18 @@ class EvenOddSplit:
             load += self.even_counts[i] if i in inside else self.odd_counts[i]
         return load
 
-    def __post_init__(self):
-        t = self.tree
+    def __post_init__(self, view: RootedView):
+        _check_view(self, view, 0)
         if set(self.class1) | set(self.class2) != set(range(len(self.components))) or set(
             self.class1
         ) & set(self.class2):
             raise InternalInvariantError("classes do not partition the components")
-        expected = _component_vertices(t, self.root)
-        if tuple(expected) != self.components:
+        if tuple(view.components_without(self.root)) != self.components:
             raise InternalInvariantError("component list mismatch")
-        rv = t.rooted(self.root)
+        # dist(root, v) and depth(root) + depth(v) have the same parity
         for i, comp in enumerate(self.components):
-            ev = sum(1 for v in comp if rv.depth[v] % 2 == 0)
-            od = sum(1 for v in comp if rv.depth[v] % 2 == 1)
-            if ev != self.even_counts[i] or od != self.odd_counts[i]:
+            od = sum((view.depth[v] - view.depth[self.root]) % 2 for v in comp)
+            if len(comp) - od != self.even_counts[i] or od != self.odd_counts[i]:
                 raise InternalInvariantError("even/odd counts drifted")
         b = self.bound()
         for j in (1, 2):
@@ -702,7 +690,7 @@ def even_odd_split(t: Tree) -> EvenOddSplit:
         u, v = v, u
     root = u
 
-    comps = _component_vertices(t, root)
+    comps = rv.components_without(root)
     even_counts = []
     odd_counts = []
     diffs = []
@@ -727,6 +715,7 @@ def even_odd_split(t: Tree) -> EvenOddSplit:
         class2,
         tuple(even_counts),
         tuple(odd_counts),
+        rv,
     )
 
 
@@ -752,10 +741,12 @@ class MSFDecomposition:
     f_components: tuple[tuple[int, ...], ...]
     escape: tuple[tuple[int, int], ...]  # matched s-vertex -> its escape child
     s_bound_min_k: int
+    view: InitVar[RootedView]  # the tree rooted at `root`, checked on and not kept
     s_size: int = field(init=False, default=0)
     s_bound_checked: bool = field(init=False, default=False)
 
-    def __post_init__(self):
+    def __post_init__(self, view: RootedView):
+        _check_view(self, view, self.root)
         t, k = self.tree, self.tree.k
         sset = set(self.s_vertices)
         fset = {v for comp in self.f_components for v in comp}
@@ -779,14 +770,16 @@ class MSFDecomposition:
         for comp in self.f_components:
             if len(comp) > cap:
                 raise InternalInvariantError("P3: an F-component exceeds ceil(k/2)")
-        rv = t.rooted(self.root)
+        # S is a subtree: exactly one of its vertices has its parent outside it
+        if sum(1 for v in sset if view.parent[v] not in sset) != 1:
+            raise InternalInvariantError("S is not a subtree")
         matched_s = [e[0] for e in self.matching]
-        parities = {rv.depth[v] % 2 for v in matched_s}
+        parities = {view.depth[v] % 2 for v in matched_s}
         if len(parities) > 1:
             raise InternalInvariantError("P5: matched S-endpoints span both classes")
         dmax = t.max_degree()
         if matched_s:
-            span = _steiner_size(t, sset, matched_s)
+            span = _steiner_size(view, matched_s)
             if span > dmax ** (4 * dmax + 1):
                 raise InternalInvariantError("P6: spanning subtree of matched points too large")
         m_edges = {tuple(sorted(e)) for e in self.matching}
@@ -803,26 +796,18 @@ class MSFDecomposition:
             object.__setattr__(self, "s_bound_checked", True)
 
 
-def _steiner_size(t: Tree, allowed: set[int], terminals: list[int]) -> int:
-    """Size of the minimal subtree of t[allowed] containing the terminals."""
-    term = set(terminals)
-    if not term:
-        return 0
-    sub_adj = {v: [w for w in t.neighbors(v) if w in allowed] for v in allowed}
-    deg = {v: len(ws) for v, ws in sub_adj.items()}
-    alive = set(allowed)
-    leaves = deque(v for v in alive if deg[v] <= 1 and v not in term)
-    while leaves:
-        v = leaves.popleft()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for w in sub_adj[v]:
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] <= 1 and w not in term:
-                    leaves.append(w)
-    return len(alive)
+def _steiner_size(rv: RootedView, terminals: list[int]) -> int:
+    """Vertex count of the least subtree holding the (nonempty) terminals: one
+    vertex plus each edge to a parent whose lower side holds some, not all."""
+    held = [0] * rv.tree.n
+    for v in terminals:
+        held[v] = 1
+    total, span = sum(held), 1
+    for v in reversed(rv.order[1:]):
+        if 0 < held[v] < total:
+            span += 1
+        held[rv.parent[v]] += held[v]
+    return span
 
 
 def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomposition:
@@ -843,7 +828,7 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
     dmax = t.max_degree()
     if s_bound_min_k is None:
         s_bound_min_k = 8 * dmax ** (4 * dmax + 1)
-    r = balanced_separator_vertex(t)
+    r = _separator(t.rooted(0))
     rv = t.rooted(r)
     shadow: set[int] = set()
     picks = {}  # matched S-vertex -> (escape child, its subtree)
@@ -866,4 +851,5 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
         tuple(picks[v][1] for v in sorted(picks)),
         matching,
         s_bound_min_k,
+        rv,
     )

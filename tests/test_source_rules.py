@@ -90,3 +90,34 @@ def test_unchecked_mask_constructor_callers_are_pinned():
         ("graph.py", "induced"),
         ("decompose.py", "refine_cut_dense"),
     }
+
+
+def test_tree_records_check_on_the_view_they_are_given():
+    # a record re-checks its bounds on the view its procedure built, so no
+    # __post_init__ in trees.py roots the tree again or walks it by a
+    # module-level function that takes the Tree itself
+    module = ast.parse((SRC / "trees.py").read_text())
+    walkers = {"RootedView"} | {
+        fn.name
+        for fn in module.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(ast.unparse(a.annotation) == "Tree" for a in fn.args.args if a.annotation)
+    }
+    assert {"even_odd_sets", "bipartition_classes", "balanced_separator_vertex"} <= walkers
+    checked, sites = set(), []
+    for cls in module.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                checked.add(cls.name)
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    f = node.func
+                    if (isinstance(f, ast.Attribute) and f.attr == "rooted") or (
+                        isinstance(f, ast.Name) and f.id in walkers
+                    ):
+                        sites.append(f"{cls.name}:{node.lineno}: {ast.unparse(f)}")
+    assert {"TwoForestSplit", "ThreeForestSplit", "EvenOddSplit", "MSFDecomposition"} <= checked
+    assert sites == []

@@ -1,5 +1,6 @@
 """Tree-toolkit tests: splitting procedures and their certified records."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -10,11 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebed.corpus import _free_tree_code, all_trees_up_to
-from treebed.errors import PreconditionViolated
+from treebed.errors import InternalInvariantError, PreconditionViolated
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
+from treebed.graph import VertexSet
 from treebed.trees import (
+    MSFDecomposition,
+    ThreeForestSplit,
     Tree,
-    _component_vertices,
+    TwoForestSplit,
+    _steiner_size,
     _subset_with_sum,
     balanced_separator_vertex,
     bipartition_classes,
@@ -307,6 +312,54 @@ def test_split_records_certify(seed, n, dmax):
     msf_decomposition(t)
 
 
+def test_records_check_only_a_view_of_their_own_tree():
+    t = gen_random_tree(30, 3, 1)
+    twin = Tree(t.n, t.edges)  # equal to t, but not t
+    for rec in (split_two_forests(t), split_three_forests(t), even_odd_split(t), msf_decomposition(t)):
+        root = rec.root if isinstance(rec, MSFDecomposition) else 0
+        args = [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.init]
+        assert type(rec)(*args, t.rooted(root)) == rec
+        for view in (twin.rooted(root), t.rooted((root + 1) % t.n)):
+            with pytest.raises(InternalInvariantError, match="view of another tree or root"):
+                type(rec)(*args, view)
+
+
+def test_records_reject_broken_forests_and_a_split_s():
+    # STAR6 - 0 is six singletons; f3 = {5, 6} holds two of them
+    rv = STAR6.rooted(0)
+    vs = [VertexSet(p, 7) for p in ((1, 2, 3), (4,), (5, 6))]
+    with pytest.raises(InternalInvariantError, match="single component"):
+        ThreeForestSplit(STAR6, 0, *vs, rv)
+    # on the path 0-..-6 with pivot 3, moving 1 away from 0 and 2 breaks {0, 1, 2}
+    p7 = gen_path(7)
+    with pytest.raises(InternalInvariantError, match="breaks a component"):
+        TwoForestSplit(p7, 3, VertexSet((0, 2, 4), 7), VertexSet((1, 5, 6), 7), p7.rooted(0))
+    for f2 in ((2, 4, 5), (4, 5), (3, 5, 6)):  # overlapping, short, holding the pivot
+        with pytest.raises(InternalInvariantError, match="do not partition"):
+            TwoForestSplit(p7, 3, VertexSet((0, 1, 2), 7), VertexSet(f2, 7), p7.rooted(0))
+    # S = {0, 1} + {5, 6} with F = {2, 3, 4} between them: every other bound holds
+    with pytest.raises(InternalInvariantError, match="S is not a subtree"):
+        MSFDecomposition(
+            p7, 0, ((1, 2), (5, 4)), (0, 1, 5, 6), ((2, 3, 4),), ((1, 2), (5, 4)), 100, p7.rooted(0)
+        )
+
+
+def test_steiner_size_matches_leaf_stripping():
+    for t in all_trees_up_to(7):
+        for terminals in range(1, 1 << t.n):
+            term = [v for v in range(t.n) if terminals >> v & 1]
+            alive = set(range(t.n))
+            while True:
+                leaves = [
+                    v for v in alive if v not in term and sum(w in alive for w in t.neighbors(v)) <= 1
+                ]
+                if not leaves:
+                    break
+                alive -= set(leaves)
+            for root in {0, t.n - 1}:
+                assert _steiner_size(t.rooted(root), term) == len(alive)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 40))
 def test_chain_split_property(seed, n):
@@ -435,7 +488,7 @@ def test_rooted_view_matches_a_plain_walk():
                 assert sorted(rv.children[v]) == children[v]
                 assert rv.subtree_size[v] == len(below)
                 assert rv.subtree_vertices(v) == tuple(below)
-                assert _component_vertices(t, v) == _plain_components(t, v)
+                assert rv.components_without(v) == _plain_components(t, v)
 
 
 def _is_below(parent, u, v):
