@@ -56,17 +56,32 @@ class ExperimentConfig:
     # shifts the template's min-degree floor; -1 reproduces the tight hosts
     min_degree_offset: int = 0
     extremal_mix: bool = False
+    # alpha parsed once, here; derived, so not part of the config's JSON
+    alpha_value: Optional[Fraction] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conjecture not in CONJECTURES:
             raise PreconditionViolated(f"unknown conjecture id {self.conjecture!r}")
         if not self.k_values or self.trials < 0:
             raise PreconditionViolated("need a nonempty k range and trials >= 0")
+        if self.alpha is not None:
+            try:
+                object.__setattr__(self, "alpha_value", Fraction(str(self.alpha)))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise PreconditionViolated(f"alpha {self.alpha!r} is not a fraction like 1/5") from exc
+        elif self.conjecture == "alpha":
+            raise PreconditionViolated("the alpha conjecture needs alpha, a fraction like 1/5")
         # a host on at most n_hi vertices has no degree above n_hi - 1, so a
         # k demanding more would make every one of its trials inconclusive
         n_hi = min(self.host_params.get("n_hi", self.envelope_n), self.envelope_n)
         for k in self.k_values:
-            need = max(_degree_demand(self, k))
+            demand = _degree_demand(self, k)
+            # a demand of 0 or less is met by every host and tests nothing
+            if self.conjecture == "alpha" and min(demand) <= 0:
+                raise PreconditionViolated(
+                    f"alpha = {self.alpha} at k={k} demands degrees {demand}; both must be positive"
+                )
+            need = max(demand)
             if need > n_hi - 1:
                 raise PreconditionViolated(
                     f"{self.conjecture} at k={k} asks hosts for degree {need},"
@@ -75,6 +90,7 @@ class ExperimentConfig:
 
     def to_jsonable(self) -> dict:
         d = asdict(self)
+        del d["alpha_value"]
         d["k_values"] = list(self.k_values)
         return d
 
@@ -191,8 +207,7 @@ def template_check_tree(g: Graph, k: int, tree_max_degree: int, min_offset: int 
 def _template_for(cfg: ExperimentConfig, g: Graph, k: int) -> dict:
     if cfg.conjecture == "k2_maxdeg":
         return template_check_tree(g, k, cfg.tree_max_degree, cfg.min_degree_offset)
-    alpha = Fraction(cfg.alpha) if cfg.alpha else None
-    return template_check(cfg.conjecture, g, k, alpha, cfg.min_degree_offset)
+    return template_check(cfg.conjecture, g, k, cfg.alpha_value, cfg.min_degree_offset)
 
 
 def _is_planted_trial(cfg: ExperimentConfig, k: int, idx: int) -> bool:
@@ -204,7 +219,7 @@ def _degree_demand(cfg: ExperimentConfig, k: int) -> tuple[int, int]:
     if cfg.conjecture == "2k3":
         return (2 * k) // 3 + cfg.min_degree_offset, k
     if cfg.conjecture == "alpha":
-        alpha = Fraction(cfg.alpha or "1/5")
+        alpha = cfg.alpha_value
         return int(-(-((1 + alpha) * k) // 2)), int(-(-2 * (1 - alpha) * k // 1))
     if cfg.conjecture == "k2_maxdeg":
         return -(-k // 2), int(-(-2 * (1 - Fraction(1, cfg.tree_max_degree)) * k // 1))

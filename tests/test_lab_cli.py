@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,36 @@ def test_alpha_sweep_beyond_the_envelope_is_usage_error(capsys):
     argv = ["sweep", "--conjecture", "alpha", "--alpha", "1/5", "--k", "10", "--trials", "4"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "alpha, why",
+    [
+        ("abc", "not a fraction"),
+        ("1/0", "not a fraction"),
+        ("2", "both must be positive"),  # max-degree demand 2(1 - 2)k < 0
+        ("-1", "both must be positive"),  # min-degree demand (1 - 1)k/2 = 0
+        (None, "needs alpha"),
+    ],
+)
+def test_bad_alpha_is_usage_error(alpha, why, capsys):
+    with pytest.raises(PreconditionViolated, match=why):
+        lab.ExperimentConfig(
+            conjecture="alpha", k_values=(8,), tree_max_degree=3, trials=1, seed=0, alpha=alpha
+        )
+    argv = ["sweep", "--conjecture", "alpha", "--k", "8", "--trials", "1"]
+    assert cli.main(argv + ([] if alpha is None else ["--alpha", alpha])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err and "Traceback" not in err
+
+
+def test_alpha_is_parsed_once_and_left_out_of_the_config_json():
+    cfg = lab.ExperimentConfig(
+        conjecture="alpha", k_values=(8,), tree_max_degree=3, trials=1, seed=0, alpha="1/5"
+    )
+    assert cfg.alpha_value == Fraction(1, 5)
+    assert "alpha_value" not in cfg.to_jsonable()
+    assert lab.ExperimentConfig.from_jsonable(cfg.to_jsonable()) == cfg
 
 
 def test_report_formats(tmp_path):
