@@ -67,6 +67,7 @@ class CheckResult:
     runs: int = 0
     failures: int = 0
     notes: list[str] = field(default_factory=list)
+    seconds: float = field(default=0.0, compare=False)  # wall time, set by timed_check
 
     @property
     def ok(self) -> bool:

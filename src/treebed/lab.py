@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -472,8 +473,16 @@ def property_suite(seed: int = 0, trials: Optional[int] = None) -> list[checks.C
             if trials is not None:
                 kwargs["count"] = min(kwargs["count"], trials)
             kwargs["seed"] = seed
-        out.append(fn(**kwargs))
+        out.append(timed_check(fn, **kwargs))
     return out
+
+
+def timed_check(fn, **kwargs) -> checks.CheckResult:
+    """Run one check and record its wall time on the result."""
+    start = time.perf_counter()
+    res = fn(**kwargs)
+    res.seconds = time.perf_counter() - start
+    return res
 
 
 def oracle_corpus_check(

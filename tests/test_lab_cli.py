@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -272,6 +273,24 @@ def test_cli_props_small(tmp_path):
     assert cli.main(["props", "--trials", "5", "--out", str(out)]) == 0
     text = out.read_text()
     assert "failures=0" in text and "FAIL" not in text
+
+
+def test_cli_props_times_each_check_on_stderr_only(tmp_path, capsys):
+    # stdout and the --out file are byte-identical between runs; stderr gets
+    # one "<seconds> s  <check name>" line per check
+    runs = []
+    for i in range(2):
+        out = tmp_path / f"props{i}.txt"
+        assert cli.main(["props", "--trials", "2", "--out", str(out)]) == 0
+        assert cli.main(["props", "--trials", "2"]) == 0
+        captured = capsys.readouterr()
+        runs.append((out.read_text(), captured.out, captured.err.splitlines()))
+    (file0, out0, err0), (file1, out1, err1) = runs
+    assert file0 == file1 == out0 == out1
+    names = [line[5:].split(": runs=")[0] for line in file0.splitlines() if ": runs=" in line]
+    assert len(names) == len(lab.checks.ALL_CHECKS)
+    for err in (err0, err1):
+        assert [re.fullmatch(r"\d+\.\d{3} s  (.+)", line).group(1) for line in err] == 2 * names
 
 
 def test_cli_usage_error_exit_code():
