@@ -727,10 +727,10 @@ def even_odd_split(t: Tree) -> EvenOddSplit:
 class MSFDecomposition:
     """Edge partition of T into a matching, a central tree S, and an outer forest F.
 
-    Always certified: S/F disjoint (P1), matching crosses S to F (P2), matched
-    S-endpoints share a bipartition class (P5), their spanning subtree in S is
-    small (P6), F-components stay under ceil(k/2), and the three edge sets
-    partition E(T).  The |S| <= ceil(k/2) half of P3 is asymptotic and only
+    Always certified: S/F disjoint (P1), S a subtree, matching crosses S to F
+    (P2), matched S-endpoints share a bipartition class (P5), their spanning
+    subtree in S is small (P6), F-components stay under ceil(k/2), and the
+    three edge sets partition E(T).  The |S| <= ceil(k/2) half of P3 is asymptotic and only
     asserted above `s_bound_min_k`; below it the measured size is recorded.
     """
 
