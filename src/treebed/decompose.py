@@ -19,6 +19,7 @@ from .errors import (
 )
 from .graph import (
     DEFAULT_COVER_BUDGET,
+    EXACT_CUT_MAX_N,
     CutDenseVerdict,
     CutWitness,
     Graph,
@@ -88,8 +89,18 @@ class RichReport:
         return self.cover_ok is not None and (self.cut_dense_conclusive or not self.cut_dense_ok)
 
 
-def is_rich(g: Graph, h, p: RichParams, cover_budget: int = DEFAULT_COVER_BUDGET) -> RichReport:
-    """Check the four richness conditions of the induced subgraph on h."""
+def is_rich(
+    g: Graph,
+    h,
+    p: RichParams,
+    cover_budget: int = DEFAULT_COVER_BUDGET,
+    cut_verdict: Optional[CutDenseVerdict] = None,
+) -> RichReport:
+    """Check the four richness conditions of the induced subgraph on h.
+
+    `cut_verdict`, when given, is the subgraph's `is_cut_dense` verdict at
+    p.rho, already known to the caller; it is used instead of a new cut.
+    """
     hv = as_vertex_set(h, g.n)
     if not hv.members:
         raise PreconditionViolated("candidate subgraph must be nonempty")
@@ -107,10 +118,7 @@ def is_rich(g: Graph, h, p: RichParams, cover_budget: int = DEFAULT_COVER_BUDGET
     except SearchBudgetExceeded:
         cover_ok = None
         cover_budget_exceeded = True
-    if sub.n >= 2:
-        verdict = is_cut_dense(sub, p.rho)
-    else:
-        verdict = CutDenseVerdict(True, True, None)
+    verdict = cut_verdict if cut_verdict is not None else is_cut_dense(sub, p.rho)
     # witness indices are subgraph-local; subgraph.members maps them back
     witness = verdict.witness
     size_ok = len(hv) < 100 * p.k
@@ -185,7 +193,8 @@ def refine_cut_dense(
     certification still holds) and is the practical choice at small scale.
     The loop's last pass, which finds no sparse cut, is the final
     certification; `certified_exact` is True when all of its verdicts were
-    conclusive (components of at most EXACT_CUT_MAX_N vertices).
+    conclusive (components of at most EXACT_CUT_MAX_N vertices).  A pass
+    cuts only the components that no earlier pass found dense.
     """
     a, eps, delta = Fraction(a), Fraction(eps), Fraction(delta)
     preset = rho is None
@@ -207,23 +216,24 @@ def refine_cut_dense(
     present = set(range(g.n))
     removed_all: list[int] = []
     log: list[RefineStep] = []
+    # a pass edits only its offender's component, so a component found dense
+    # in an earlier pass is unchanged; this maps it to its verdict's conclusive
+    dense: dict[tuple[int, ...], bool] = {}
     i = 0
     while True:
         offender = None
-        certified = True
         for comp in cur.components():
-            if len(comp) < 2:
+            if len(comp) < 2 or comp in dense:
                 continue
-            sub, _ = cur.induced(comp)
-            verdict = is_cut_dense(sub, rho)
+            verdict = is_cut_dense(cur.induced(comp)[0], rho)
             if not verdict.is_dense:
-                offender = (comp, sub, verdict.witness)
+                offender = (comp, verdict.witness)
                 break
-            certified = certified and verdict.conclusive
+            dense[comp] = verdict.conclusive
         if offender is None:
             break
         i += 1
-        comp, sub, witness = offender
+        comp, witness = offender
         # delete the crossing edges, then the vertices left below the threshold
         side_a = sum(1 << comp[j] for j in witness.side_a)
         side_b = sum(1 << v for v in comp) & ~side_a
@@ -250,8 +260,9 @@ def refine_cut_dense(
         if i > 2 * g.n + 2:
             raise InternalInvariantError("refinement failed to terminate")
 
-    # the last pass cut every component of cur, and deleted vertices are
-    # isolated in it, so its verdicts are those of final's components
+    # dense now holds every component of cur with 2 or more vertices, and
+    # deleted vertices are isolated in cur, so its verdicts are those of
+    # final's components
     final, kept = cur.induced(present)
     if preset:
         if len(removed_all) > 200 * delta * g.n:
@@ -266,7 +277,7 @@ def refine_cut_dense(
         removed_vertices=tuple(sorted(removed_all)),
         log=tuple(log),
         rho=rho,
-        certified_exact=certified,
+        certified_exact=all(dense.values()),
         relaxed_delta=relaxed,
     )
 
@@ -629,10 +640,19 @@ def is_rich_on_refined(
     """Richness check on a refined component (edge deletions already applied).
 
     `orig[i]` is the original id of `rcomp[i]`, in increasing order, out of a
-    graph on n vertices.  The report's subgraph and cover carry original ids;
-    its cut witness stays local to `subgraph.members`.
+    graph on n vertices.  The refinement must have run at p.rho, so that its
+    last pass already decided the component's cut density.  The report's
+    subgraph and cover carry original ids; its cut witness stays local to
+    `subgraph.members`.
     """
+    if refined.rho != p.rho:
+        raise PreconditionViolated("the refinement ran at another rho than p.rho")
     sub, _ = refined.graph.induced(rcomp)
-    rep = is_rich(sub, VertexSet(range(sub.n), sub.n), p, cover_budget=cover_budget)
+    # refine's last pass found every final component rho-cut-dense, and, as in
+    # is_cut_dense, that verdict is conclusive when the cut was exact
+    verdict = CutDenseVerdict(True, p.rho == 0 or sub.n <= EXACT_CUT_MAX_N, None)
+    rep = is_rich(
+        sub, VertexSet(range(sub.n), sub.n), p, cover_budget=cover_budget, cut_verdict=verdict
+    )
     cover = None if rep.cover is None else VertexSet((orig[i] for i in rep.cover), n)
     return replace(rep, subgraph=VertexSet(orig, n), cover=cover)

@@ -114,10 +114,10 @@ def min_density_cut(adj, n):
     with A = 1.  Visiting that child first makes the leaves come in the
     order of g, and the first leaf is A = {0}, which is the starting
     incumbent.  A leaf replaces the incumbent only when strictly sparser,
-    and a subtree is cut only when its bound is >= the density of the
-    incumbent, an earlier leaf.  Were the first minimum F in a cut subtree,
-    the incumbent's density would be <= that bound <= F's density, making
-    an earlier leaf a minimum too.  So F is visited, becomes the incumbent,
+    and this test cuts a subtree only when its bound is >= the density of
+    the incumbent, an earlier leaf.  Were the first minimum F in a subtree
+    so cut, the incumbent's density would be <= that bound <= F's density,
+    making an earlier leaf a minimum too.  So F is visited, becomes the incumbent,
     and no later leaf is strictly sparser: the result is the scan's F.
 
     *Bound.*  At a node, A and B hold the placed vertices, `cross` counts
@@ -135,6 +135,18 @@ def min_density_cut(adj, n):
     skipping s = n.  On K_n, and on K_n less an edge at vertex 0, the root's
     bound equals the density of A = {0}, so the search is that one node.
 
+    *Seed.*  Let rho1 = min_deg / (n - 1), the density of the sparsest
+    one-vertex side; every such side is a proper bipartition, so the first
+    minimum F has density <= rho1.  A size s is dropped when its bound is
+    >= the incumbent's density or strictly above rho1
+    (b * (n - 1) > min_deg * s(n - s), in ints), and a subtree is cut when
+    every size is dropped.  At an ancestor of F, F's size has bound
+    b <= F's density <= rho1, so the second test never drops it, and the
+    first does not by the argument above.  The incumbent still starts at
+    A = {0} and only a strictly sparser leaf replaces it, so the result is
+    still the scan's F.  rho1 serves only as a bound: a one-vertex side that
+    ties the minimum need not come first in Gray order.
+
     Bitmasks are plain ints, so any n works; the worst case stays
     exponential.
     """
@@ -147,6 +159,8 @@ def min_density_cut(adj, n):
     best_cross = adj[0].bit_count()
     best_den = n - 1
     best_amask = 1
+    # rho1 = min_deg / (n - 1), the density of the sparsest one-vertex side
+    min_deg = min(a.bit_count() for a in adj)
     # (next vertex to place, A mask, B mask, crossings among placed, parity)
     stack = [(n - 1, 1, 0, 0, 0)]
     while stack:
@@ -173,10 +187,14 @@ def min_density_cut(adj, n):
                 lb += diffs[k - 1]
             s = asz + k
             rest = e_u - (k * (k - 1) + (v - k) * (v - k - 1)) // 2
-            if s < n and (lb + rest if rest > 0 else lb) * best_den < best_cross * s * (n - s):
-                break
+            if s < n:
+                b = lb + rest if rest > 0 else lb
+                d = s * (n - s)
+                # keep the size if its bound is below the incumbent and <= rho1
+                if b * best_den < best_cross * d and b * (n - 1) <= min_deg * d:
+                    break
         else:
-            continue  # no size can beat the incumbent
+            continue  # every size is dropped
         bit = 1 << v
         to_b = (v - 1, amask, bmask | bit, cross + (adj[v] & amask).bit_count(), par)
         to_a = (v - 1, amask | bit, bmask, cross + (adj[v] & bmask).bit_count(), par ^ 1)

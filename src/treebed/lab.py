@@ -66,6 +66,10 @@ class ExperimentConfig:
         if not self.k_values or self.trials < 0:
             raise PreconditionViolated("need a nonempty k range and trials >= 0")
         if self.alpha is not None:
+            if self.conjecture != "alpha":
+                raise PreconditionViolated(
+                    f"alpha is read only by the alpha conjecture, not by {self.conjecture}"
+                )
             try:
                 object.__setattr__(self, "alpha_value", Fraction(str(self.alpha)))
             except (ValueError, ZeroDivisionError) as exc:

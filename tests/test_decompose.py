@@ -12,6 +12,7 @@ from treebed.decompose import (
     external_internal_classify,
     intersection_property_report,
     is_rich,
+    is_rich_on_refined,
     refine_cut_dense,
     rho_preset,
     rich_decompose,
@@ -210,6 +211,29 @@ def test_rich_decompose_reports_use_original_ids():
         for comp, rep in zip(rd.components, rd.reports):
             assert rep.subgraph == comp
             assert rep.cover is None or rep.cover.as_set() <= comp.as_set()
+
+
+def test_rich_on_refined_reuses_the_last_pass_verdicts():
+    # is_rich_on_refined takes the cut verdict from refine's last pass instead
+    # of cutting again; a fresh is_rich on the same component must agree
+    cases = [checks.refine_instance(0, i) for i in range(40)]
+    cases.append((gen_two_cliques_apex(60), Fraction(1, 2), Fraction(1, 8), Fraction(1, 4), 60,
+                  Fraction(1, 30)))
+    for g, a, eps, delta, k, rho in cases:
+        try:
+            refined = refine_cut_dense(g, a, eps, delta, k, rho=rho, relax_delta=True)
+        except PreconditionViolated:
+            continue
+        p = RichParams(Fraction(1, 2), rho, k)
+        for rcomp in refined.graph.components():
+            orig = tuple(refined.vertices[i] for i in rcomp)
+            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p, 10**5)
+            fresh = is_rich(refined.graph, rcomp, p, cover_budget=10**5)
+            assert (rep.cut_dense_ok, rep.cut_dense_conclusive, rep.cut_witness) == (
+                fresh.cut_dense_ok, fresh.cut_dense_conclusive, fresh.cut_witness
+            )
+    with pytest.raises(PreconditionViolated):
+        is_rich_on_refined(refined, rcomp, orig, g.n, RichParams(Fraction(1, 2), rho / 2, k), 10**5)
 
 
 def test_local_search_is_never_reported_as_certified():

@@ -134,6 +134,12 @@ def _cut_families(n):
     yield "two cliques and a bridge", list(combinations(range(h), 2)) + list(
         combinations(range(h, n), 2)
     ) + [(h - 1, h)]
+    # the isolated vertex's one-vertex side ties the minimum at 0, but the
+    # first minimum in Gray order is the first clique: a kernel that started
+    # its incumbent from the sparsest one-vertex side would return the wrong one
+    yield "two cliques and an isolated vertex", list(combinations(range(h), 2)) + list(
+        combinations(range(h, n - 1), 2)
+    )
     for a in sorted({n // 3, h} - {0, 1}):
         yield f"K_{a},{n - a}", [(u, v) for u in range(a) for v in range(a, n)]
     # with even/odd parts most balanced cuts tie at the minimum, so the bound

@@ -137,6 +137,19 @@ def test_bad_alpha_is_usage_error(alpha, why, capsys):
     assert err.startswith("error: ") and why in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("conjecture", ["2k3", "k2_maxdeg", "second_nbhd"])
+def test_alpha_for_another_conjecture_is_usage_error(conjecture, capsys):
+    why = "read only by the alpha conjecture"
+    with pytest.raises(PreconditionViolated, match=why):
+        lab.ExperimentConfig(
+            conjecture=conjecture, k_values=(8,), tree_max_degree=3, trials=1, seed=0, alpha="1/5"
+        )
+    argv = ["sweep", "--conjecture", conjecture, "--alpha", "1/5", "--k", "8", "--trials", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err and "Traceback" not in err
+
+
 def test_alpha_is_parsed_once_and_left_out_of_the_config_json():
     cfg = lab.ExperimentConfig(
         conjecture="alpha", k_values=(8,), tree_max_degree=3, trials=1, seed=0, alpha="1/5"
