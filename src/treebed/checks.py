@@ -209,7 +209,7 @@ def check_path_in_range(seed: int = 0, count: int = 120) -> CheckResult:
         ell = rng.randrange(0, max(1, n // 2))
         slack = rng.randrange(1, 6)
         res.runs += 1
-        got = path_in_range(g, y, z, ell, slack, seed=i)
+        got = path_in_range(g, y, z, ell, slack)
         if got.path is not None:
             p = got.path
             if p[0] != y or p[-1] != z or len(set(p)) != len(p):

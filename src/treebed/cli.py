@@ -4,10 +4,11 @@ Subcommands: gen, split, embed, decompose, verify-extremal, sweep, props.
 Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error,
 3 inconclusive (a search ran out of its node budget before a verdict).
 
-Cut density needs no flag: it is exact on graphs of at most 20 vertices and
-a local-search upper bound above that.  `decompose` says which one a result
-rests on: `certified_exact` for refine, one `conclusive` flag per component
-for rich.
+Cut density needs no flag: one exact branch and bound serves every order,
+under a fixed node budget that every graph of at most 20 vertices fits.  A
+dense verdict from a search that ran out of it is inconclusive, and
+`decompose` says so: `certified_exact` for refine, one `conclusive` flag per
+component for rich.
 """
 
 from __future__ import annotations

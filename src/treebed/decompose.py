@@ -19,7 +19,6 @@ from .errors import (
 )
 from .graph import (
     DEFAULT_COVER_BUDGET,
-    EXACT_CUT_MAX_N,
     CutDenseVerdict,
     CutWitness,
     Graph,
@@ -159,7 +158,9 @@ class RefineResult:
     vertex i.  The paper-style quantitative postconditions (deletion count,
     min-degree floor) are checked against the log on construction whenever the
     rho/delta preset relation holds; with an overridden rho only the direct
-    certification of the final components applies.
+    certification of the final components applies.  `inconclusive` lists,
+    in `graph`'s ids, the final components whose dense verdict came from a
+    cut search that ran out of its node budget.
     """
 
     original: Graph
@@ -168,8 +169,12 @@ class RefineResult:
     removed_vertices: tuple[int, ...]
     log: tuple[RefineStep, ...]
     rho: Fraction
-    certified_exact: bool
+    inconclusive: tuple[tuple[int, ...], ...]
     relaxed_delta: bool
+
+    @property
+    def certified_exact(self) -> bool:
+        return not self.inconclusive
 
 
 def refine_cut_dense(
@@ -193,8 +198,9 @@ def refine_cut_dense(
     certification still holds) and is the practical choice at small scale.
     The loop's last pass, which finds no sparse cut, is the final
     certification; `certified_exact` is True when all of its verdicts were
-    conclusive (components of at most EXACT_CUT_MAX_N vertices).  A pass
-    cuts only the components that no earlier pass found dense.
+    conclusive, that is when no cut search ran out of its node budget (none
+    does on components of at most 20 vertices).  A pass cuts only the
+    components that no earlier pass found dense.
     """
     a, eps, delta = Fraction(a), Fraction(eps), Fraction(delta)
     preset = rho is None
@@ -264,6 +270,8 @@ def refine_cut_dense(
     # deleted vertices are isolated in cur, so its verdicts are those of
     # final's components
     final, kept = cur.induced(present)
+    index = {v: i for i, v in enumerate(kept)}
+    inconclusive = sorted(tuple(index[v] for v in comp) for comp, ok in dense.items() if not ok)
     if preset:
         if len(removed_all) > 200 * delta * g.n:
             raise InternalInvariantError("refinement deleted more than 200*delta*|g| vertices")
@@ -277,7 +285,7 @@ def refine_cut_dense(
         removed_vertices=tuple(sorted(removed_all)),
         log=tuple(log),
         rho=rho,
-        certified_exact=all(dense.values()),
+        inconclusive=tuple(inconclusive),
         relaxed_delta=relaxed,
     )
 
@@ -577,8 +585,9 @@ def rich_decompose(
 
     Only the final filter is a guarantee: every returned set passed the
     richness checks, and it is certified rich exactly when its report is
-    conclusive (its cut-density verdict is inconclusive on refined pieces of
-    more than EXACT_CUT_MAX_N vertices).  Coverage is reported, never
+    conclusive (its cut-density verdict is inconclusive only when the
+    refinement's cut search on that piece ran out of its node budget, which
+    needs more than 20 vertices).  Coverage is reported, never
     promised; an empty result is an inconclusive outcome, not evidence about
     containment.
     """
@@ -648,9 +657,9 @@ def is_rich_on_refined(
     if refined.rho != p.rho:
         raise PreconditionViolated("the refinement ran at another rho than p.rho")
     sub, _ = refined.graph.induced(rcomp)
-    # refine's last pass found every final component rho-cut-dense, and, as in
-    # is_cut_dense, that verdict is conclusive when the cut was exact
-    verdict = CutDenseVerdict(True, p.rho == 0 or sub.n <= EXACT_CUT_MAX_N, None)
+    # refine's last pass found every final component rho-cut-dense, and it
+    # records the ones whose verdict was inconclusive
+    verdict = CutDenseVerdict(True, rcomp not in refined.inconclusive, None)
     rep = is_rich(
         sub, VertexSet(range(sub.n), sub.n), p, cover_budget=cover_budget, cut_verdict=verdict
     )

@@ -472,7 +472,6 @@ def embed_via_path(
     t: Tree,
     slack: int = 64,
     eps: Fraction = Fraction(1, 48),
-    path_seed: int = 0,
 ) -> EmbedOutcome:
     """Embed by routing the heavy branch along a path through pool A and
     escaping over the bridge edge ab into pool B2.
@@ -563,9 +562,7 @@ def embed_via_path(
         raise EmbedNotFound("tree_path", "heavy path too short for the length window")
     sub_a, map_a = g.induced(a_pool)
     inv_a = {ov: i for i, ov in enumerate(map_a)}
-    found_path = path_in_range(
-        sub_a, inv_a[y_prime], inv_a[a_prime], ell, hi_len - ell, seed=path_seed
-    )
+    found_path = path_in_range(sub_a, inv_a[y_prime], inv_a[a_prime], ell, hi_len - ell)
     if found_path.path is None:
         raise EmbedNotFound("host_path", "no admissible path inside A")
     host_path = [map_a[i] for i in found_path.path]

@@ -7,7 +7,6 @@ All density comparisons use exact rationals, never floats.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,10 +20,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 
-# Largest order on which `cut_density` runs the kernel's exact branch and
-# bound (its worst case is exponential in n); above it a local search gives
-# an upper bound instead.
-EXACT_CUT_MAX_N = 20
 DEFAULT_COVER_BUDGET = 10**6
 
 
@@ -370,8 +365,8 @@ class CutDensityResult:
     """Outcome of a cut-density computation.
 
     `exact` is True when the witness is a minimum-density bipartition; when
-    False (local search, above EXACT_CUT_MAX_N vertices) its density is only
-    an upper bound on the minimum.
+    False (the search ran out of the kernel's node budget, which needs more
+    than 20 vertices) its density is only an upper bound on the minimum.
     """
 
     witness: CutWitness
@@ -383,9 +378,9 @@ class CutDenseVerdict:
     """Answer to "is the graph rho-cut-dense?".
 
     A False verdict carries a violating witness and is always conclusive.
-    A True verdict is conclusive only when the minimum was computed exactly,
-    that is on at most EXACT_CUT_MAX_N vertices; above that it means only
-    that local search found no sparser cut.
+    A True verdict is conclusive only when the search finished within the
+    kernel's node budget, as it always does on at most 20 vertices; when it
+    ran out, the verdict means only that no cut below rho was found.
     """
 
     is_dense: bool
@@ -397,9 +392,9 @@ class CutDenseVerdict:
 class PathSearchResult:
     """A path found by `path_in_range`, or a (possibly inconclusive) absence.
 
-    `conclusive` is True only when absence was proved: the exhaustive
-    fallback ran to completion, or even the shortest path already exceeds
-    the admissible window.
+    `conclusive` is True only when absence was proved: the DFS ran to
+    completion, or even the shortest path already exceeds the admissible
+    window.
     """
 
     path: Optional[tuple[int, ...]]
@@ -443,88 +438,41 @@ def _cut_witness(n: int, cross: int, amask: int) -> CutWitness:
     )
 
 
-def _heuristic_min_cut(g: Graph, restarts: int = 8) -> tuple[int, int]:
-    """Seeded local search over bipartitions: (crossing, a_mask) of an upper bound.
-
-    From each start, vertices 0..n-1 are tried in turn and a flip is kept when
-    it strictly lowers the density; rounds repeat until one keeps no flip.
-    The crossing count and |A| are kept incrementally: v joining A moves the
-    count by deg(v) - 2|N(v) & A| and v leaving A by its negative, and
-    |N(v) & A| is the same before and after the flip, as v is not its own
-    neighbour.
-    """
-    rng = random.Random(0)
-    n = g.n
-    masks = g.masks()
-    deg = g.degrees()
-    best = None  # (num, den, amask)
-    full = (1 << n) - 1
-    starts = [1]  # vertex 0 alone, a decent seed for near-disconnected graphs
-    starts.extend(sum(1 << v for v in comp) for comp in g.components()[:-1])
-    while len(starts) < restarts:
-        m = 0
-        for v in range(n):
-            if rng.random() < 0.5:
-                m |= 1 << v
-        if 0 < m < full:
-            starts.append(m)
-    for amask in starts:
-        bmask = full & ~amask
-        cross = sum((masks[v] & bmask).bit_count() for v in range(n) if (amask >> v) & 1)
-        asz = amask.bit_count()
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                bit = 1 << v
-                step = -1 if amask & bit else 1  # v leaves A, or joins it
-                nsz = asz + step
-                if nsz == 0 or nsz == n:
-                    continue
-                nc = cross + step * (deg[v] - 2 * (masks[v] & amask).bit_count())
-                if nc * (asz * (n - asz)) < cross * (nsz * (n - nsz)):
-                    amask ^= bit
-                    cross, asz = nc, nsz
-                    improved = True
-        cand = (cross, asz * (n - asz), amask)
-        if best is None or cand[0] * best[1] < best[0] * cand[1]:
-            best = cand
-    return best[0], best[2]
-
-
 def cut_density(g: Graph) -> CutDensityResult:
     """Minimum of e(A,B)/(|A||B|) over all bipartitions.
 
-    The order of g picks the method.  With n <= EXACT_CUT_MAX_N the kernel's
-    branch and bound returns the exact minimum, the first one in its
-    reflected-Gray order over bipartitions.  Above that a seeded local search
-    returns some local optimum, flagged exact=False: its density is an upper
-    bound on the minimum.
+    The kernel's branch and bound returns the first minimum in its
+    reflected-Gray order over bipartitions, flagged exact.  A search that
+    runs out of the kernel's node budget (never on 20 vertices or fewer)
+    returns its best cut so far, flagged exact=False: its density is an
+    upper bound on the minimum.
     """
     if g.n < 2:
         raise PreconditionViolated("cut density needs at least 2 vertices")
-    exact = g.n <= EXACT_CUT_MAX_N
-    cross, amask = kernel.min_density_cut(g.masks(), g.n) if exact else _heuristic_min_cut(g)
-    return CutDensityResult(_cut_witness(g.n, cross, amask), exact=exact)
+    cross, amask, complete = kernel.min_density_cut(g.masks(), g.n)
+    return CutDensityResult(_cut_witness(g.n, cross, amask), exact=complete)
 
 
 def is_cut_dense(g: Graph, rho: Fraction) -> CutDenseVerdict:
     """Whether no bipartition has crossing density below rho.
 
-    Vacuously true for rho = 0 and for single-vertex graphs.  A dense verdict
-    is conclusive only when `cut_density` was exact (n <= EXACT_CUT_MAX_N);
-    a sparse verdict always is, since its witness is a real cut.
+    Vacuously true for rho = 0 and for single-vertex graphs.  The kernel
+    runs with rho as its ceiling, so it stops looking once no cut below rho
+    can remain.  A dense verdict is conclusive exactly when that search
+    completed within its node budget; a sparse verdict always is, since its
+    witness is a real cut, and it is the minimum's first witness whenever
+    the search completed.
     """
     rho = Fraction(rho)
     if rho < 0:
         raise PreconditionViolated("rho must be nonnegative")
     if rho == 0 or g.n < 2:
         return CutDenseVerdict(True, True, None)
-    res = cut_density(g)
-    w = res.witness
+    cross, amask, complete = kernel.min_density_cut(g.masks(), g.n, rho)
+    w = _cut_witness(g.n, cross, amask)
     if w.density < rho:
         return CutDenseVerdict(False, True, w)
-    return CutDenseVerdict(True, res.exact, None)
+    return CutDenseVerdict(True, complete, None)
 
 
 # ---------------------------------------------------------------------------
@@ -765,27 +713,6 @@ def _two_sides(g: Graph, parts: list) -> Optional[tuple[VertexSet, VertexSet]]:
     return VertexSet(_bits(even), g.n), VertexSet(_bits(odd), g.n)
 
 
-def _greedy_random_path(g: Graph, allowed: frozenset, length: int, rng: random.Random):
-    """A simple path of exactly `length` edges inside `allowed`, greedy with restarts."""
-    pool = sorted(allowed)
-    if not pool:
-        return None
-    for _ in range(30):
-        v = rng.choice(pool)
-        path = [v]
-        used = {v}
-        while len(path) <= length:
-            cands = [w for w in g.neighbors(path[-1]) if w in allowed and w not in used]
-            if not cands:
-                break
-            w = rng.choice(cands)
-            path.append(w)
-            used.add(w)
-        if len(path) == length + 1:
-            return path
-    return None
-
-
 def _exhaustive_path_search(
     g: Graph, y: int, z: int, lo: int, hi: int, node_budget: int
 ) -> tuple[Optional[list[int]], bool]:
@@ -832,19 +759,16 @@ def path_in_range(
     z: int,
     ell: int,
     slack: int,
-    seed: int = 0,
     dfs_budget: int = 400_000,
-    attempts: int = 40,
 ) -> PathSearchResult:
     """A simple y-z path whose edge count lies in [ell+1, ell+slack].
 
     Strategy: accept the BFS-shortest path when it already lands in the
-    window; otherwise run a seeded randomized construction (two disjoint
-    reservoir sets bridged by a greedy middle path of the right length, BFS
-    connectors inside the reservoirs); finally fall back to a DFS over simple
-    paths, capped at `dfs_budget` nodes.  Every returned path is re-verified
-    simple and in range.  A None with conclusive=True is a proof that no such
-    path exists; a DFS that hits its budget returns None, conclusive=False.
+    window, and report absence when even that path is too long; otherwise
+    run a DFS over simple paths, capped at `dfs_budget` nodes.  Every
+    returned path is re-verified simple and in range.  A None with
+    conclusive=True is a proof that no such path exists; a DFS that hits its
+    budget returns None, conclusive=False.
     """
     if y == z:
         raise PreconditionViolated("endpoints must differ")
@@ -876,84 +800,6 @@ def path_in_range(
             v = path[-1]
             path.append(min(w for w in g.neighbors(v) if dist[w] == dist[v] - 1))
         return PathSearchResult(verify(list(reversed(path))), True)
-
-    rng = random.Random(seed)
-    n = g.n
-    for attempt in range(attempts):
-        if ell < 3 or n < 8:
-            break
-        # three-way random split of V - {y,z}
-        a1, a2, rest = set(), set(), set()
-        for v in range(n):
-            if v in (y, z):
-                continue
-            r = rng.random()
-            if r < 1 / 5:
-                a1.add(v)
-            elif r < 2 / 5:
-                a2.add(v)
-            else:
-                rest.add(v)
-        ys_cands = [w for w in g.neighbors(y) if w in a1]
-        zs_cands = [w for w in g.neighbors(z) if w in a2]
-        if not ys_cands or not zs_cands:
-            continue
-        mid = _greedy_random_path(g, frozenset(rest), ell - 3, rng)
-        if mid is None:
-            continue
-        u, v_end = mid[0], mid[-1]
-        us_cands = [w for w in g.neighbors(u) if w in a1]
-        vs_cands = [w for w in g.neighbors(v_end) if w in a2]
-        if not us_cands or not vs_cands:
-            continue
-        sub1, map1 = g.induced(a1)
-        inv1 = {ov: i for i, ov in enumerate(map1)}
-        sub2, map2 = g.induced(a2)
-        inv2 = {ov: i for i, ov in enumerate(map2)}
-
-        def connector(sub, inv, mp, frm, to, max_len):
-            d = sub.bfs_dist(inv[frm])
-            if d[inv[to]] < 0 or d[inv[to]] > max_len:
-                return None
-            p = [inv[to]]
-            while p[-1] != inv[frm]:
-                cur = p[-1]
-                p.append(min(w for w in sub.neighbors(cur) if d[w] == d[cur] - 1))
-            return [mp[i] for i in reversed(p)]
-
-        budget_len = slack - 1
-        got = None
-        for yp in sorted(ys_cands):
-            for up in sorted(us_cands):
-                q1 = (
-                    [yp]
-                    if yp == up
-                    else connector(sub1, inv1, map1, yp, up, budget_len)
-                )
-                if q1 is None:
-                    continue
-                rem = budget_len - (len(q1) - 1)
-                for zp in sorted(zs_cands):
-                    for vp in sorted(vs_cands):
-                        q2 = (
-                            [vp]
-                            if vp == zp
-                            else connector(sub2, inv2, map2, vp, zp, rem)
-                        )
-                        if q2 is None:
-                            continue
-                        cand = [y] + q1 + mid + q2 + [z]
-                        if len(set(cand)) == len(cand) and lo <= len(cand) - 1 <= hi:
-                            got = cand
-                            break
-                    if got:
-                        break
-                if got:
-                    break
-            if got:
-                break
-        if got:
-            return PathSearchResult(verify(got), True)
 
     res, completed = _exhaustive_path_search(g, y, z, lo, hi, dfs_budget)
     if res is not None:

@@ -2,13 +2,16 @@
 
 Two hot loops live here: the exhaustive tree-into-graph backtracking search
 and the exact minimum-density cut's branch and bound.  Both run on explicit
-stacks, not recursion, and bitmasks are plain ints, so hosts of any size
-are covered.
+stacks, not recursion, under a node budget, and bitmasks are plain ints, so
+hosts of any size are covered.
 """
 
 FOUND = 0
 NOT_FOUND = 1
 BUDGET = 2
+
+# Stack pops allowed to one `min_density_cut` call; see its *Budget* paragraph.
+CUT_NODE_BUDGET = 1 << 20
 
 
 def solve_embed(
@@ -100,12 +103,14 @@ def solve_embed(
             img[i] = -1
 
 
-def min_density_cut(adj, n):
+def min_density_cut(adj, n, rho=None):
     """Exact min of crossing/(|A||B|) over proper bipartitions, by branch and bound.
 
-    Returns (crossing, a_mask) of the first minimum in reflected-Gray order:
+    Returns (crossing, a_mask, complete).  With complete True and no ceiling,
+    (crossing, a_mask) is the first minimum in reflected-Gray order:
     a_mask = 1 | gray(g) << 1 for g = 0, 1, ..., 2^(n-1) - 1, where
-    gray(g) = g ^ (g >> 1), so vertex 0 is always in A.
+    gray(g) = g ^ (g >> 1), so vertex 0 is always in A.  Whatever the
+    outcome, it is a real proper bipartition, the best leaf visited.
 
     *Order.*  Vertices n-1 down to 1 are placed one per level on an explicit
     stack.  Gray bit j (vertex j + 1) equals b_j ^ b_(j+1), where b is the
@@ -135,20 +140,32 @@ def min_density_cut(adj, n):
     skipping s = n.  On K_n, and on K_n less an edge at vertex 0, the root's
     bound equals the density of A = {0}, so the search is that one node.
 
-    *Seed.*  Let rho1 = min_deg / (n - 1), the density of the sparsest
-    one-vertex side; every such side is a proper bipartition, so the first
-    minimum F has density <= rho1.  A size s is dropped when its bound is
-    >= the incumbent's density or strictly above rho1
-    (b * (n - 1) > min_deg * s(n - s), in ints), and a subtree is cut when
-    every size is dropped.  At an ancestor of F, F's size has bound
-    b <= F's density <= rho1, so the second test never drops it, and the
-    first does not by the argument above.  The incumbent still starts at
-    A = {0} and only a strictly sparser leaf replaces it, so the result is
-    still the scan's F.  rho1 serves only as a bound: a one-vertex side that
-    ties the minimum need not come first in Gray order.
+    *Ceiling.*  A size s is also dropped when its bound b is at or above a
+    ceiling, and a subtree is cut when every size is dropped.  Two ceilings
+    apply.  The first is rho1 = min_deg / (n - 1), the density of the
+    sparsest one-vertex side: every such side is a proper bipartition, so F
+    has density <= rho1, and a size is dropped only when b > rho1 strictly.
+    At an ancestor of F, F's size has bound b <= F's density <= rho1, so it
+    is never dropped, and the incumbent test does not drop it by the
+    argument above: the result is still the scan's F.  rho1 serves only as
+    a bound; a one-vertex side that ties the minimum need not come first in
+    Gray order.  The second is the caller's `rho`, used when rho <= rho1
+    (above rho1 it drops nothing the first does not): a size is dropped when
+    b >= rho.  When F's density is below rho, F's size has bound
+    b <= d(F) < rho at every ancestor of F, so F is still found and the
+    result is unchanged.  Otherwise the result may be any leaf visited, of
+    density >= rho, and a complete search then proves no bipartition is
+    sparser than rho.  Both tests are in ints: b * den < num * d + tie,
+    where tie = 1 keeps b = rho1 and tie = 0 drops b = rho.
 
-    Bitmasks are plain ints, so any n works; the worst case stays
-    exponential.
+    *Budget.*  The search pops at most CUT_NODE_BUDGET = 2^20 nodes.  The
+    full search tree has one root, 2^j nodes at depth j and 2^(n-1) leaves,
+    2^n - 1 nodes in all, so every graph on n <= 20 vertices completes
+    whatever its pruning.  A search that would pop one node more returns its
+    incumbent with complete False: an upper bound on the minimum, and a
+    real cut whose density may already lie below rho.
+
+    Bitmasks are plain ints, so any n works.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -159,11 +176,20 @@ def min_density_cut(adj, n):
     best_cross = adj[0].bit_count()
     best_den = n - 1
     best_amask = 1
-    # rho1 = min_deg / (n - 1), the density of the sparsest one-vertex side
     min_deg = min(a.bit_count() for a in adj)
+    # the ceiling cnum/cden is rho when rho <= rho1 = min_deg / (n - 1), else rho1
+    if rho is not None and rho.numerator * (n - 1) <= min_deg * rho.denominator:
+        cnum, cden, tie = rho.numerator, rho.denominator, 0
+    else:
+        cnum, cden, tie = min_deg, n - 1, 1
+    budget = CUT_NODE_BUDGET
+    pops = 0
     # (next vertex to place, A mask, B mask, crossings among placed, parity)
     stack = [(n - 1, 1, 0, 0, 0)]
     while stack:
+        if pops == budget:
+            return best_cross, best_amask, False
+        pops += 1
         v, amask, bmask, cross, par = stack.pop()
         asz = amask.bit_count()
         if v == 0:
@@ -190,8 +216,8 @@ def min_density_cut(adj, n):
             if s < n:
                 b = lb + rest if rest > 0 else lb
                 d = s * (n - s)
-                # keep the size if its bound is below the incumbent and <= rho1
-                if b * best_den < best_cross * d and b * (n - 1) <= min_deg * d:
+                # keep the size if its bound is below the incumbent and the ceiling
+                if b * best_den < best_cross * d and b * cden < cnum * d + tie:
                     break
         else:
             continue  # every size is dropped
@@ -200,4 +226,4 @@ def min_density_cut(adj, n):
         to_a = (v - 1, amask | bit, bmask, cross + (adj[v] & bmask).bit_count(), par ^ 1)
         # the child on side `par` (A = 1) goes first, so it is pushed last
         stack.extend((to_b, to_a) if par else (to_a, to_b))
-    return best_cross, best_amask
+    return best_cross, best_amask, True

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from treebed import checks
+from treebed import checks, kernel
 from treebed.decompose import (
     RichParams,
     classify_components,
@@ -236,19 +236,37 @@ def test_rich_on_refined_reuses_the_last_pass_verdicts():
         is_rich_on_refined(refined, rcomp, orig, g.n, RichParams(Fraction(1, 2), rho / 2, k), 10**5)
 
 
-def test_local_search_is_never_reported_as_certified():
-    # every piece of the k = 60 apex host has more than 20 vertices, so its
-    # dense verdicts come from local search and stay inconclusive
+def test_apex_host_pieces_are_certified():
+    # every piece of the k = 60 apex host has more than 20 vertices, and the
+    # search with rho as its ceiling finishes on each, so all are certified
     g = gen_two_cliques_apex(60)
     for rho in (Fraction(1, 100), Fraction(1, 30)):
         rd = rich_decompose(g, 60, RichParams(Fraction(1, 2), rho, 60))
         assert rd.reports
         for rep in rd.reports:
-            assert rep.rich and not rep.cut_dense_conclusive and not rep.conclusive
+            assert rep.rich and rep.cut_dense_conclusive and rep.conclusive
     res = refine_cut_dense(g, Fraction(1, 2), Fraction(1, 8), Fraction(1, 4), 60,
                            rho=Fraction(1, 30), relax_delta=True)
-    assert len(res.log) == 1 and not res.certified_exact
-    # refine instances of at most 20 vertices stay certified
+    assert len(res.log) == 1 and res.certified_exact and res.inconclusive == ()
     small = refine_cut_dense(Graph.complete(20), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2000), 20)
     assert small.certified_exact
 
+
+def test_refine_records_inconclusive_components(monkeypatch):
+    # with a one-node budget the K6 search still completes (its root bound is
+    # the density of A = {0}), but the K_{3,3} search does not: only K_{3,3}
+    # is recorded, and only its rich report is inconclusive
+    k33 = [(u, v) for u in range(6, 9) for v in range(9, 12)]
+    g = Graph(12, _clique_edges(range(6)) + k33)
+    monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", 1)
+    rho = Fraction(1, 100)
+    refined = refine_cut_dense(g, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 4, rho=rho,
+                               relax_delta=True)
+    assert not refined.log and refined.vertices == tuple(range(12))
+    assert refined.inconclusive == (tuple(range(6, 12)),) and not refined.certified_exact
+    p = RichParams(Fraction(1, 2), rho, 4)
+    conclusive = [
+        is_rich_on_refined(refined, rcomp, rcomp, 12, p, 10**5).cut_dense_conclusive
+        for rcomp in refined.graph.components()
+    ]
+    assert conclusive == [True, False]

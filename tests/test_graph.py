@@ -1,6 +1,5 @@
 """Graph-core tests: peripheries, cuts, covers, matchings, walks, paths."""
 
-import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -13,10 +12,8 @@ from hypothesis import strategies as st
 from treebed.errors import Disconnected, PreconditionViolated
 from treebed.generators import gen_random_connected_graph, gen_random_graph_min_degree
 from treebed.graph import (
-    EXACT_CUT_MAX_N,
     Graph,
     VertexSet,
-    _heuristic_min_cut,
     _two_sides,
     bipartite_matching_lower,
     bipartition,
@@ -36,7 +33,7 @@ C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
 C7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-# two disjoint K11: a zero-density cut on more than EXACT_CUT_MAX_N vertices
+# two disjoint K11: a zero-density cut on more than 20 vertices
 TWO_K11 = Graph(22, list(combinations(range(11), 2)) + list(combinations(range(11, 22), 2)))
 
 
@@ -83,49 +80,22 @@ def test_cut_density_examples():
 
 
 def test_cut_density_cap_and_modes():
-    big = Graph.complete(25)
-    h = cut_density(big)
-    assert not h.exact and h.witness.density >= 1  # upper bound can only exceed truth
+    # no order cap: K25 is exact, as its root bound already equals the
+    # density of A = {0}
+    h = cut_density(Graph.complete(25))
+    assert h.exact and h.witness.density == 1 and h.witness.side_a.members == (0,)
 
 
 def test_cut_density_method_follows_the_order():
-    # the exact scan runs up to EXACT_CUT_MAX_N vertices, local search above
-    assert EXACT_CUT_MAX_N == 20
+    # one exact search at every order, 20 vertices or more
     k20 = cut_density(Graph.complete(20))
     assert k20.exact and k20.witness.density == 1
-    assert not cut_density(Graph.complete(21)).exact
-    # above the threshold a real sparse cut is still found, but never as exact
+    # above 20 vertices too, and the zero cut of TWO_K11 is a whole clique
+    k21 = cut_density(Graph.complete(21))
+    assert k21.exact and k21.witness.density == 1
     res = cut_density(TWO_K11)
-    assert res.witness.density == 0 and not res.exact
-
-
-def _local_search_hosts():
-    """Hosts on 21..60 vertices: connected ones of several densities, and
-    sparse G(n, p) ones, most of them disconnected."""
-    rng = random.Random(11)
-    for i in range(40):
-        n = rng.randrange(21, 61)
-        if i % 2:
-            yield gen_random_connected_graph(n, rng.randrange(0, 3 * n), i)
-        else:
-            p = rng.choice((0.02, 0.05, 0.3))
-            yield Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
-
-
-# Every flip of the local search is pinned: a changed visiting order, start
-# or comparison moves some (crossing, a_mask) pair.  The digest was taken
-# from the version that recounted all crossings on every flip.
-_LOCAL_SEARCH_DIGEST = "8bc1d2c1767eaa966ea022bd3cb3b5e48b27a6fe3f89a24913f30e8cd968f839"
-
-
-def test_local_search_witness_pinned():
-    h = hashlib.sha256()
-    for g in _local_search_hosts():
-        cross, amask = _heuristic_min_cut(g)
-        assert 0 < amask < (1 << g.n) - 1
-        assert cross == sum((amask >> u & 1) != (amask >> v & 1) for u, v in g.edges())
-        h.update(f"{g.n} {cross} {amask}\n".encode())
-    assert h.hexdigest() == _LOCAL_SEARCH_DIGEST
+    assert res.exact and res.witness.density == 0
+    assert set(res.witness.side_a.members) in (set(range(11)), set(range(11, 22)))
 
 
 def test_is_cut_dense():
@@ -133,18 +103,21 @@ def test_is_cut_dense():
     v = is_cut_dense(TWO_TRIANGLES, Fraction(1, 10))
     assert not v.is_dense and v.conclusive and v.witness.crossing_edges == 0
     assert is_cut_dense(Graph.complete(6), 1).is_dense
-    # above EXACT_CUT_MAX_N vertices: a False is conclusive, a True is not
+    # above 20 vertices a sparse verdict is conclusive
     hv = is_cut_dense(TWO_K11, Fraction(1, 10))
     assert not hv.is_dense and hv.conclusive and hv.witness.crossing_edges == 0
+    # and so is a dense one, whose search finished within its budget
     hv2 = is_cut_dense(Graph.complete(25), Fraction(1, 2))
-    assert hv2.is_dense and not hv2.conclusive
+    assert hv2.is_dense and hv2.conclusive and hv2.witness is None
 
 
-def test_is_cut_dense_local_search_never_conclusive_when_dense():
+def test_is_cut_dense_conclusive_above_20_vertices():
+    # with rho as its ceiling the search finishes on each of these dense
+    # graphs, so their dense verdicts are conclusive
     for n in (21, 30, 45):
         g = gen_random_connected_graph(n, n * (n - 1) // 4, seed=n)
         v = is_cut_dense(g, Fraction(1, 100))
-        assert v.is_dense and not v.conclusive and v.witness is None
+        assert v.is_dense and v.conclusive and v.witness is None
     assert is_cut_dense(Graph.complete(20), Fraction(1, 2)).conclusive
 
 
@@ -246,21 +219,21 @@ def test_bipartition_examples():
 
 
 def test_path_in_range_examples():
-    r = path_in_range(Graph.complete(6), 0, 5, 2, 3, seed=0)
+    r = path_in_range(Graph.complete(6), 0, 5, 2, 3)
     assert r.path is not None and 3 <= len(r.path) - 1 <= 5
     # C7, adjacent endpoints: only lengths 1 and 6 exist (derived)
-    r = path_in_range(C7, 0, 1, 5, 1, seed=0)
+    r = path_in_range(C7, 0, 1, 5, 1)
     assert r.path is not None and len(r.path) - 1 == 6
-    r = path_in_range(C7, 0, 1, 2, 1, seed=0)
+    r = path_in_range(C7, 0, 1, 2, 1)
     assert r.path is None and r.conclusive
 
 
 def test_path_search_budget_spent_only_on_admissible_steps():
     # 0-6-5-4-3-2-1 places exactly 7 vertices; entering z = 1 early, where
     # it cannot close a 6-edge path, must not spend the budget
-    r = path_in_range(C7, 0, 1, 5, 1, seed=0, dfs_budget=7)
+    r = path_in_range(C7, 0, 1, 5, 1, dfs_budget=7)
     assert r.path == (0, 6, 5, 4, 3, 2, 1) and r.conclusive
-    r = path_in_range(C7, 0, 1, 5, 1, seed=0, dfs_budget=6)
+    r = path_in_range(C7, 0, 1, 5, 1, dfs_budget=6)
     assert r.path is None and not r.conclusive
 
 
@@ -268,13 +241,13 @@ def test_path_search_deeper_than_recursion_limit():
     assert sys.getrecursionlimit() < 2000
     c3000 = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
     for z in (2000, 1000):  # reached the long way round on either side
-        r = path_in_range(c3000, 0, z, 1999, 1, seed=0)
+        r = path_in_range(c3000, 0, z, 1999, 1)
         assert r.path is not None and len(r.path) - 1 == 2000 and r.conclusive
 
 
 def test_path_in_range_distance_proof():
     p9 = Graph(9, [(i, i + 1) for i in range(8)])
-    r = path_in_range(p9, 0, 8, 2, 3, seed=0)  # distance 8 > 5: provably absent
+    r = path_in_range(p9, 0, 8, 2, 3)  # distance 8 > 5: provably absent
     assert r.path is None and r.conclusive
 
 

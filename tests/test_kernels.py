@@ -18,7 +18,7 @@ from treebed.generators import (
     gen_random_tree,
     gen_two_cliques_apex,
 )
-from treebed.graph import Graph
+from treebed.graph import Graph, cut_density, is_cut_dense
 
 
 def _embed_inputs(seed):
@@ -148,17 +148,34 @@ def _cut_families(n):
         yield "K_n/2,n/2 interleaved", [(u, v) for u, v in every if (u - v) % 2]
 
 
+def _check_ceilings(adj, n, label):
+    """The kernel against the scan with no ceiling, with the minimum as the
+    ceiling (a tie: nothing is below it, so any proper cut of density at
+    least the minimum may come back), and with a ceiling just above it (the
+    scan's witness)."""
+    best = _gray_scan(adj, n)
+    assert kernel.min_density_cut(adj, n) == (*best, True), label
+    cross, amask = best
+    low = Fraction(cross, amask.bit_count() * (n - amask.bit_count()))
+    c, a, complete = kernel.min_density_cut(adj, n, low)
+    asz = a.bit_count()
+    assert complete and a & 1 and 0 < asz < n, f"{label}, rho = minimum"
+    assert c == sum((adj[v] & ~a).bit_count() for v in range(n) if a >> v & 1), label
+    assert Fraction(c, asz * (n - asz)) >= low, f"{label}, rho = minimum"
+    above = low + Fraction(1, 10**9)
+    assert kernel.min_density_cut(adj, n, above) == (*best, True), f"{label}, rho above"
+
+
 def test_min_cut_matches_gray_scan_on_random_graphs():
     for seed, n, edges in _random_cut_inputs():
-        adj = Graph(n, edges).masks()
-        assert kernel.min_density_cut(adj, n) == _gray_scan(adj, n), f"seed {seed}"
+        _check_ceilings(Graph(n, edges).masks(), n, f"seed {seed}")
 
 
 def test_min_cut_matches_gray_scan_on_families():
     for n in list(range(2, 15)) + [20]:
         for name, edges in _cut_families(n):
             adj = Graph(n, edges).masks()
-            assert kernel.min_density_cut(adj, n) == _gray_scan(adj, n), f"{name}, n = {n}"
+            assert kernel.min_density_cut(adj, n) == (*_gray_scan(adj, n), True), f"{name}, n = {n}"
 
 
 def _cut_grid():
@@ -175,14 +192,59 @@ def _cut_grid():
         yield seed, n, edges
 
 
+def test_ceiled_min_cut_matches_gray_scan_on_the_grid():
+    for seed, n, edges in _cut_grid():
+        _check_ceilings(Graph(n, edges).masks(), n, f"grid seed {seed}")
+
+
 def test_min_cut_matches_reference():
     for seed, n, edges in _cut_grid():
         g = Graph(n, edges)
-        cross, amask = kernel.min_density_cut(g.masks(), n)
+        cross, amask, complete = kernel.min_density_cut(g.masks(), n)
+        assert complete, f"seed {seed}"
         asz = amask.bit_count()
         assert amask & 1 and 0 < asz < n, f"seed {seed}: improper side {amask:b}"
         assert cross == sum((amask >> u & 1) != (amask >> v & 1) for u, v in edges)
         assert Fraction(cross, asz * (n - asz)) == _min_cut_reference(g), f"seed {seed}"
+
+
+def test_cut_budget_overrun_returns_the_incumbent(monkeypatch):
+    # two K4s on the even and the odd vertices: the zero cut is not the first
+    # leaf, so small budgets stop with A = {0} or a better cut still open
+    g = Graph(8, [(u, v) for u, v in combinations(range(8), 2) if (u - v) % 2 == 0])
+    adj = g.masks()
+    full = kernel.min_density_cut(adj, 8)
+    assert full[2] and cut_density(g).exact
+    rho = Fraction(1, 10)
+    seen = set()
+    for budget in range(64):
+        monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
+        cross, amask, complete = kernel.min_density_cut(adj, 8, rho)
+        if budget == 0:
+            assert (cross, amask, complete) == (adj[0].bit_count(), 1, False)
+        if complete:
+            break
+        asz = amask.bit_count()
+        assert amask & 1 and 0 < asz < 8
+        assert cross == sum((adj[v] & ~amask).bit_count() for v in range(8) if amask >> v & 1)
+        assert not cut_density(g).exact
+        verdict = is_cut_dense(g, rho)
+        if Fraction(cross, asz * (8 - asz)) < rho:
+            # an incumbent below rho is a real sparse cut: conclusive
+            assert not verdict.is_dense and verdict.conclusive
+            assert verdict.witness.crossing_edges == cross
+            seen.add("sparse")
+        else:
+            assert verdict.is_dense and not verdict.conclusive and verdict.witness is None
+            seen.add("dense")
+    else:
+        raise AssertionError("the search never completed")
+    assert seen == {"sparse", "dense"}
+    assert (cross, amask) == full[:2]
+    # the K6 search is its root alone, so the budget counts pops exactly
+    for budget, complete in ((0, False), (1, True)):
+        monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
+        assert kernel.min_density_cut(Graph.complete(6).masks(), 6)[2] is complete
 
 
 # The witness is the first minimum in Gray-code order; the density alone
@@ -193,11 +255,11 @@ _CUT_WITNESS_DIGEST = "073b11f3199fcf88897afb8eec1cdb7b611dde17572e4e2493300f965
 def test_min_cut_witness_pinned():
     h = hashlib.sha256()
     for seed, n, edges in _cut_grid():
-        h.update(f"{seed} {kernel.min_density_cut(Graph(n, edges).masks(), n)}\n".encode())
+        h.update(f"{seed} {kernel.min_density_cut(Graph(n, edges).masks(), n)[:2]}\n".encode())
     for n in range(14, 21):
         rng = random.Random(n)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        h.update(f"n{n} {kernel.min_density_cut(Graph(n, edges).masks(), n)}\n".encode())
+        h.update(f"n{n} {kernel.min_density_cut(Graph(n, edges).masks(), n)[:2]}\n".encode())
     assert h.hexdigest() == _CUT_WITNESS_DIGEST
 
 

@@ -411,6 +411,19 @@ def test_cli_decompose_rich_flags_conclusive_components(tmp_path):
     assert payload["components"] == [list(range(7))] and payload["conclusive"] == [True]
 
 
+def test_cli_decompose_rich_certifies_pieces_above_20_vertices(tmp_path):
+    # the k = 30 apex host keeps a 39-vertex piece, above 20 vertices; the
+    # search with rho as its ceiling finishes on it, so it is certified
+    host = tmp_path / "g.txt"
+    assert cli.main(["gen", "two_cliques_apex", "--param", "k=30", "--out", str(host)]) == 0
+    out = tmp_path / "rich.json"
+    assert cli.main(["decompose", "--host", str(host), "--op", "rich", "--k", "30",
+                     "--rho", "1/100", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert max(len(c) for c in payload["components"]) > 20
+    assert payload["conclusive"] == [True] * len(payload["components"])
+
+
 def test_cli_rejects_removed_cut_flags(capsys):
     ap = cli.build_parser()
     for argv in (["--exact-cap", "5", "props"], ["decompose", "--host", "g.txt", "--op", "rich",
