@@ -257,9 +257,7 @@ def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.
 
 
 def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
-    import time as _time
-
-    t0 = _time.monotonic()
+    t0 = time.monotonic()
     trial_seed = cfg.seed * 1_000_003 + idx
     rng = random.Random(repr(("trial", cfg.seed, idx)))
     k = cfg.k_values[idx % len(cfg.k_values)]
@@ -325,7 +323,7 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
         oracle_nodes=oracle_nodes,
         verdict=verdict,
         consistency_failure=consistency_failure,
-        wall_ms=int((_time.monotonic() - t0) * 1000),
+        wall_ms=int((time.monotonic() - t0) * 1000),
     )
 
 

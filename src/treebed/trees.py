@@ -74,7 +74,13 @@ class Tree:
         return max(map(len, self._adj), default=0)
 
     def rooted(self, r: int) -> "RootedView":
-        return RootedView(self, r)
+        """The tree rooted at r.  Asked again for the same tree object and
+        root, it returns the view it built last, so no view may be changed."""
+        global _last_view
+        last = _last_view
+        if last is None or last.tree is not self or last.root != r:
+            last = _last_view = RootedView(self, r)
+        return last
 
     def with_root(self, r: Optional[int]) -> "Tree":
         return Tree(self.n, self.edges, root=r)
@@ -161,6 +167,14 @@ class RootedView:
             comps.append(tuple(u for u in range(self.tree.n) if u not in below))
         comps.sort()
         return comps
+
+
+# The view Tree.rooted built last.  A split pass asks for root 0 six times
+# per tree, so one slot saves most rebuilds; it holds a single view, not one
+# per live tree, and the view refers only to its tree, so it makes no cycle.
+# Tree.rooted reads it once per call, so threads that share it may rebuild a
+# view but never get one of another tree or root.
+_last_view: Optional[RootedView] = None
 
 
 def _check_view(record, view: RootedView, root: int) -> None:

@@ -92,6 +92,26 @@ def test_unchecked_mask_constructor_callers_are_pinned():
     }
 
 
+def test_rooted_view_constructor_callers_are_pinned():
+    # Tree.rooted hands back the view it built last for the same tree object
+    # and root, so a procedure that built its own RootedView would miss that
+    def builds_view(node):
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id == "RootedView") or (
+            isinstance(f, ast.Attribute) and f.attr == "RootedView"
+        )
+
+    callers, sites = set(), 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites += sum(map(builds_view, ast.walk(tree)))  # module level too
+        for name, node in _functions_with_nodes(tree):
+            if builds_view(node):
+                callers.add((path.name, name))
+    assert callers == {("trees.py", "rooted")}
+    assert sites == 1
+
+
 def test_tree_records_check_on_the_view_they_are_given():
     # a record re-checks its bounds on the view its procedure built, so no
     # __post_init__ in trees.py roots the tree again or walks it by a

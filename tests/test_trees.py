@@ -16,6 +16,7 @@ from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_
 from treebed.graph import VertexSet
 from treebed.trees import (
     MSFDecomposition,
+    RootedView,
     ThreeForestSplit,
     Tree,
     TwoForestSplit,
@@ -489,6 +490,60 @@ def test_rooted_view_matches_a_plain_walk():
                 assert rv.subtree_size[v] == len(below)
                 assert rv.subtree_vertices(v) == tuple(below)
                 assert rv.components_without(v) == _plain_components(t, v)
+
+
+def test_rooted_returns_the_last_view_of_the_same_tree_object():
+    t = gen_random_tree(30, 3, 1)
+    twin = Tree(t.n, t.edges)  # equal to t, but not t
+    rv = t.rooted(0)
+    assert t.rooted(0) is rv
+    tv = twin.rooted(0)  # keyed by identity: the twin gets a view of its own
+    assert tv is not rv and tv.tree is twin and rv.tree is t
+    rec = split_two_forests(t)
+    args = [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.init]
+    with pytest.raises(InternalInvariantError, match="view of another tree or root"):
+        TwoForestSplit(*args, twin.rooted(0))
+    assert TwoForestSplit(*args, t.rooted(0)) == rec
+
+
+def test_interleaved_rooted_calls_match_fresh_views():
+    a, b = gen_random_tree(40, 4, 2), gen_random_tree(40, 4, 3)
+    twin = Tree(a.n, a.edges)
+    rng = random.Random(5)
+    last = None  # (tree, root, view) of the previous call
+    for _ in range(300):
+        t, r = rng.choice((a, b, twin)), rng.randrange(3)  # few roots, so repeats occur
+        rv, fresh = t.rooted(r), RootedView(t, r)
+        assert rv.tree is t
+        for name in RootedView.__slots__:
+            assert getattr(rv, name) == getattr(fresh, name), name
+        if last is not None:
+            assert (rv is last[2]) == (t is last[0] and r == last[1])
+        last = (t, r, rv)
+
+
+def test_a_split_pass_roots_each_tree_at_most_twice(monkeypatch):
+    # the five procedures rooting at 0 share one view; msf_decomposition adds
+    # the view at its separator
+    built = []
+    init = RootedView.__init__
+
+    def counting_init(self, tree, root):
+        built.append((tree, root))
+        init(self, tree, root)
+
+    monkeypatch.setattr(RootedView, "__init__", counting_init)
+    for seed in range(40):
+        t = gen_random_tree(3 + seed * 4, 2 + seed % 4, seed)
+        built.clear()
+        balanced_separator_vertex(t)
+        split_two_forests(t)
+        split_three_forests(t)
+        chain_split(t, 1 + seed % t.n)
+        even_odd_split(t)
+        d = msf_decomposition(t)
+        assert [r for _, r in built] == ([0] if d.root == 0 else [0, d.root])
+        assert all(tree is t for tree, _ in built)
 
 
 def _is_below(parent, u, v):
