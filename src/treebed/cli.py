@@ -46,6 +46,9 @@ from .trees import (
 )
 
 
+DEFAULT_BUDGET = 10**8
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -257,8 +260,18 @@ def cmd_verify_extremal(args) -> int:
     return 0 if all_ok else 1
 
 
+# the sweep flags a config file also sets; they default to absent, so that
+# one given next to --config is seen and refused instead of silently dropped
+_SWEEP_CONFIG_FLAGS = ("conjecture", "k", "alpha", "tree_max_degree", "trials", "seed", "budget")
+
+
 def cmd_sweep(args) -> int:
     if args.config:
+        given = [f"--{f.replace('_', '-')}" for f in _SWEEP_CONFIG_FLAGS if f in vars(args)]
+        if given:
+            raise PreconditionViolated(
+                f"--config sets the whole sweep; it does not combine with {', '.join(given)}"
+            )
         with open(args.config) as fh:
             try:
                 data = json.load(fh)
@@ -267,13 +280,13 @@ def cmd_sweep(args) -> int:
         cfg = lab.ExperimentConfig.from_jsonable(data)
     else:
         cfg = lab.ExperimentConfig(
-            conjecture=args.conjecture,
-            k_values=tuple(args.k or [8, 9, 10]),
-            tree_max_degree=args.tree_max_degree,
-            trials=args.trials,
-            seed=args.seed or 0,
-            alpha=args.alpha,
-            oracle_budget=args.budget,
+            conjecture=getattr(args, "conjecture", "2k3"),
+            k_values=tuple(getattr(args, "k", (8, 9, 10))),
+            tree_max_degree=getattr(args, "tree_max_degree", 3),
+            trials=getattr(args, "trials", 50),
+            seed=getattr(args, "seed", 0),
+            alpha=getattr(args, "alpha", None),
+            oracle_budget=getattr(args, "budget", DEFAULT_BUDGET),
         )
     result = lab.run_sweep(cfg, workers=args.workers)
     text = lab.render_report(result, args.format)
@@ -301,34 +314,35 @@ def cmd_props(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="root seed for randomized steps")
-    common.add_argument("--format", default="json", choices=("json", "csv"))
-    common.add_argument("--budget", type=int, default=10**8, help="search node budget")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
     ap = argparse.ArgumentParser(
         prog="treebed",
         description="tree-embedding workbench: generators, splits, embedders, sweeps",
-        parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name: str, flags: tuple[str, ...], **kw):
+        # each subcommand takes only the shared flags its handler reads
+        p = sub.add_parser(name, **kw)
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None, help="root seed for randomized steps")
+        if "budget" in flags:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        return p
 
-    g = add("gen", help="emit a host graph or guest tree from a named family")
+    g = add("gen", ("seed",), help="emit a host graph or guest tree from a named family")
     g.add_argument("family")
     g.add_argument("--param", action="append", metavar="key=value")
     g.set_defaults(fn=cmd_gen)
 
-    s = add("split", help="run a tree-splitting procedure")
+    s = add("split", (), help="run a tree-splitting procedure")
     s.add_argument("--tree", required=True, help="tree JSON file")
     s.add_argument("--op", required=True, choices=("two", "three", "chain", "subtree", "evenodd", "msf"))
     s.add_argument("--m", type=int, default=1)
     s.add_argument("--v", type=int, default=0)
     s.set_defaults(fn=cmd_split)
 
-    e = add("embed", help="embed a tree into a host")
+    e = add("embed", ("budget",), help="embed a tree into a host")
     e.add_argument("--host", required=True, help="edge-list file")
     e.add_argument("--tree", required=True, help="tree JSON file")
     e.add_argument("--method", default="oracle", choices=("oracle", "greedy"))
@@ -336,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pin", action="append", metavar="tree:host", help="pin map entries")
     e.set_defaults(fn=cmd_embed)
 
-    d = add("decompose", help="rich decomposition / refinement / classification")
+    d = add("decompose", (), help="rich decomposition / refinement / classification")
     d.add_argument("--host", required=True)
     d.add_argument("--op", required=True, choices=("rich", "refine", "classify"))
     d.add_argument("--k", type=int, default=10)
@@ -351,21 +365,26 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--comp", action="append", metavar="v1,v2,...")
     d.set_defaults(fn=cmd_decompose)
 
-    v = add("verify-extremal", help="tightness check at small k")
+    v = add("verify-extremal", ("budget",), help="tightness check at small k")
     v.add_argument("--k", type=int, action="append")
     v.set_defaults(fn=cmd_verify_extremal)
 
-    w = add("sweep", help="run a conjecture-template sweep")
-    w.add_argument("--config", default=None, help="config JSON file")
-    w.add_argument("--conjecture", default="2k3", choices=lab.CONJECTURES)
-    w.add_argument("--k", type=int, action="append")
-    w.add_argument("--alpha", default=None, help="fraction like 1/5 (alpha template)")
-    w.add_argument("--tree-max-degree", type=int, default=3, dest="tree_max_degree")
-    w.add_argument("--trials", type=int, default=50)
+    w = add("sweep", (), help="run a conjecture-template sweep")
+    w.add_argument("--config", default=None, help="config JSON file, which sets the whole sweep")
+    absent = argparse.SUPPRESS
+    w.add_argument("--conjecture", default=absent, choices=lab.CONJECTURES, help="default 2k3")
+    w.add_argument("--k", type=int, action="append", default=absent, help="default 8, 9 and 10")
+    w.add_argument("--alpha", default=absent, help="fraction like 1/5 (alpha template)")
+    w.add_argument("--tree-max-degree", type=int, default=absent, dest="tree_max_degree",
+                   help="default 3")
+    w.add_argument("--trials", type=int, default=absent, help="default 50")
+    w.add_argument("--seed", type=int, default=absent, help="root seed, default 0")
+    w.add_argument("--budget", type=int, default=absent, help=f"oracle node budget, default {DEFAULT_BUDGET}")
+    w.add_argument("--format", default="json", choices=("json", "csv"))
     w.add_argument("--workers", type=int, default=1)
     w.set_defaults(fn=cmd_sweep)
 
-    p = add("props", help="run the module invariant suite")
+    p = add("props", ("seed", "budget"), help="run the module invariant suite")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--corpus", action="store_true", help="include the oracle corpus run")
     p.set_defaults(fn=cmd_props)

@@ -639,7 +639,6 @@ def matching_forest_embed(
     portals: list,
     t: Tree,
     budget: int = 2_000_000,
-    reserve: int = 0,
 ) -> EmbedOutcome:
     """Embed via a matching/tree/forest edge partition of t.
 
@@ -673,8 +672,8 @@ def matching_forest_embed(
         if g.min_degree_within(pv.members) < need_out:
             raise PreconditionViolated("external pool min degree below ceil(k/2)")
         parsed.append(((u, w), pv))
-    if g.min_degree_within(core.members) < need_out + reserve:
-        raise PreconditionViolated("core min degree below ceil(k/2) + reserve")
+    if g.min_degree_within(core.members) < need_out:
+        raise PreconditionViolated("core min degree below ceil(k/2)")
     msf = msf_decomposition(t)
     mu = len(msf.matching)
     if len(parsed) < mu:

@@ -357,11 +357,10 @@ def gen_caterpillar(spine: int, legs: int, seed: int) -> Tree:
     return Tree(spine + legs, edges, root=0)
 
 
-def gen_random_graph_min_degree(
-    n: int, delta: int, seed: int, p: Optional[float] = None
-) -> Graph:
+def gen_random_graph_min_degree(n: int, delta: int, seed: int) -> Graph:
     """Erdos-Renyi base repaired up to minimum degree delta (seeded).
 
+    The base has edge probability 1.1 (delta + 1) / (n - 1), capped at 1.
     While some vertex sits below delta, it gets joined to a uniformly random
     non-neighbour.  The resulting minimum degree is re-counted and asserted.
     """
@@ -370,8 +369,7 @@ def gen_random_graph_min_degree(
     if delta >= n:
         raise Infeasible("min degree must be below n")
     rng = random.Random(repr(("graph", n, delta, seed)))
-    if p is None:
-        p = min(1.0, (delta + 1) / max(n - 1, 1) * 1.1)
+    p = min(1.0, (delta + 1) / max(n - 1, 1) * 1.1)
     draw = rng.random
     masks = [0] * n
     for u in range(n):

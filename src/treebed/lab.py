@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +31,7 @@ from .generators import (
 )
 from .graph import Graph, second_neighbourhood
 
-SCHEMA = "treebed/1"
+SCHEMA = "treebed/2"
 DEFAULT_ENVELOPE_N = 16
 DEFAULT_ENVELOPE_K = 12
 
@@ -46,10 +47,6 @@ class ExperimentConfig:
     tree_max_degree: int
     trials: int
     seed: int
-    host_family: str = "random_min_degree"
-    host_params: dict = field(default_factory=dict)
-    tree_family: str = "random_tree"
-    tree_params: dict = field(default_factory=dict)
     alpha: Optional[str] = None  # fraction string, used by the alpha template
     oracle_budget: int = 10**7
     envelope_n: int = DEFAULT_ENVELOPE_N
@@ -57,14 +54,18 @@ class ExperimentConfig:
     # shifts the template's min-degree floor; -1 reproduces the tight hosts
     min_degree_offset: int = 0
     extremal_mix: bool = False
-    # alpha parsed once, here; derived, so not part of the config's JSON
+    # derived once, here, so not part of the config's JSON: alpha parsed, and
+    # each k's exact (min degree, max degree) thresholds, offset included
     alpha_value: Optional[Fraction] = field(init=False, default=None, repr=False, compare=False)
+    degree_thresholds: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conjecture not in CONJECTURES:
             raise PreconditionViolated(f"unknown conjecture id {self.conjecture!r}")
         if not self.k_values or self.trials < 0:
             raise PreconditionViolated("need a nonempty k range and trials >= 0")
+        if self.tree_max_degree < 1:
+            raise PreconditionViolated("need tree_max_degree >= 1")
         if self.alpha is not None:
             if self.conjecture != "alpha":
                 raise PreconditionViolated(
@@ -76,26 +77,44 @@ class ExperimentConfig:
                 raise PreconditionViolated(f"alpha {self.alpha!r} is not a fraction like 1/5") from exc
         elif self.conjecture == "alpha":
             raise PreconditionViolated("the alpha conjecture needs alpha, a fraction like 1/5")
-        # a host on at most n_hi vertices has no degree above n_hi - 1, so a
-        # k demanding more would make every one of its trials inconclusive
-        n_hi = min(self.host_params.get("n_hi", self.envelope_n), self.envelope_n)
+        thresholds = {}
         for k in self.k_values:
-            demand = _degree_demand(self, k)
+            demand = self._demands(k)
             # a demand of 0 or less is met by every host and tests nothing
             if self.conjecture == "alpha" and min(demand) <= 0:
                 raise PreconditionViolated(
                     f"alpha = {self.alpha} at k={k} demands degrees {demand}; both must be positive"
                 )
-            need = max(demand)
-            if need > n_hi - 1:
+            want_min, want_max = demand[0] + self.min_degree_offset, demand[1]
+            # a host on at most envelope_n vertices has no degree above
+            # envelope_n - 1, so a k demanding more would make every one of
+            # its trials inconclusive
+            need = max(want_min, want_max)
+            if need > self.envelope_n - 1:
                 raise PreconditionViolated(
                     f"{self.conjecture} at k={k} asks hosts for degree {need},"
-                    f" but they have at most {n_hi} vertices"
+                    f" but they have at most {self.envelope_n} vertices"
                 )
+            thresholds[k] = (want_min, want_max)
+        object.__setattr__(self, "degree_thresholds", thresholds)
+
+    def _demands(self, k: int) -> tuple[int, int]:
+        """The conjecture's integer (min degree, max degree) demands at k, before the offset."""
+        if self.conjecture == "2k3":
+            return (2 * k) // 3, k
+        if self.conjecture == "alpha":
+            a = self.alpha_value
+            return math.ceil((1 + a) * k / 2), math.ceil(2 * (1 - a) * k)
+        if self.conjecture == "k2_maxdeg":
+            d = self.tree_max_degree
+            return -(-k // 2), -(-2 * (d - 1) * k // d)
+        # second_nbhd: the max demand is the witness vertex's degree and
+        # second-neighbourhood size, both at least 4k/3
+        return -(-k // 2), -(-4 * k // 3)
 
     def to_jsonable(self) -> dict:
         d = asdict(self)
-        del d["alpha_value"]
+        del d["alpha_value"], d["degree_thresholds"]
         d["k_values"] = list(self.k_values)
         return d
 
@@ -157,87 +176,41 @@ class TrialRecord:
 # Degree templates
 
 
-def template_check(
-    conjecture: str, g: Graph, k: int, alpha: Optional[Fraction], min_offset: int = 0
-) -> dict:
-    """Evaluate the conjecture's degree demands on a host; all exact counts.
-
-    min_offset shifts the minimum-degree floor (a sweep may deliberately run
-    one below the conjecture to surface tight hosts).
-    """
-    dmin, dmax = g.min_degree(), g.max_degree()
-    if conjecture == "2k3":
+def template_check(cfg: ExperimentConfig, g: Graph, k: int) -> dict:
+    """Evaluate the conjecture's degree demands at k on a host; all exact counts."""
+    want_min, want_max = cfg.degree_thresholds[k]
+    dmin = g.min_degree()
+    if cfg.conjecture == "second_nbhd":
+        witness = any(
+            g.degree(x) >= want_max and len(second_neighbourhood(g, x)) >= want_max
+            for x in range(g.n)
+        )
         return {
             "min_degree": dmin,
-            "max_degree": dmax,
-            "min_ok": dmin >= (2 * k) // 3 + min_offset,
-            "max_ok": dmax >= k,
+            "min_ok": dmin >= want_min,
+            "witness_vertex_ok": witness,
+            "max_ok": witness,
         }
-    if conjecture == "alpha":
-        if alpha is None:
-            raise PreconditionViolated("alpha template needs alpha")
-        return {
-            "min_degree": dmin,
-            "max_degree": dmax,
-            "min_ok": dmin >= (1 + alpha) * k / 2 + min_offset,
-            "max_ok": dmax >= 2 * (1 - alpha) * k,
-        }
-    if conjecture == "k2_maxdeg":
-        raise PreconditionViolated("k2_maxdeg template needs the tree bound; use template_check_tree")
-    if conjecture == "second_nbhd":
-        best = False
-        for x in range(g.n):
-            if g.degree(x) >= Fraction(4 * k, 3) and len(second_neighbourhood(g, x)) >= Fraction(4 * k, 3):
-                best = True
-                break
-        return {
-            "min_degree": dmin,
-            "min_ok": dmin >= Fraction(k, 2) + min_offset,
-            "witness_vertex_ok": best,
-            "max_ok": best,
-        }
-    raise PreconditionViolated(f"unknown conjecture {conjecture!r}")
-
-
-def template_check_tree(g: Graph, k: int, tree_max_degree: int, min_offset: int = 0) -> dict:
-    dmin, dmax = g.min_degree(), g.max_degree()
+    dmax = g.max_degree()
     return {
         "min_degree": dmin,
         "max_degree": dmax,
-        "min_ok": dmin >= Fraction(k, 2) + min_offset,
-        "max_ok": dmax >= 2 * (1 - Fraction(1, tree_max_degree)) * k,
+        "min_ok": dmin >= want_min,
+        "max_ok": dmax >= want_max,
     }
-
-
-def _template_for(cfg: ExperimentConfig, g: Graph, k: int) -> dict:
-    if cfg.conjecture == "k2_maxdeg":
-        return template_check_tree(g, k, cfg.tree_max_degree, cfg.min_degree_offset)
-    return template_check(cfg.conjecture, g, k, cfg.alpha_value, cfg.min_degree_offset)
 
 
 def _is_planted_trial(cfg: ExperimentConfig, k: int, idx: int) -> bool:
     return cfg.extremal_mix and k % 3 == 0 and idx % 5 == 0
 
 
-def _degree_demand(cfg: ExperimentConfig, k: int) -> tuple[int, int]:
-    """The (min degree, max degree) that a host for k is built to reach."""
-    if cfg.conjecture == "2k3":
-        return (2 * k) // 3 + cfg.min_degree_offset, k
-    if cfg.conjecture == "alpha":
-        alpha = cfg.alpha_value
-        return int(-(-((1 + alpha) * k) // 2)), int(-(-2 * (1 - alpha) * k // 1))
-    if cfg.conjecture == "k2_maxdeg":
-        return -(-k // 2), int(-(-2 * (1 - Fraction(1, cfg.tree_max_degree)) * k // 1))
-    return -(-k // 2), int(-(-Fraction(4 * k, 3) // 1))
-
-
 def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.Random) -> Graph:
     """Build a host aimed at the template (repairs may still miss; the trial
     then counts as template-violating and is skipped)."""
-    delta, want_max = _degree_demand(cfg, k)
-    n_hi = min(cfg.host_params.get("n_hi", cfg.envelope_n), cfg.envelope_n)
+    delta, want_max = cfg.degree_thresholds[k]
+    n_hi = cfg.envelope_n
     # the hub needs want_max neighbours, so aim the order above it when possible
-    n_lo = cfg.host_params.get("n_lo", max(k + 1, min(want_max + 1, n_hi)))
+    n_lo = max(k + 1, min(want_max + 1, n_hi))
     n = rng.randrange(n_lo, max(n_lo, n_hi) + 1)
     delta = min(delta, n - 1)
     g = gen_random_graph_min_degree(n, delta, trial_seed)
@@ -269,8 +242,8 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
     else:
         g = _host_for_trial(cfg, k, trial_seed, rng)
         t = gen_random_tree(k + 1, cfg.tree_max_degree, trial_seed)
-        instance = f"{cfg.host_family}+{cfg.tree_family}"
-    degree_checks = _template_for(cfg, g, k)
+        instance = "random_min_degree+random_tree"
+    degree_checks = template_check(cfg, g, k)
     template_ok = bool(degree_checks.get("min_ok") and degree_checks.get("max_ok"))
 
     stages: list = []

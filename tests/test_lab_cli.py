@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,8 +96,9 @@ def test_alpha_and_k2_templates():
     )
     res = lab.run_sweep(cfg)
     assert res.summary["consistency_failures"] == 0
-    with pytest.raises(PreconditionViolated):
-        lab.template_check("alpha", Graph(2, [(0, 1)]), 4, alpha=None)
+    # a single edge meets neither of k2_maxdeg's demands at k = 8
+    checks = lab.template_check(cfg, Graph(2, [(0, 1)]), 8)
+    assert checks == {"min_degree": 1, "max_degree": 1, "min_ok": False, "max_ok": False}
 
 
 def test_alpha_sweep_beyond_the_envelope_is_usage_error(capsys):
@@ -157,6 +159,59 @@ def test_alpha_is_parsed_once_and_left_out_of_the_config_json():
     assert cfg.alpha_value == Fraction(1, 5)
     assert "alpha_value" not in cfg.to_jsonable()
     assert lab.ExperimentConfig.from_jsonable(cfg.to_jsonable()) == cfg
+
+
+def test_config_json_holds_only_the_settings():
+    cfg = lab.ExperimentConfig(
+        conjecture="k2_maxdeg", k_values=(8, 9), tree_max_degree=3, trials=1, seed=0
+    )
+    assert cfg.degree_thresholds == {8: (4, 11), 9: (5, 12)}
+    assert sorted(cfg.to_jsonable()) == sorted(
+        f.name for f in fields(lab.ExperimentConfig) if f.init
+    )
+    assert len(cfg.to_jsonable()) == 11
+
+
+# (conjecture, k values, alpha) at the ranges where each template fits the
+# 16-vertex envelope
+_TEMPLATES = [
+    ("2k3", (8, 9, 10), None),
+    ("alpha", (6, 7, 8), "1/5"),
+    ("k2_maxdeg", (8, 9, 10), None),
+    ("second_nbhd", (8, 9, 10), None),
+]
+
+
+def _offset_sweep(conjecture, ks, alpha, offset):
+    cfg = lab.ExperimentConfig(
+        conjecture=conjecture, k_values=ks, tree_max_degree=3, trials=30, seed=5, alpha=alpha,
+        min_degree_offset=offset,
+    )
+    return lab.run_sweep(cfg)
+
+
+def test_offset_plus_one_hosts_meet_every_template():
+    # hosts are built to the shifted min-degree demand, so none falls short
+    violations = {
+        c: _offset_sweep(c, ks, alpha, 1).summary["template_violations"]
+        for c, ks, alpha in _TEMPLATES
+    }
+    assert violations == dict.fromkeys(violations, 0)
+
+
+def test_offset_minus_one_builds_hosts_one_below():
+    # the sweep runs hosts just below each bound: per k, the lowest host min
+    # degree drops by exactly one from offset 0 to offset -1
+    def lowest(res):
+        out = {}
+        for r in res.records:
+            out[r.k] = min(out.get(r.k, r.degree_checks["min_degree"]), r.degree_checks["min_degree"])
+        return out
+
+    for c, ks, alpha in _TEMPLATES:
+        at0 = lowest(_offset_sweep(c, ks, alpha, 0))
+        below = lowest(_offset_sweep(c, ks, alpha, -1))
+        assert below == {k: d - 1 for k, d in at0.items()}, c
 
 
 def test_report_formats(tmp_path):
@@ -279,6 +334,58 @@ def test_cli_sweep_from_config_file(tmp_path):
     assert data["config_digest"] == cfg.digest()
     # byte-identical with the library path
     assert rep.read_text() == lab.render_report(lab.run_sweep(cfg))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--conjecture", "second_nbhd"],
+        ["--k", "12"],
+        ["--alpha", "1/5"],
+        ["--tree-max-degree", "4"],
+        ["--trials", "1"],
+        ["--seed", "0"],  # the default value, given explicitly
+        ["--budget", "5"],
+    ],
+    ids=lambda extra: extra[0],
+)
+def test_cli_sweep_config_with_a_sweep_flag_is_usage_error(tmp_path, capsys, extra):
+    # the file sets the whole sweep, so a flag next to it would be dropped
+    cfg = lab.ExperimentConfig(
+        conjecture="2k3", k_values=(8,), tree_max_degree=3, trials=4, seed=6
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_jsonable()))
+    assert cli.main(["sweep", "--config", str(cfg_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and extra[0] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "5", "sweep"],
+        ["--budget", "1", "verify-extremal"],
+        ["split", "--seed", "1", "--op", "two"],
+        ["gen", "--budget", "5", "complete", "--param", "n=3"],
+        ["props", "--format", "csv"],
+    ],
+    ids=["seed-before-sweep", "budget-before-verify", "split-seed", "gen-budget", "props-format"],
+)
+def test_cli_flag_the_command_does_not_read_is_usage_error(tmp_path, argv):
+    tree = tmp_path / "t.json"
+    cli.main(["gen", "path", "--param", "n=4", "--out", str(tree)])
+    if argv[0] == "split":
+        argv = [*argv, "--tree", str(tree)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_sweep_tree_max_degree_zero_is_usage_error(capsys):
+    argv = ["sweep", "--conjecture", "k2_maxdeg", "--tree-max-degree", "0", "--k", "8", "--trials", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_props_small(tmp_path):

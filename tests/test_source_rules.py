@@ -1,6 +1,9 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
+import argparse
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import treebed
@@ -141,3 +144,75 @@ def test_tree_records_check_on_the_view_they_are_given():
                         sites.append(f"{cls.name}:{node.lineno}: {ast.unparse(f)}")
     assert {"TwoForestSplit", "ThreeForestSplit", "EvenOddSplit", "MSFDecomposition"} <= checked
     assert sites == []
+
+
+def _handler_reads(fn):
+    """Names the handler reads off its `args`: `args.x` or `getattr(args, "x", ...)`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "args"
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    # an option the handler never reads is accepted and silently dropped; the
+    # top-level parser takes none, since each subparser would overwrite it
+    from treebed import cli
+
+    ap = cli.build_parser()
+    (subparsers,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = [
+        f"treebed {'/'.join(a.option_strings)}"
+        for a in ap._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+    for name, parser in subparsers.choices.items():
+        fn = parser.get_default("fn")
+        reads = _handler_reads(fn)
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction) and action.dest not in reads:
+                unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
+    assert len(subparsers.choices) == 7
+    assert unread == []
+
+
+def test_every_experiment_config_field_is_read():
+    # a sweep setting that lab.py never reads changes nothing the sweep runs
+    from dataclasses import fields
+
+    from treebed.lab import ExperimentConfig
+
+    module = ast.parse((SRC / "lab.py").read_text())
+    skip = set()
+    for cls in module.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "ExperimentConfig":
+            skip |= {
+                id(node)
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "to_jsonable"
+                for node in ast.walk(fn)
+            }
+    read = {
+        node.attr
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("cfg", "self")
+        and id(node) not in skip
+    }
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert len(names) >= 11
+    assert [n for n in names if n not in read] == []
