@@ -222,7 +222,7 @@ def test_report_formats(tmp_path):
     jpath = tmp_path / "report.json"
     lab.emit_report(res, "json", str(jpath))
     data = json.loads(jpath.read_text())
-    assert data["schema"] == "treebed/1"
+    assert data["schema"] == "treebed/2"
     assert len(data["records"]) == 3
     assert data["summary"]["trials"] == 3
     cpath = tmp_path / "report.csv"
@@ -319,7 +319,7 @@ def test_cli_verify_and_sweep(tmp_path):
          "--out", str(rep)]
     )
     assert rc == 0
-    assert json.loads(rep.read_text())["schema"] == "treebed/1"
+    assert json.loads(rep.read_text())["schema"] == "treebed/2"
 
 
 def test_cli_sweep_from_config_file(tmp_path):
@@ -568,7 +568,7 @@ def test_pipeline_oracle_consistency_is_checked():
 # Golden digest of the canonical report of a 300-trial `2k3` sweep, the kind
 # the benchmark's oracle workload runs.  It pins every record's
 # `pipeline_stages`, oracle status and oracle node count.
-_SWEEP_REPORT_DIGEST = "53cd6f8f63f169508fe254936a51dc9d451075fcce2499b4ca28e4271ff744c7"
+_SWEEP_REPORT_DIGEST = "a378151d996fb692c670138881c9419e809de6f947223f80ea73de3dcdcef319"
 
 
 def test_sweep_report_pinned():
