@@ -20,7 +20,7 @@ from treebed.embed import (
 )
 from treebed import checks, lab
 from treebed.corpus import all_trees_up_to, host_corpus
-from treebed.errors import PreconditionViolated
+from treebed.errors import EmbedNotFound, PreconditionViolated
 from treebed.generators import (
     gen_caterpillar,
     gen_clique_chain_apex,
@@ -288,6 +288,120 @@ def test_matching_forest_needs_enough_portals():
     assert mu >= 1
     with pytest.raises(PreconditionViolated):
         matching_forest_embed(g, core, portals[: mu - 1], t)
+
+
+def _branches_tree(lengths):
+    """A centre with one path branch per length."""
+    edges, nxt = [], 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Tree(nxt, edges)
+
+
+def _wide_escape_host(size: int, x_degree: int):
+    """`_escape_path_host` with cliques of `size` and x_degree apex edges per
+    side: at size 32 a 48-edge tree with three 16-vertex branches admits no
+    two-pool regrouping, so `embed_via_path` runs its path stage."""
+    blocks = [list(range(b * size, (b + 1) * size)) for b in range(3)]
+    edges = [(u, v) for blk in blocks for i, u in enumerate(blk) for v in blk[i + 1:]]
+    x = 3 * size
+    edges += [(x, v) for v in blocks[0][:x_degree] + blocks[1][:x_degree]]
+    a, b_vert = blocks[0][-1], blocks[2][0]
+    g = Graph(x + 1, edges + [(a, b_vert)])
+    return g, x, [VertexSet(blk, g.n) for blk in blocks], a, b_vert
+
+
+def _constructive_cases():
+    """(embedder, call) pairs that reach all six constructive embedders."""
+    trees = all_trees_up_to(8) + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]
+    # the pipeline's own host sets: stored hosts and the hand-built ones
+    hosts = host_corpus() + [
+        gen_two_cliques_apex_grown(6),
+        gen_two_cliques_apex_grown(9),
+        _three_pool_host(4)[0],
+        _three_pool_host(6)[0],
+        _bipartite_apex_host()[0],
+    ]
+    for g in hosts:
+        for t in trees:
+            if t.n <= g.n:
+                yield from checks.pipeline_attempts(g, t)
+    # check_greedy_total's instances, the degree-gated ones included
+    rng = random.Random(repr(("greedy", 0)))
+    for i in range(200):
+        k = rng.randrange(1, 9)
+        t = gen_random_tree(k + 1, rng.randrange(2, 5), 23 * i).with_root(0)
+        n = rng.randrange(k + 2, k + 9)
+        g = gen_random_graph_min_degree(n, k + 1, 29 * i)
+        yield "greedy", lambda g=g, t=t, x=rng.randrange(n): greedy_embed(g, t, x)
+    for k in (6, 9):
+        g = gen_two_cliques_apex_grown(k)
+        size = 2 * k // 3
+        c1, c2 = VertexSet(range(size), g.n), VertexSet(range(size, 2 * size), g.n)
+        for t in trees:
+            yield "apex_split", lambda g=g, c1=c1, c2=c2, t=t: apex_split_embed(g, g.n - 1, c1, c2, t)
+    for block in (4, 6):
+        g, x = _three_pool_host(block)
+        pools = [VertexSet(range(b * block, (b + 1) * block), g.n) for b in range(3)]
+        for t in trees:
+            yield "apex_three_split", lambda g=g, x=x, p=pools, t=t: apex_three_split_embed(
+                g, x, *p, t
+            )
+    g, apex, y1, y2 = _bipartite_apex_host()
+    for n in range(14, 21):
+        for t in (gen_path(n), gen_random_tree(n, 2, seed=n), gen_random_tree(n, 3, seed=n)):
+            yield "bipartite_apex", lambda g=g, t=t: bipartite_apex_embed(g, apex, y1, y2, t)
+    g, x, blocks, a, b_vert = _escape_path_host()
+    pools = [VertexSet(blk, g.n) for blk in blocks]
+    escape_trees = [gen_spider(9, 3), gen_spider(12, 4), _branches_tree((4, 4, 4)), gen_path(13)]
+    for t in escape_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
+        for slack in (8, 64):
+            yield "embed_via_path", lambda g=g, x=x, p=pools, a=a, b=b_vert, t=t, s=slack: (
+                embed_via_path(g, x, *p, a, b, t, slack=s)
+            )
+    for x_degree in (3, 6):
+        g, x, pools, a, b_vert = _wide_escape_host(32, x_degree)
+        for lengths in ((16, 16, 16), (15, 16, 17), (12, 12, 12, 12), (16, 16, 8, 8)):
+            t = _branches_tree(lengths)
+            for slack in (0, 1, 8):
+                yield "embed_via_path", lambda g=g, x=x, p=pools, a=a, b=b_vert, t=t, s=slack: (
+                    embed_via_path(g, x, *p, a, b, t, slack=s)
+                )
+    g, core, portals = _matching_forest_host()
+    mf_trees = [gen_caterpillar(9, 4, seed=5), gen_three_branch_tree(6), gen_path(13)]
+    for t in mf_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
+        for budget in (5, 2_000_000):
+            yield "matching_forest", lambda g=g, t=t, b=budget: matching_forest_embed(
+                g, core, portals, t, budget=b
+            )
+
+
+# Golden digest of every constructive embedder's outcomes on
+# `_constructive_cases`: (status, mapping, nodes_explored) for a found
+# outcome, the exception type and EmbedNotFound's stage for a failure.
+# Message texts are left out, so rewording an error does not move it.
+_CONSTRUCTIVE_DIGEST = "fd83e80cab99e1bc623885bf7241867743fa07fd3419bfa01d9a72d39e7e73ec"
+
+
+def test_constructive_outcomes_pinned():
+    h = hashlib.sha256()
+    found: dict = {}
+    for name, attempt in _constructive_cases():
+        try:
+            out = attempt()
+        except (PreconditionViolated, EmbedNotFound) as exc:
+            h.update(repr((name, type(exc).__name__, getattr(exc, "stage", None))).encode())
+            continue
+        found[name] = found.get(name, 0) + 1
+        h.update(repr((name, out.status, out.embedding.mapping, out.nodes_explored)).encode())
+    assert set(found) == {
+        "greedy", "apex_split", "apex_three_split", "bipartite_apex", "embed_via_path",
+        "matching_forest",
+    }
+    assert h.hexdigest() == _CONSTRUCTIVE_DIGEST, found
 
 
 def test_outcome_invariants():
