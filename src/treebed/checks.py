@@ -2,8 +2,9 @@
 
 Each runner draws seeded instances, re-verifies the promised property with
 independent recomputation where the contract calls for one, and returns a
-CheckResult.  The acceptance tests call these at their stated scales; the
-`props` CLI command runs them at a configurable scale.
+CheckResult.  A seeded runner's default `count` is its stated scale: the
+`props` CLI command runs it there unless `--trials` caps it, and the
+acceptance tests call these at their stated scales.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class CheckResult:
 # graph invariants
 
 
-def check_periphery_monotonic(seed: int = 0, count: int = 60) -> CheckResult:
+def check_periphery_monotonic(seed: int = 0, count: int = 200) -> CheckResult:
     res = CheckResult("periphery: antitone in the threshold")
     rng = random.Random(repr(("periph", seed)))
     for i in range(count):
@@ -121,7 +122,7 @@ def _min_cut_reference(g: Graph) -> Fraction:
     return best
 
 
-def check_cut_density_cross(seed: int = 0, count: int = 40) -> CheckResult:
+def check_cut_density_cross(seed: int = 0, count: int = 60) -> CheckResult:
     res = CheckResult("cut density: kernel agrees with an independent enumerator")
     rng = random.Random(repr(("cutx", seed)))
     for i in range(count):
@@ -199,7 +200,7 @@ def check_diameter_bound(seed: int = 0, count: int = 500) -> CheckResult:
     return res
 
 
-def check_path_in_range(seed: int = 0, count: int = 120) -> CheckResult:
+def check_path_in_range(seed: int = 0, count: int = 150) -> CheckResult:
     res = CheckResult("path_in_range: returned paths simple, connecting, in window")
     rng = random.Random(repr(("pir", seed)))
     for i in range(count):
@@ -306,7 +307,7 @@ def check_tree_splitting(seed: int = 0, count: int = 1000, max_n: int = 200) -> 
     return res
 
 
-def check_even_odd_exhaustive(seed: int = 0, count: int = 120) -> CheckResult:
+def check_even_odd_exhaustive(seed: int = 0, count: int = 150) -> CheckResult:
     res = CheckResult("even/odd split: feasible against exhaustive enumeration")
     rng = random.Random(repr(("eo", seed)))
     for i in range(count):
@@ -706,7 +707,7 @@ def check_rich_independent(seed: int = 0, count: int = 200) -> CheckResult:
     return res
 
 
-def check_classify_accounting(seed: int = 0, count: int = 120) -> CheckResult:
+def check_classify_accounting(seed: int = 0, count: int = 150) -> CheckResult:
     res = CheckResult("classification: residual degrees account exactly")
     rng = random.Random(repr(("classify", seed)))
     for i in range(count):

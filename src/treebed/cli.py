@@ -80,6 +80,13 @@ def _parse_params(items: list[str]) -> dict:
     return out
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionViolated(f"{flag} takes a fraction like 1/2, got {text!r}") from None
+
+
 def cmd_gen(args) -> int:
     params = _parse_params(args.param)
     spec = FamilySpec(args.family, params, args.seed)
@@ -183,14 +190,17 @@ def cmd_embed(args) -> int:
         "embedding": dict(out.embedding.mapping) if out.embedding else None,
     }
     _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    if out.status == "budget_exhausted":
+        print(f"inconclusive: the oracle spent its budget of {args.budget} nodes", file=sys.stderr)
+        return 3
     return 0
 
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.host)
     if args.op == "rich":
-        rho = Fraction(args.rho) if args.rho is not None else Fraction(0)
-        p = RichParams(Fraction(args.c), rho, args.k)
+        rho = _fraction("--rho", args.rho) if args.rho is not None else Fraction(0)
+        p = RichParams(_fraction("--c", args.c), rho, args.k)
         rd = rich_decompose(g, args.k, p)
         payload = {
             "op": "rich",
@@ -202,11 +212,11 @@ def cmd_decompose(args) -> int:
     elif args.op == "refine":
         res = refine_cut_dense(
             g,
-            Fraction(args.a),
-            Fraction(args.eps),
-            Fraction(args.delta),
+            _fraction("--a", args.a),
+            _fraction("--eps", args.eps),
+            _fraction("--delta", args.delta),
             args.k,
-            rho=Fraction(args.rho) if args.rho is not None else None,
+            rho=_fraction("--rho", args.rho) if args.rho is not None else None,
             relax_delta=args.relax_delta,
         )
         payload = {

@@ -7,7 +7,7 @@ Everything here is analysis over immutable graphs; reports carry evidence
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -170,7 +170,6 @@ class RefineResult:
     log: tuple[RefineStep, ...]
     rho: Fraction
     inconclusive: tuple[tuple[int, ...], ...]
-    relaxed_delta: bool
 
     @property
     def certified_exact(self) -> bool:
@@ -211,11 +210,8 @@ def refine_cut_dense(
         raise PreconditionViolated("min degree below (a + eps)k")
     if g.n > 100 * k:
         raise PreconditionViolated("graph order above 100k")
-    relaxed = False
-    if delta >= eps / 400:
-        if not relax_delta:
-            raise PreconditionViolated("delta must stay below eps/400 (or pass relax_delta=True)")
-        relaxed = True
+    if delta >= eps / 400 and not relax_delta:
+        raise PreconditionViolated("delta must stay below eps/400 (or pass relax_delta=True)")
 
     # cur keeps the original ids; deleted vertices stay as isolated points
     cur = g
@@ -286,7 +282,6 @@ def refine_cut_dense(
         log=tuple(log),
         rho=rho,
         inconclusive=tuple(inconclusive),
-        relaxed_delta=relaxed,
     )
 
 
@@ -311,8 +306,7 @@ class CollectionReport:
     """Collection-level classification at split threshold s and closure threshold t.
 
     Maximal-coverage optimality of the collection itself is NOT asserted
-    anywhere; it is unverifiable and `coverage_maximality_verified` records
-    that honestly.
+    anywhere; it is unverifiable.
     """
 
     components: tuple[VertexSet, ...]
@@ -322,17 +316,22 @@ class CollectionReport:
     closed: tuple[bool, ...]
     peripheries_t: tuple[VertexSet, ...]
     affinities: tuple[VertexAffinity, ...]
-    coverage_maximality_verified: bool = field(default=False)
 
 
-def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> CollectionReport:
-    """Peripheries, closed/open status, split vertices and per-vertex affinities."""
-    cvs = [as_vertex_set(c, g.n) for c in comps]
+def _disjoint_vertex_sets(comps: Sequence, n: int) -> list[VertexSet]:
+    """The components as VertexSets of an n-vertex graph; they must not overlap."""
+    cvs = [as_vertex_set(c, n) for c in comps]
     union: set = set()
     for c in cvs:
         if c.as_set() & union:
             raise OverlappingComponents("components overlap")
         union |= c.as_set()
+    return cvs
+
+
+def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> CollectionReport:
+    """Peripheries, closed/open status, split vertices and per-vertex affinities."""
+    cvs = _disjoint_vertex_sets(comps, g.n)
     periph_s = [periphery(g, c, s).as_set() for c in cvs]
     periph_t = [periphery(g, c, t) for c in cvs]
     split = set()
@@ -426,12 +425,7 @@ def intersection_property_report(
     Components must be (1/2 + eps, 0, k)-rich; that is re-checked here.
     """
     eps = Fraction(eps)
-    cvs = [as_vertex_set(c, g.n) for c in comps]
-    union: set = set()
-    for c in cvs:
-        if c.as_set() & union:
-            raise OverlappingComponents("components overlap")
-        union |= c.as_set()
+    cvs = _disjoint_vertex_sets(comps, g.n)
     p = RichParams(Fraction(1, 2) + eps, Fraction(0), k)
     reports = tuple(is_rich(g, c, p, cover_budget=cover_budget) for c in cvs)
     for rep in reports:
@@ -498,12 +492,7 @@ def external_internal_classify(
 ) -> tuple[VertexSet, VertexSet]:
     """Partition the second neighbourhood of x: external vertices sit in the
     eta_k-periphery of some component beyond the designated first two."""
-    cvs = [as_vertex_set(c, g.n) for c in comps]
-    union: set = set()
-    for c in cvs:
-        if c.as_set() & union:
-            raise OverlappingComponents("components overlap")
-        union |= c.as_set()
+    cvs = _disjoint_vertex_sets(comps, g.n)
     n2 = second_neighbourhood(g, x)
     ext = []
     for z in n2:

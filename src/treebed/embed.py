@@ -51,9 +51,6 @@ class Embedding:
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
 
-    def image(self) -> frozenset:
-        return frozenset(hv for _, hv in self.mapping)
-
     def __len__(self) -> int:
         return len(self.mapping)
 
@@ -250,6 +247,15 @@ def brute_force_embed(
 # Greedy machinery shared by the constructive procedures
 
 
+def _certify_placed(g: Graph, t: Tree, phi: dict, oracle_nodes: int = 0) -> EmbedOutcome:
+    """The found outcome for a constructive map phi.  Each of the t.n tree
+    vertices is placed once, so the work reported is t.n placements plus the
+    oracle nodes spent; a partial or non-injective phi is a bug, not bad input."""
+    if len(phi) != t.n or len(set(phi.values())) != t.n:
+        raise InternalInvariantError("constructive map is partial or not injective")
+    return _certify_found(g, t, Embedding.from_dict(phi), t.n + oracle_nodes)
+
+
 def _greedy_subtree(
     g: Graph,
     t: Tree,
@@ -257,36 +263,36 @@ def _greedy_subtree(
     root_t: int,
     phi: dict,
     used: set,
-    pool_for: Callable[[int], frozenset],
+    pool: frozenset | Callable[[int], frozenset],
     stage: str,
-) -> int:
+) -> None:
     """Extend phi over `members` BFS-out from root_t (already placed).
 
-    Each vertex lands on the smallest unused neighbour of its parent's image
-    inside its own pool.  Returns the number of placements; raises
-    EmbedNotFound on a dead end.
+    Each vertex w lands on the smallest unused neighbour of its parent's image
+    inside its pool: `pool` itself, or `pool(w)` when pools differ per vertex.
+    Raises EmbedNotFound on a dead end.
     """
-    placed = 0
+    pool_for = pool if callable(pool) else lambda _: pool
     queue = [root_t]
-    qhead = 0
-    while qhead < len(queue):
-        v = queue[qhead]
-        qhead += 1
+    for v in queue:  # the list grows while it is walked
         for w in t.neighbors(v):
             if w not in members or w in phi:
                 continue
-            pool = pool_for(w)
-            img = next(
-                (h for h in g.neighbors(phi[v]) if h not in used and h in pool),
-                None,
-            )
+            inside = pool_for(w)
+            img = next((h for h in g.neighbors(phi[v]) if h not in used and h in inside), None)
             if img is None:
                 raise EmbedNotFound(stage, f"no host available for tree vertex {w}")
             phi[w] = img
             used.add(img)
-            placed += 1
             queue.append(w)
-    return placed
+
+
+def _place_forests(g: Graph, t: Tree, x: int, r: int, parts) -> dict:
+    """Put r on x, then grow each (members, pool, stage) part from r in turn."""
+    phi, used = {r: x}, {x}
+    for members, pool, stage in parts:
+        _greedy_subtree(g, t, members, r, phi, used, pool, stage)
+    return phi
 
 
 def _min_degree_without(g: Graph, x: int) -> int:
@@ -313,13 +319,9 @@ def greedy_embed(g: Graph, t: Tree, x: int, root: Optional[int] = None) -> Embed
         raise PreconditionViolated(f"need min degree {k} in g - x")
     if g.degree(x) < t.max_degree():
         raise PreconditionViolated("apex degree below the tree's max degree")
-    phi = {r: x}
-    used = {x}
     everything = frozenset(range(g.n))
-    placed = _greedy_subtree(
-        g, t, frozenset(range(t.n)), r, phi, used, lambda _: everything, "greedy"
-    )
-    return _certify_found(g, t, Embedding.from_dict(phi), placed + 1)
+    phi = _place_forests(g, t, x, r, [(frozenset(range(t.n)), everything, "greedy")])
+    return _certify_placed(g, t, phi)
 
 
 def apex_split_embed(g: Graph, x: int, c1, c2, t: Tree) -> EmbedOutcome:
@@ -334,26 +336,14 @@ def apex_split_embed(g: Graph, x: int, c1, c2, t: Tree) -> EmbedOutcome:
     for s in (s1, s2):
         if g.min_degree_within(s.members) < floor:
             raise PreconditionViolated(f"pool min degree below floor(2k/3)-1 = {floor}")
-        if sum(1 for h in g.neighbors(x) if h in s) < dmax:
+        if g.deg_within(x, s.as_set()) < dmax:
             raise PreconditionViolated("x lacks max_degree(t) neighbours in a pool")
     split = split_two_forests(t)
     r = split.pivot
-    phi = {r: x}
-    used = {x}
-    placed = 1
-    for forest, pool in ((split.f1, s1), (split.f2, s2)):
-        pf = pool.as_set()
-        placed += _greedy_subtree(
-            g,
-            t,
-            forest.as_set() | {r},
-            r,
-            phi,
-            used,
-            lambda _: pf,
-            "apex_split",
-        )
-    return _certify_found(g, t, Embedding.from_dict(phi), placed)
+    parts = [
+        (f.as_set() | {r}, s.as_set(), "apex_split") for f, s in ((split.f1, s1), (split.f2, s2))
+    ]
+    return _certify_placed(g, t, _place_forests(g, t, x, r, parts))
 
 
 def apex_three_split_embed(g: Graph, x: int, c1, c2, c3, t: Tree) -> EmbedOutcome:
@@ -369,33 +359,21 @@ def apex_three_split_embed(g: Graph, x: int, c1, c2, c3, t: Tree) -> EmbedOutcom
     k, dmax = t.k, t.max_degree()
     need = -(-k // 2) + 2
     for p in pools:
-        sub = p.as_set() - {x}
-        if g.min_degree_within(sub) < need:
+        if g.min_degree_within(p.members) < need:
             raise PreconditionViolated(f"pool min degree below ceil(k/2)+2 = {need}")
     for p in pools[:2]:
-        if sum(1 for h in g.neighbors(x) if h in p) < dmax:
+        if g.deg_within(x, p.as_set()) < dmax:
             raise PreconditionViolated("x lacks max_degree(t) neighbours in a main pool")
     if not any(h in pools[2] for h in g.neighbors(x)):
         raise PreconditionViolated("x has no neighbour in the third pool")
     split = split_three_forests(t)
     r = split.pivot
-    phi = {r: x}
-    used = {x}
-    placed = 1
-    for forest, pool in ((split.f1, pools[0]), (split.f2, pools[1])):
-        pf = pool.as_set()
-        placed += _greedy_subtree(
-            g, t, forest.as_set() | {r}, r, phi, used, lambda _: pf, "apex_three"
-        )
-    f3 = split.f3.as_set()
-    if f3:
-        u = next(w for w in t.neighbors(r) if w in f3)
-        y = next(h for h in g.neighbors(x) if h in pools[2] and h not in used)
-        pf3 = pools[2].as_set() - {x}
-        phi[u] = y
-        used.add(y)
-        placed += 1 + _greedy_subtree(g, t, f3, u, phi, used, lambda _: pf3, "apex_three_f3")
-    return _certify_found(g, t, Embedding.from_dict(phi), placed)
+    stages = ("apex_three", "apex_three", "apex_three_f3")
+    parts = [
+        (f.as_set() | {r}, p.as_set(), stage)
+        for f, p, stage in zip((split.f1, split.f2, split.f3), pools, stages)
+    ]
+    return _certify_placed(g, t, _place_forests(g, t, x, r, parts))
 
 
 def bipartite_apex_embed(g: Graph, x: int, y1, y2, t: Tree) -> EmbedOutcome:
@@ -419,42 +397,25 @@ def bipartite_apex_embed(g: Graph, x: int, y1, y2, t: Tree) -> EmbedOutcome:
     if _min_degree_without(g, x) < threshold:
         raise PreconditionViolated("min degree of g - x below (2/3 - 1/(6*max_degree))k")
     for s in (s1, s2):
-        if sum(1 for h in g.neighbors(x) if h in s) < dmax:
+        if g.deg_within(x, s.as_set()) < dmax:
             raise PreconditionViolated("x lacks max_degree(t) neighbours in a side")
     eo = even_odd_split(t)
     r = eo.root
-    rv = t.rooted(r)
-    side_sets = {1: s1.as_set(), 2: s2.as_set()}
-    class_of: dict[int, int] = {}
-    for idx in eo.class1:
-        class_of[idx] = 1
-    for idx in eo.class2:
-        class_of[idx] = 2
-    comp_of_vertex: dict[int, int] = {}
-    for ci, comp in enumerate(eo.components):
-        for v in comp:
-            comp_of_vertex[v] = ci
-
-    def pool_for(w: int) -> frozenset:
-        j = class_of[comp_of_vertex[w]]
-        if rv.depth[w] % 2 == 1:
-            return side_sets[j]
-        return side_sets[3 - j]
-
-    phi = {r: x}
-    used = {x}
-    placed = 1 + _greedy_subtree(
-        g, t, frozenset(range(t.n)), r, phi, used, pool_for, "bipartite_apex"
+    depth = t.rooted(r).depth
+    sides = (s1.as_set(), s2.as_set())
+    # a vertex of a class-j component lies on side j at odd depth, else on the other
+    pool_of = {}
+    for j, class_j in enumerate((eo.class1, eo.class2)):
+        for ci in class_j:
+            for w in eo.components[ci]:
+                pool_of[w] = sides[j] if depth[w] % 2 else sides[1 - j]
+    phi = _place_forests(
+        g, t, x, r, [(frozenset(range(t.n)), pool_of.__getitem__, "bipartite_apex")]
     )
     # class discipline is structural; re-check it rather than trusting the pools
-    for w in range(t.n):
-        if w == r:
-            continue
-        j = class_of[comp_of_vertex[w]]
-        want = side_sets[j] if rv.depth[w] % 2 == 1 else side_sets[3 - j]
-        if phi[w] not in want:
-            raise InternalInvariantError("parity discipline violated")
-    return _certify_found(g, t, Embedding.from_dict(phi), placed)
+    if any(phi[w] not in pool for w, pool in pool_of.items()):
+        raise InternalInvariantError("parity discipline violated")
+    return _certify_placed(g, t, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +458,9 @@ def embed_via_path(
     for s in (A, B1, B2):
         if g.min_degree_within(s.members) < threshold:
             raise PreconditionViolated("pool min degree below (2/3 - eps)k")
-    if sum(1 for h in g.neighbors(x) if h in A) < dmax:
+    if g.deg_within(x, A.as_set()) < dmax:
         raise PreconditionViolated("x lacks neighbours in A")
-    if sum(1 for h in g.neighbors(x) if h in B1) < dmax:
+    if g.deg_within(x, B1.as_set()) < dmax:
         raise PreconditionViolated("x lacks neighbours in B1")
     if g.deg_within(a, A.as_set()) < 2 * dmax:
         raise PreconditionViolated("a is not in the 2*max_degree periphery of A")
@@ -518,13 +479,8 @@ def embed_via_path(
     if pick is not None:
         f1 = frozenset(v for i in pick for v in comps[i]) | {r}
         f2 = (frozenset(range(t.n)) - f1) | {r}
-        phi = {r: x}
-        used = {x}
-        placed = 1
-        pa, pb = A.as_set(), B1.as_set()
-        placed += _greedy_subtree(g, t, f1, r, phi, used, lambda _: pa, "split_A")
-        placed += _greedy_subtree(g, t, f2, r, phi, used, lambda _: pb, "split_B1")
-        return _certify_found(g, t, Embedding.from_dict(phi), placed)
+        parts = [(f1, A.as_set(), "split_A"), (f2, B1.as_set(), "split_B1")]
+        return _certify_placed(g, t, _place_forests(g, t, x, r, parts))
 
     if len(comps) < 2:
         raise EmbedNotFound("structure", "separator left a single component")
@@ -575,35 +531,21 @@ def embed_via_path(
             "heavy-branch load into A exceeds (1/3 - 3*eps)k",
         )
 
-    phi = {r: x}
-    used = {x}
-    placed = 1
-    for i, hv in enumerate(host_path, start=1):
-        phi[p_path[i]] = hv
-        used.add(hv)
-        placed += 1
-    phi[p_path[L + 2]] = a
-    phi[p_path[L + 3]] = b
-    used.update((a, b))
-    placed += 2
+    phi = {r: x, p_path[L + 2]: a, p_path[L + 3]: b}
+    phi.update(zip(p_path[1:], host_path))
+    used = set(phi.values())
 
-    path_set = set(host_path)
-    pool_a_inner = a_pool - path_set
+    pool_a_inner = a_pool - set(host_path)
     for i in range(1, L + 2):
         branch = _branch_vertices(rv, p_path[i], p_path[i + 1])
-        placed += _greedy_subtree(
-            g, t, branch, p_path[i], phi, used, lambda _: pool_a_inner, "branches_A"
-        )
+        _greedy_subtree(g, t, branch, p_path[i], phi, used, pool_a_inner, "branches_A")
     branch = _branch_vertices(rv, p_path[L + 2], p_path[L + 3])
-    all_a = A.as_set()
-    a_minus_y = all_a - {y}  # y stays reserved as the entry point for S2
-    placed += _greedy_subtree(
-        g, t, branch, p_path[L + 2], phi, used, lambda _: a_minus_y, "branch_a"
-    )
+    a_minus_y = A.as_set() - {y}  # y stays reserved as the entry point for S2
+    _greedy_subtree(g, t, branch, p_path[L + 2], phi, used, a_minus_y, "branch_a")
 
     tail = frozenset(rv.subtree_vertices(p_path[L + 3]))
     pool_b2 = (B2.as_set() - set(y_b)) | {b}
-    placed += _greedy_subtree(g, t, tail, p_path[L + 3], phi, used, lambda _: pool_b2, "tail_B2")
+    _greedy_subtree(g, t, tail, p_path[L + 3], phi, used, pool_b2, "tail_B2")
 
     s2 = comps[1]
     u2 = next(w for w in t.neighbors(r) if w in set(s2))
@@ -611,16 +553,10 @@ def embed_via_path(
         raise EmbedNotFound("s2", "reserved neighbour y was consumed")
     phi[u2] = y
     used.add(y)
-    placed += 1 + _greedy_subtree(
-        g, t, frozenset(s2), u2, phi, used, lambda _: all_a, "s2_A"
-    )
-    rest = frozenset(range(t.n)) - frozenset(phi)
-    if rest:
-        all_b1 = B1.as_set()
-        placed += _greedy_subtree(
-            g, t, rest | {r}, r, phi, used, lambda _: all_b1, "rest_B1"
-        )
-    return _certify_found(g, t, Embedding.from_dict(phi), placed)
+    _greedy_subtree(g, t, frozenset(s2), u2, phi, used, A.as_set(), "s2_A")
+    # the components of T - r beyond S1 and S2 are all that is left unplaced
+    _greedy_subtree(g, t, frozenset(range(t.n)), r, phi, used, B1.as_set(), "rest_B1")
+    return _certify_placed(g, t, phi)
 
 
 def _branch_vertices(rv, p_i: int, p_next: int) -> frozenset:
@@ -705,23 +641,15 @@ def matching_forest_embed(
             continue
         phi = {s_verts[i]: core_map[h] for i, h in out.embedding.mapping}
         used = set(phi.values())
-        placed = len(phi)
-        ok = True
-        for q in range(mu):
-            (u, w), pv = parsed[assignment[q]]
-            f_end = matched[q][1]
-            phi[f_end] = w
-            used.add(w)
-            placed += 1
-            comp = next(c for c in msf.f_components if f_end in c)
-            pool = pv.as_set()
-            try:
-                placed += _greedy_subtree(
-                    g, t, frozenset(comp), f_end, phi, used, lambda _: pool, "forest"
-                )
-            except EmbedNotFound:
-                ok = False
-                break
-        if ok and len(phi) == t.n:
-            return _certify_found(g, t, Embedding.from_dict(phi), nodes_total + placed)
+        try:
+            for q in range(mu):
+                (_, w), pv = parsed[assignment[q]]
+                f_end = matched[q][1]
+                phi[f_end] = w
+                used.add(w)
+                comp = next(c for c in msf.f_components if f_end in c)
+                _greedy_subtree(g, t, frozenset(comp), f_end, phi, used, pv.as_set(), "forest")
+        except EmbedNotFound:
+            continue
+        return _certify_placed(g, t, phi, nodes_total)
     raise EmbedNotFound("s_placement", "no portal assignment admits the central tree")

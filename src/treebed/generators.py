@@ -32,9 +32,6 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
 
-    def key(self) -> tuple:
-        return (self.family, tuple(sorted(self.params.items())), self.seed)
-
 
 def _assert_profile(g: Graph, min_deg: int, max_deg: int) -> None:
     if g.min_degree() != min_deg or g.max_degree() != max_deg:
@@ -48,23 +45,26 @@ def _assert_profile(g: Graph, min_deg: int, max_deg: int) -> None:
 # Extremal hosts
 
 
+def _two_cliques_apex(k: int, size: int) -> Graph:
+    """Two disjoint cliques on `size` vertices plus one vertex adjacent to all
+    of them; k must be a positive multiple of 3."""
+    if k < 3 or k % 3:
+        raise PreconditionViolated("k must be a positive multiple of 3")
+    edges = [
+        (base + i, base + j) for base in (0, size) for i in range(size) for j in range(i + 1, size)
+    ]
+    apex = 2 * size
+    edges.extend((v, apex) for v in range(apex))
+    return Graph(apex + 1, edges)
+
+
 def gen_two_cliques_apex(k: int) -> Graph:
     """Two disjoint cliques on 2k/3 - 1 vertices plus one universal vertex.
 
     The tight host for the 2k/3 minimum-degree threshold: min degree lands on
     2k/3 - 1, max degree on 4k/3 - 2 (both re-counted).
     """
-    if k < 3 or k % 3:
-        raise PreconditionViolated("k must be a positive multiple of 3")
-    size = 2 * k // 3 - 1
-    edges = []
-    for base in (0, size):
-        for i in range(size):
-            for j in range(i + 1, size):
-                edges.append((base + i, base + j))
-    apex = 2 * size
-    edges.extend((v, apex) for v in range(2 * size))
-    g = Graph(2 * size + 1, edges)
+    g = _two_cliques_apex(k, 2 * k // 3 - 1)
     _assert_profile(g, 2 * k // 3 - 1, 4 * k // 3 - 2)
     return g
 
@@ -72,17 +72,7 @@ def gen_two_cliques_apex(k: int) -> Graph:
 def gen_two_cliques_apex_grown(k: int) -> Graph:
     """The same host with one extra vertex in each clique, lifting min degree
     to exactly floor(2k/3); the threshold's other side."""
-    if k < 3 or k % 3:
-        raise PreconditionViolated("k must be a positive multiple of 3")
-    size = 2 * k // 3
-    edges = []
-    for base in (0, size):
-        for i in range(size):
-            for j in range(i + 1, size):
-                edges.append((base + i, base + j))
-    apex = 2 * size
-    edges.extend((v, apex) for v in range(2 * size))
-    g = Graph(2 * size + 1, edges)
+    g = _two_cliques_apex(k, 2 * k // 3)
     _assert_profile(g, 2 * k // 3, 4 * k // 3)
     return g
 
@@ -412,11 +402,37 @@ def gen_random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 # FamilySpec dispatch (CLI entry point)
 
+
+class _Params(dict):
+    """A family's key=value parameters: integers, except the fraction `alpha`.
+    Reading one that is missing or malformed is a usage error."""
+
+    def __init__(self, family: str, params: dict):
+        super().__init__(params)
+        self.family = family
+
+    def __getitem__(self, key: str):
+        if key not in self:
+            raise PreconditionViolated(f"family {self.family!r} needs the parameter {key}=...")
+        val = dict.__getitem__(self, key)
+        if key == "alpha":
+            try:
+                return Fraction(val)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise PreconditionViolated(f"alpha={val!r} is not a fraction like 1/5") from None
+        if not isinstance(val, int):
+            raise PreconditionViolated(f"parameter {key}={val!r} is not an integer")
+        return val
+
+    def get(self, key: str, default=None):
+        return self[key] if key in self else default
+
+
 _GRAPH_FAMILIES = {
     "two_cliques_apex": lambda p, s: gen_two_cliques_apex(p["k"]),
     "two_cliques_apex_grown": lambda p, s: gen_two_cliques_apex_grown(p["k"]),
     "bps_alpha_host": lambda p, s: gen_bps_alpha_host(
-        p["k"], Fraction(p["alpha"]), s or 0
+        p["k"], p["alpha"], s or 0
     )[0],
     "clique_chain_apex": lambda p, s: gen_clique_chain_apex(p["k"], p["d"]),
     "complete_bipartite": lambda p, s: gen_complete_bipartite(p["m"], p["n"]),
@@ -441,13 +457,13 @@ _TREE_FAMILIES = {
 def build_graph(spec: FamilySpec) -> Graph:
     if spec.family not in _GRAPH_FAMILIES:
         raise PreconditionViolated(f"unknown graph family {spec.family!r}")
-    return _GRAPH_FAMILIES[spec.family](spec.params, spec.seed)
+    return _GRAPH_FAMILIES[spec.family](_Params(spec.family, spec.params), spec.seed)
 
 
 def build_tree(spec: FamilySpec) -> Tree:
     if spec.family not in _TREE_FAMILIES:
         raise PreconditionViolated(f"unknown tree family {spec.family!r}")
-    return _TREE_FAMILIES[spec.family](spec.params, spec.seed)
+    return _TREE_FAMILIES[spec.family](_Params(spec.family, spec.params), spec.seed)
 
 
 GRAPH_FAMILY_NAMES = tuple(sorted(_GRAPH_FAMILIES))

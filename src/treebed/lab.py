@@ -9,6 +9,7 @@ exhausted oracle may call a trial a counterexample candidate, and a pipeline
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -147,10 +148,9 @@ class TrialRecord:
     oracle_nodes: int
     verdict: str  # embedded | counterexample-candidate | inconclusive
     consistency_failure: bool
-    wall_ms: int = 0  # excluded from canonical reports; kept for live inspection
 
-    def to_jsonable(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_jsonable(self) -> dict:
+        return {
             "trial_index": self.trial_index,
             "trial_seed": self.trial_seed,
             "instance": self.instance,
@@ -167,9 +167,6 @@ class TrialRecord:
             "verdict": self.verdict,
             "consistency_failure": self.consistency_failure,
         }
-        if include_timing:
-            d["wall_ms"] = self.wall_ms
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +227,6 @@ def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.
 
 
 def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
-    t0 = time.monotonic()
     trial_seed = cfg.seed * 1_000_003 + idx
     rng = random.Random(repr(("trial", cfg.seed, idx)))
     k = cfg.k_values[idx % len(cfg.k_values)]
@@ -296,7 +292,6 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
         oracle_nodes=oracle_nodes,
         verdict=verdict,
         consistency_failure=consistency_failure,
-        wall_ms=int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -314,12 +309,12 @@ class SweepResult:
     records: list[TrialRecord]
     summary: dict
 
-    def to_jsonable(self, include_timing: bool = False) -> dict:
+    def to_jsonable(self) -> dict:
         return {
             "schema": SCHEMA,
             "config": self.config.to_jsonable(),
             "config_digest": self.config.digest(),
-            "records": [r.to_jsonable(include_timing) for r in self.records],
+            "records": [r.to_jsonable() for r in self.records],
             "summary": self.summary,
         }
 
@@ -416,38 +411,19 @@ def verify_extremal(k: int, budget: int = 10**9) -> ExtremalReport:
 # Property suite
 
 
-STATED_SCALES = {
-    "periphery_monotonic": {"count": 200},
-    "cut_density_cross": {"count": 60},
-    "matching_bound": {"count": 1000},
-    "even_walk_bound": {"count": 500},
-    "diameter_bound": {"count": 500},
-    "path_in_range": {"count": 150},
-    "tree_splitting": {"count": 1000, "max_n": 200},
-    "even_odd_exhaustive": {"count": 150},
-    "msf": {"count": 1000, "max_n": 200},
-    "msf_p3_paths": {"count": 100},
-    "sum_partition_exhaustive": {},
-    "greedy_total": {"count": 1000},
-    "structured_embedders": {},
-    "refine_contract": {"count": 100},
-    "rich_independent": {"count": 200},
-    "classify_accounting": {"count": 150},
-}
-
-
 def property_suite(seed: int = 0, trials: Optional[int] = None) -> list[checks.CheckResult]:
     """Run every module invariant; trials caps the per-invariant instance count
-    (None = stated scales, 0 = nothing)."""
+    (None = each check's stated scale, its default count; 0 = nothing)."""
     if trials == 0:
         return []
     out = []
-    for name, fn in checks.ALL_CHECKS.items():
-        kwargs = dict(STATED_SCALES.get(name, {}))
-        if "count" in kwargs:
-            if trials is not None:
-                kwargs["count"] = min(kwargs["count"], trials)
+    for fn in checks.ALL_CHECKS.values():
+        params = inspect.signature(fn).parameters
+        kwargs = {}
+        if "count" in params:  # the seeded checks; the others are fixed grids
             kwargs["seed"] = seed
+            if trials is not None:
+                kwargs["count"] = min(params["count"].default, trials)
         out.append(timed_check(fn, **kwargs))
     return out
 
@@ -495,10 +471,10 @@ CSV_COLUMNS = [
 ]
 
 
-def render_report(result: SweepResult, fmt: str = "json", include_timing: bool = False) -> str:
+def render_report(result: SweepResult, fmt: str = "json") -> str:
     """Canonical serialization; JSON is byte-stable for equal configs."""
     if fmt == "json":
-        return json.dumps(result.to_jsonable(include_timing), sort_keys=True, indent=2) + "\n"
+        return json.dumps(result.to_jsonable(), sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for r in result.records:
@@ -506,10 +482,3 @@ def render_report(result: SweepResult, fmt: str = "json", include_timing: bool =
             lines.append(",".join(str(row[c]) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
     raise PreconditionViolated(f"unknown format {fmt!r}")
-
-
-def emit_report(result: SweepResult, fmt: str, path: str, include_timing: bool = False) -> str:
-    text = render_report(result, fmt, include_timing)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path

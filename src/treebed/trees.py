@@ -753,7 +753,6 @@ class MSFDecomposition:
     matching: tuple[tuple[int, int], ...]  # (s_end, f_end) pairs
     s_vertices: tuple[int, ...]
     f_components: tuple[tuple[int, ...], ...]
-    escape: tuple[tuple[int, int], ...]  # matched s-vertex -> its escape child
     s_bound_min_k: int
     view: InitVar[RootedView]  # the tree rooted at `root`, checked on and not kept
     s_size: int = field(init=False, default=0)
@@ -863,7 +862,6 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
         matching,
         tuple(v for v in range(t.n) if v not in shadow),
         tuple(picks[v][1] for v in sorted(picks)),
-        matching,
         s_bound_min_k,
         rv,
     )

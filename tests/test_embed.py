@@ -1,6 +1,8 @@
 """Embedder tests: validator, greedy and structured procedures, the oracle."""
 
+import __future__
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -18,9 +20,9 @@ from treebed.embed import (
     matching_forest_embed,
     validate,
 )
-from treebed import checks, lab
+from treebed import checks, embed, lab
 from treebed.corpus import all_trees_up_to, host_corpus
-from treebed.errors import EmbedNotFound, PreconditionViolated
+from treebed.errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
 from treebed.generators import (
     gen_caterpillar,
     gen_clique_chain_apex,
@@ -201,6 +203,30 @@ def _escape_path_host():
     return g, x, blocks, a, b_vert
 
 
+def _branches_tree(lengths):
+    """A centre with one path branch per length."""
+    edges, nxt = [], 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Tree(nxt, edges)
+
+
+def _wide_escape_host(size: int, x_degree: int):
+    """`_escape_path_host` with cliques of `size` and x_degree apex edges per
+    side: at size 32 a 48-edge tree with three 16-vertex branches admits no
+    two-pool regrouping, so `embed_via_path` runs its path stage."""
+    blocks = [list(range(b * size, (b + 1) * size)) for b in range(3)]
+    edges = [(u, v) for blk in blocks for i, u in enumerate(blk) for v in blk[i + 1:]]
+    x = 3 * size
+    edges += [(x, v) for v in blocks[0][:x_degree] + blocks[1][:x_degree]]
+    a, b_vert = blocks[0][-1], blocks[2][0]
+    g = Graph(x + 1, edges + [(a, b_vert)])
+    return g, x, [VertexSet(blk, g.n) for blk in blocks], a, b_vert
+
+
 def test_embed_via_path_splittable_fallback():
     g, x, blocks, a, b_vert = _escape_path_host()
     t = gen_spider(9, 3)  # k = 12, components of size 4 regroup directly
@@ -212,17 +238,15 @@ def test_embed_via_path_splittable_fallback():
 
 
 def test_embed_via_path_path_stage():
-    g, x, blocks, a, b_vert = _escape_path_host()
-    # k = 12 spider with three legs of 4: single heavy branch per leg;
-    # spread so the split window cannot be hit and the path stage engages
-    t = Tree(13, [(0, 1), (1, 2), (2, 3), (3, 4),
-                  (0, 5), (5, 6), (6, 7), (7, 8),
-                  (0, 9), (9, 10), (10, 11), (11, 12)])
-    out = embed_via_path(
-        g, x, VertexSet(blocks[0], g.n), VertexSet(blocks[1], g.n),
-        VertexSet(blocks[2], g.n), a, b_vert, t, slack=8,
-    )
-    assert out.status == "found"
+    # three branches of 16: no regrouping lands in the two-pool window
+    # [17, 31], so the heavy branch is routed along a path through A; an
+    # empty length window (no slack) is a failure only that stage reports
+    g, x, pools, a, b_vert = _wide_escape_host(32, 3)
+    t = _branches_tree((16, 16, 16))
+    assert embed_via_path(g, x, *pools, a, b_vert, t, slack=8).status == "found"
+    with pytest.raises(EmbedNotFound) as exc:
+        embed_via_path(g, x, *pools, a, b_vert, t, slack=0)
+    assert exc.value.stage == "tree_path"
 
 
 def test_embed_via_path_star_window():
@@ -290,30 +314,6 @@ def test_matching_forest_needs_enough_portals():
         matching_forest_embed(g, core, portals[: mu - 1], t)
 
 
-def _branches_tree(lengths):
-    """A centre with one path branch per length."""
-    edges, nxt = [], 1
-    for length in lengths:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-    return Tree(nxt, edges)
-
-
-def _wide_escape_host(size: int, x_degree: int):
-    """`_escape_path_host` with cliques of `size` and x_degree apex edges per
-    side: at size 32 a 48-edge tree with three 16-vertex branches admits no
-    two-pool regrouping, so `embed_via_path` runs its path stage."""
-    blocks = [list(range(b * size, (b + 1) * size)) for b in range(3)]
-    edges = [(u, v) for blk in blocks for i, u in enumerate(blk) for v in blk[i + 1:]]
-    x = 3 * size
-    edges += [(x, v) for v in blocks[0][:x_degree] + blocks[1][:x_degree]]
-    a, b_vert = blocks[0][-1], blocks[2][0]
-    g = Graph(x + 1, edges + [(a, b_vert)])
-    return g, x, [VertexSet(blk, g.n) for blk in blocks], a, b_vert
-
-
 def _constructive_cases():
     """(embedder, call) pairs that reach all six constructive embedders."""
     trees = all_trees_up_to(8) + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]
@@ -342,7 +342,9 @@ def _constructive_cases():
         size = 2 * k // 3
         c1, c2 = VertexSet(range(size), g.n), VertexSet(range(size, 2 * size), g.n)
         for t in trees:
-            yield "apex_split", lambda g=g, c1=c1, c2=c2, t=t: apex_split_embed(g, g.n - 1, c1, c2, t)
+            yield "apex_split", lambda g=g, c1=c1, c2=c2, t=t: apex_split_embed(
+                g, g.n - 1, c1, c2, t
+            )
     for block in (4, 6):
         g, x = _three_pool_host(block)
         pools = [VertexSet(range(b * block, (b + 1) * block), g.n) for b in range(3)]
@@ -402,6 +404,32 @@ def test_constructive_outcomes_pinned():
         "matching_forest",
     }
     assert h.hexdigest() == _CONSTRUCTIVE_DIGEST, found
+
+
+def test_placement_that_forgets_its_used_set_is_an_internal_error(monkeypatch):
+    # a mutant placement loop that never records the host vertices it takes,
+    # so tree vertices can share an image: every found outcome it breaks must
+    # surface as InternalInvariantError, never as an unmet precondition
+    found = []
+    for name, attempt in _constructive_cases():
+        try:
+            attempt()
+        except (PreconditionViolated, EmbedNotFound):
+            continue
+        found.append((name, attempt))
+    source = inspect.getsource(embed._greedy_subtree)
+    assert source.count("used.add(img)") == 1
+    namespace = dict(vars(embed))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace("used.add(img)", "pass"), "<mutant>", "exec", flags), namespace)
+    monkeypatch.setattr(embed, "_greedy_subtree", namespace["_greedy_subtree"])
+    broken = {}
+    for name, attempt in found:
+        try:
+            attempt()
+        except InternalInvariantError:
+            broken[name] = broken.get(name, 0) + 1
+    assert set(broken) == {name for name, _ in found}, broken
 
 
 def test_outcome_invariants():

@@ -214,20 +214,16 @@ def test_offset_minus_one_builds_hosts_one_below():
         assert below == {k: d - 1 for k, d in at0.items()}, c
 
 
-def test_report_formats(tmp_path):
+def test_report_formats():
     cfg = lab.ExperimentConfig(
         conjecture="2k3", k_values=(8,), tree_max_degree=3, trials=3, seed=1
     )
     res = lab.run_sweep(cfg)
-    jpath = tmp_path / "report.json"
-    lab.emit_report(res, "json", str(jpath))
-    data = json.loads(jpath.read_text())
+    data = json.loads(lab.render_report(res, "json"))
     assert data["schema"] == "treebed/2"
     assert len(data["records"]) == 3
     assert data["summary"]["trials"] == 3
-    cpath = tmp_path / "report.csv"
-    lab.emit_report(res, "csv", str(cpath))
-    lines = cpath.read_text().splitlines()
+    lines = lab.render_report(res, "csv").splitlines()
     assert lines[0].split(",") == lab.CSV_COLUMNS
     assert len(lines) == 4
     empty = lab.run_sweep(
@@ -451,6 +447,29 @@ def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "two_cliques_apex"],
+        ["gen", "two_cliques_apex", "--param", "k=x"],
+        ["gen", "bps_alpha_host", "--param", "k=12", "--param", "alpha=abc"],
+        ["decompose", "--op", "rich", "--c", "abc"],
+        ["decompose", "--op", "rich", "--rho", "1/0"],
+        ["decompose", "--op", "refine", "--eps", "1/x"],
+    ],
+    ids=["gen-without-k", "gen-k-not-integer", "gen-alpha-not-fraction", "decompose-c-abc",
+         "decompose-rho-over-zero", "decompose-eps-not-fraction"],
+)
+def test_cli_malformed_value_is_usage_error(tmp_path, capsys, argv):
+    host = tmp_path / "g.txt"
+    cli.main(["gen", "complete", "--param", "n=6", "--out", str(host)])
+    capsys.readouterr()
+    if argv[0] == "decompose":
+        argv = [*argv, "--host", str(host)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "pins",
     [["3"], ["a:1"], ["0:1", "0:2"]],
     ids=["without-colon", "non-integer", "tree-vertex-twice"],
@@ -506,6 +525,19 @@ def test_cli_budget_overrun_is_inconclusive(capsys):
     # an oracle budget overrun is neither a usage error (2) nor a failure (1)
     assert cli.main(["verify-extremal", "--k", "12", "--budget", "1"]) == 3
     assert "inconclusive" in capsys.readouterr().err
+
+
+def test_cli_embed_budget_overrun_is_inconclusive(tmp_path, capsys):
+    host = tmp_path / "g.txt"
+    tree = tmp_path / "t.json"
+    cli.main(["gen", "two_cliques_apex", "--param", "k=12", "--out", str(host)])
+    cli.main(["gen", "three_branch", "--param", "k=12", "--out", str(tree)])
+    capsys.readouterr()
+    out = tmp_path / "emb.json"
+    argv = ["embed", "--host", str(host), "--tree", str(tree), "--budget", "1", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert "inconclusive" in capsys.readouterr().err
+    assert json.loads(out.read_text())["status"] == "budget_exhausted"  # still written
 
 
 def test_cli_decompose_rich_flags_conclusive_components(tmp_path):

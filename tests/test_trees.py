@@ -341,7 +341,7 @@ def test_records_reject_broken_forests_and_a_split_s():
     # S = {0, 1} + {5, 6} with F = {2, 3, 4} between them: every other bound holds
     with pytest.raises(InternalInvariantError, match="S is not a subtree"):
         MSFDecomposition(
-            p7, 0, ((1, 2), (5, 4)), (0, 1, 5, 6), ((2, 3, 4),), ((1, 2), (5, 4)), 100, p7.rooted(0)
+            p7, 0, ((1, 2), (5, 4)), (0, 1, 5, 6), ((2, 3, 4),), 100, p7.rooted(0)
         )
 
 
