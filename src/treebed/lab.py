@@ -31,6 +31,7 @@ from .generators import (
     gen_two_cliques_apex_grown,
 )
 from .graph import Graph, second_neighbourhood
+from .trees import Tree
 
 SCHEMA = "treebed/2"
 DEFAULT_ENVELOPE_N = 16
@@ -226,19 +227,25 @@ def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.
     return g
 
 
-def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
-    trial_seed = cfg.seed * 1_000_003 + idx
-    rng = random.Random(repr(("trial", cfg.seed, idx)))
+def _trial_seed(cfg: ExperimentConfig, idx: int) -> int:
+    return cfg.seed * 1_000_003 + idx
+
+
+def trial_instance(cfg: ExperimentConfig, idx: int) -> tuple[int, str, Graph, Tree]:
+    """Trial idx's k, instance label, host and tree: what `run_trial` runs."""
+    trial_seed = _trial_seed(cfg, idx)
     k = cfg.k_values[idx % len(cfg.k_values)]
     if _is_planted_trial(cfg, k, idx):
         # a full tight instance: host and tree planted together
-        g = gen_two_cliques_apex(k)
-        t = gen_three_branch_tree(k)
-        instance = "two_cliques_apex+three_branch"
-    else:
-        g = _host_for_trial(cfg, k, trial_seed, rng)
-        t = gen_random_tree(k + 1, cfg.tree_max_degree, trial_seed)
-        instance = "random_min_degree+random_tree"
+        return k, "two_cliques_apex+three_branch", gen_two_cliques_apex(k), gen_three_branch_tree(k)
+    rng = random.Random(repr(("trial", cfg.seed, idx)))
+    g = _host_for_trial(cfg, k, trial_seed, rng)
+    t = gen_random_tree(k + 1, cfg.tree_max_degree, trial_seed)
+    return k, "random_min_degree+random_tree", g, t
+
+
+def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
+    k, instance, g, t = trial_instance(cfg, idx)
     degree_checks = template_check(cfg, g, k)
     template_ok = bool(degree_checks.get("min_ok") and degree_checks.get("max_ok"))
 
@@ -278,7 +285,7 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
             verdict = "inconclusive"
     return TrialRecord(
         trial_index=idx,
-        trial_seed=trial_seed,
+        trial_seed=_trial_seed(cfg, idx),
         instance=instance,
         k=k,
         host_n=g.n,
