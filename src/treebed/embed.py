@@ -452,6 +452,10 @@ def embed_via_path(
         raise PreconditionViolated("A must be disjoint from B1 and B2")
     if x in A or x in B1 or x in B2 or x in (a, b):
         raise PreconditionViolated("x must avoid the pools and the bridge")
+    # the path through A and the forests in B1 and B2 may use any of their
+    # vertices, so a bridge end inside the other side's pools could be placed twice
+    if b in A or a in B1 or a in B2:
+        raise PreconditionViolated("bridge ab must have a outside B1 and B2 and b outside A")
     if not g.has_edge(a, b):
         raise PreconditionViolated("bridge ab must be an edge")
     threshold = (Fraction(2, 3) - eps) * k

@@ -249,6 +249,25 @@ def test_embed_via_path_path_stage():
     assert exc.value.stage == "tree_path"
 
 
+def test_embed_via_path_bridge_end_inside_a_is_a_precondition():
+    # b moved into A, adjacent to a and to six B2 vertices: the path through A
+    # may use b, which is also the bridge's image, so every choice of b must
+    # be refused up front rather than caught as a non-injective placement
+    g, x, pools, a, b_vert = _wide_escape_host(32, 3)
+    A, B1, B2 = pools
+    t = _branches_tree((16, 16, 16))
+    for inside in A.members:
+        if inside == a:
+            continue
+        h = Graph(g.n, list(g.edges()) + [(inside, w) for w in B2.members[:6]])
+        with pytest.raises(PreconditionViolated):
+            embed_via_path(h, x, A, B1, B2, a, inside, t)
+    # and the other end: a inside B1 or B2
+    for inside in (B1.members[-1], B2.members[-1]):
+        with pytest.raises(PreconditionViolated):
+            embed_via_path(g, x, A, B1, B2, inside, b_vert, t)
+
+
 def test_embed_via_path_star_window():
     # K_{1,30} leaves 30 singleton components around its centre; choosing
     # those in the degree window is a subset-sum question, not 2^30 subsets
