@@ -7,7 +7,6 @@ yields an identical object.
 
 from __future__ import annotations
 
-import heapq
 import random
 import struct
 from bisect import bisect
@@ -184,7 +183,7 @@ def gen_complete_bipartite(m: int, n: int) -> Graph:
 def gen_path(n: int) -> Tree:
     if n < 1:
         raise PreconditionViolated("need n >= 1")
-    return Tree(n, ((i, i + 1) for i in range(n - 1)), root=0)
+    return Tree._from_sorted_edges(n, [(i, i + 1) for i in range(n - 1)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +197,18 @@ _TOP_BITS = tuple(bytes(b >> (8 - k) for b in range(256)) for k in range(9))
 _REJECTION_ROUNDS = 8
 
 
+def _stream(seed, *key) -> random.Random:
+    """The caller's stream when `seed` is a random.Random, drawn from in
+    place; otherwise a new one seeded by the generator's key and `seed`."""
+    return seed if isinstance(seed, random.Random) else random.Random(repr((*key, seed)))
+
+
 def _words(raw: bytes) -> tuple[int, ...]:
     """The 32-bit words of a getrandbits(...).to_bytes(..., "little") buffer."""
     return struct.unpack(f"<{len(raw) // 4}I", raw)
 
 
+@lru_cache(maxsize=256)
 def _accepter(bound: int, cum: Optional[tuple[int, ...]] = None):
     """A map from a getrandbits(32 * W).to_bytes(4 * W, "little") buffer to the
     values CPython's randrange(bound) takes from it: the top bound.bit_length()
@@ -254,7 +260,38 @@ def _multiplicity_law(n: int, cap: int):
                 return law
 
 
-def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = _REJECTION_ROUNDS) -> Tree:
+def _pruefer_edges(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in ascending order, of the tree on 0..n-1
+    (n >= 2) whose Pruefer code is `code`.  Each step joins the least leaf
+    to the next symbol.  The least leaf is found by a pointer that only moves
+    up: a symbol that becomes a leaf below the pointer is the least leaf at
+    once, and every other leaf is found by the pointer, so the decode is
+    linear."""
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    ptr = degree.index(1)
+    leaf = ptr
+    edges = []
+    for v in code:
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[v] -= 1
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    # n - 1 is never the least leaf while another leaf is left
+    edges.append((leaf, n - 1))
+    edges.sort()
+    return edges
+
+
+def gen_random_tree(
+    n: int, max_deg: int, seed: int | random.Random, _rejection_rounds: int = _REJECTION_ROUNDS
+) -> Tree:
     """Seeded random tree, exactly uniform over the labelled trees on 0..n-1
     with max degree <= max_deg.
 
@@ -268,6 +305,9 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = _R
     and retries otherwise: the kept multiplicities are multinomial under the
     bound.  It shuffles and decodes that multiset.  Both stages are uniform
     on the bounded codes, so their mixture is too.
+
+    `seed` is an int, which seeds the generator's own stream, or a caller's
+    random.Random, which the draws advance.
     """
     if n < 1:
         raise PreconditionViolated("need n >= 1")
@@ -275,25 +315,12 @@ def gen_random_tree(n: int, max_deg: int, seed: int, _rejection_rounds: int = _R
         raise Infeasible("a tree on 3+ vertices needs max degree >= 2")
     if n == 2 and max_deg < 1:
         raise Infeasible("an edge needs degree 1")
-    rng = random.Random(repr(("tree", n, max_deg, seed)))
-    if n == 1:
-        return Tree(1, (), root=0)
-    if n == 2:
-        return Tree(2, ((0, 1),), root=0)
+    rng = _stream(seed, "tree", n, max_deg)
+    if n <= 2:
+        return Tree._from_sorted_edges(n, [(0, 1)][: n - 1], 0)
 
     def decode(code: Sequence[int]) -> Tree:
-        degree = [1] * n
-        for v in code:
-            degree[v] += 1
-        heap = [v for v in range(n) if degree[v] == 1]  # sorted, so a heap
-        edges = []
-        for v in code:
-            edges.append((heapq.heappop(heap), v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-        t = Tree(n, edges, root=0)
+        t = Tree._from_sorted_edges(n, _pruefer_edges(n, code), 0)
         if t.max_degree() > max_deg:
             raise InternalInvariantError("degree bound slipped through decoding")
         return t
@@ -347,18 +374,19 @@ def gen_caterpillar(spine: int, legs: int, seed: int) -> Tree:
     return Tree(spine + legs, edges, root=0)
 
 
-def gen_random_graph_min_degree(n: int, delta: int, seed: int) -> Graph:
+def gen_random_graph_min_degree(n: int, delta: int, seed: int | random.Random) -> Graph:
     """Erdos-Renyi base repaired up to minimum degree delta (seeded).
 
     The base has edge probability 1.1 (delta + 1) / (n - 1), capped at 1.
     While some vertex sits below delta, it gets joined to a uniformly random
     non-neighbour.  The resulting minimum degree is re-counted and asserted.
+    `seed` is an int or a caller's random.Random, as for gen_random_tree.
     """
     if delta < 0 or n < 1:
         raise PreconditionViolated("need n >= 1 and delta >= 0")
     if delta >= n:
         raise Infeasible("min degree must be below n")
-    rng = random.Random(repr(("graph", n, delta, seed)))
+    rng = _stream(seed, "graph", n, delta)
     p = min(1.0, (delta + 1) / max(n - 1, 1) * 1.1)
     draw = rng.random
     masks = [0] * n

@@ -33,7 +33,7 @@ from .generators import (
 from .graph import Graph, second_neighbourhood
 from .trees import Tree
 
-SCHEMA = "treebed/2"
+SCHEMA = "treebed/3"
 DEFAULT_ENVELOPE_N = 16
 DEFAULT_ENVELOPE_K = 12
 
@@ -202,23 +202,23 @@ def _is_planted_trial(cfg: ExperimentConfig, k: int, idx: int) -> bool:
     return cfg.extremal_mix and k % 3 == 0 and idx % 5 == 0
 
 
-def _host_for_trial(cfg: ExperimentConfig, k: int, trial_seed: int, rng: random.Random) -> Graph:
-    """Build a host aimed at the template (repairs may still miss; the trial
-    then counts as template-violating and is skipped)."""
+def _host_for_trial(cfg: ExperimentConfig, k: int, rng: random.Random) -> Graph:
+    """Build a host aimed at the template from the trial's stream (repairs
+    may still miss; the trial then counts as template-violating and is
+    skipped)."""
     delta, want_max = cfg.degree_thresholds[k]
     n_hi = cfg.envelope_n
     # the hub needs want_max neighbours, so aim the order above it when possible
     n_lo = max(k + 1, min(want_max + 1, n_hi))
     n = rng.randrange(n_lo, max(n_lo, n_hi) + 1)
     delta = min(delta, n - 1)
-    g = gen_random_graph_min_degree(n, delta, trial_seed)
+    g = gen_random_graph_min_degree(n, delta, rng)
     if g.max_degree() < want_max and want_max <= n - 1:
         # lift one hub to the max-degree demand
         hub = g.degree_order()[0]
         masks = list(g.masks())
         others = [v for v in range(n) if v != hub and not masks[hub] >> v & 1]
-        rng2 = random.Random(repr(("hub", trial_seed)))
-        rng2.shuffle(others)
+        rng.shuffle(others)
         # each step gives the hub one new neighbour, up to want_max
         for v in others[: want_max - g.degree(hub)]:
             masks[hub] |= 1 << v
@@ -232,15 +232,16 @@ def _trial_seed(cfg: ExperimentConfig, idx: int) -> int:
 
 
 def trial_instance(cfg: ExperimentConfig, idx: int) -> tuple[int, str, Graph, Tree]:
-    """Trial idx's k, instance label, host and tree: what `run_trial` runs."""
-    trial_seed = _trial_seed(cfg, idx)
+    """Trial idx's k, instance label, host and tree: what `run_trial` runs.
+    A random trial draws its host order, host, hub lift and tree, in that
+    order, from one stream, random.Random(trial_seed)."""
     k = cfg.k_values[idx % len(cfg.k_values)]
     if _is_planted_trial(cfg, k, idx):
         # a full tight instance: host and tree planted together
         return k, "two_cliques_apex+three_branch", gen_two_cliques_apex(k), gen_three_branch_tree(k)
-    rng = random.Random(repr(("trial", cfg.seed, idx)))
-    g = _host_for_trial(cfg, k, trial_seed, rng)
-    t = gen_random_tree(k + 1, cfg.tree_max_degree, trial_seed)
+    rng = random.Random(_trial_seed(cfg, idx))
+    g = _host_for_trial(cfg, k, rng)
+    t = gen_random_tree(k + 1, cfg.tree_max_degree, rng)
     return k, "random_min_degree+random_tree", g, t
 
 

@@ -22,21 +22,41 @@ class Tree:
     __slots__ = ("n", "edges", "root", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], root: Optional[int] = None):
-        self.n = n
         es = [(int(u), int(v)) for u, v in edges]
         es = sorted([(u, v) if u < v else (v, u) for u, v in es])
+        for u, v in es:
+            if u == v or u < 0 or v >= n:  # u < v after normalising
+                raise PreconditionViolated(f"bad tree edge ({u},{v})")
+        if root is not None and not (0 <= root < n):
+            raise PreconditionViolated(f"root {root} out of range")
+        self._link(n, tuple(es), root, PreconditionViolated)
+
+    @classmethod
+    def _from_sorted_edges(cls, n: int, edges: Sequence[tuple[int, int]], root: int) -> "Tree":
+        """The tree on 0..n-1 with these edges, for callers whose edges are
+        int pairs (u, v), 0 <= u < v < n, in ascending order by construction
+        (a decoded Pruefer code, a path).  It skips the conversion, sorting
+        and range checks, but still counts the edges and walks them, so a
+        builder bug that loses or repeats an edge is an internal failure."""
+        t = cls.__new__(cls)
+        t._link(n, tuple(edges), root, InternalInvariantError)
+        return t
+
+    def _link(self, n: int, es: tuple[tuple[int, int], ...], root: Optional[int], error) -> None:
+        """Set the fields from sorted, normalised, in-range edges; raise
+        `error` unless they are n - 1 edges that connect all n vertices."""
         if len(es) != max(n - 1, 0):
-            raise PreconditionViolated(f"tree on {n} vertices needs {n - 1} edges, got {len(es)}")
+            raise error(f"tree on {n} vertices needs {n - 1} edges, got {len(es)}")
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in es:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise PreconditionViolated(f"bad tree edge ({u},{v})")
             adj[u].append(v)
             adj[v].append(u)
         # es is sorted, so no list needs sorting: each gets its smaller
         # neighbours ascending (edges (w, v), w < v), then its larger ones
-        self.edges: tuple[tuple[int, int], ...] = tuple(es)
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = es
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.root = root
         if n > 0:
             seen = [False] * n
             seen[0] = True
@@ -47,10 +67,7 @@ class Tree:
                         seen[w] = True
                         reached.append(w)
             if len(reached) != n:
-                raise PreconditionViolated("edge list is not connected (not a tree)")
-        if root is not None and not (0 <= root < n):
-            raise PreconditionViolated(f"root {root} out of range")
-        self.root = root
+                raise error("edge list is not connected (not a tree)")
 
     # -- accessors -----------------------------------------------------------
 

@@ -479,7 +479,7 @@ def test_greedy_always_embeds_under_preconditions(seed, k):
 # instances, built as `lab.run_trial` builds them, so it also moves when the
 # sweep's corpus does.
 _ORACLE_FIXED_DIGEST = "8bfaf7028ca899946203433720329846c90898122aa76f9a6530b16bf8cf4296"
-_ORACLE_SWEEP_DIGEST = "e8bbd21f4a8f68129dd77f78c9d587e911e94ff892bbaf1a3d4cc32be5c10fcd"
+_ORACLE_SWEEP_DIGEST = "0ce11c66ac69064f8f4a918b696b42e0ddb9b336fa867006636344a7453f6619"
 
 
 def _oracle_fixed_pairs():

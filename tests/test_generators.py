@@ -2,6 +2,7 @@
 and golden digests that pin the seeded random corpora."""
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -105,6 +106,18 @@ def test_random_generators_deterministic():
     assert min(len(g1.neighbors(v)) for v in range(20)) >= 8  # recounted
     c1 = gen_caterpillar(6, 4, seed=3)
     assert c1.edges == gen_caterpillar(6, 4, seed=3).edges
+
+
+def test_random_generators_draw_from_a_callers_stream():
+    # an int seed seeds the generator's own stream; a caller's random.Random
+    # seeded the same way gives the same object, and is advanced by the draws
+    for n, d, seed in ((1, 1, 0), (2, 1, 0), (12, 4, 3), (40, 3, 5), (200, 3, 11)):
+        rng = random.Random(repr(("tree", n, d, seed)))
+        assert gen_random_tree(n, d, rng) == gen_random_tree(n, d, seed)
+    rng = random.Random(repr(("graph", 20, 8, 7)))
+    assert gen_random_graph_min_degree(20, 8, rng) == gen_random_graph_min_degree(20, 8, 7)
+    shared = random.Random(1)
+    assert gen_random_tree(30, 3, shared) != gen_random_tree(30, 3, shared)
 
 
 def test_random_tree_degree_bound_tight():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 import shlex
 from dataclasses import fields
@@ -220,7 +221,7 @@ def test_report_formats():
     )
     res = lab.run_sweep(cfg)
     data = json.loads(lab.render_report(res, "json"))
-    assert data["schema"] == "treebed/2"
+    assert data["schema"] == "treebed/3"
     assert len(data["records"]) == 3
     assert data["summary"]["trials"] == 3
     lines = lab.render_report(res, "csv").splitlines()
@@ -315,7 +316,7 @@ def test_cli_verify_and_sweep(tmp_path):
          "--out", str(rep)]
     )
     assert rc == 0
-    assert json.loads(rep.read_text())["schema"] == "treebed/2"
+    assert json.loads(rep.read_text())["schema"] == "treebed/3"
 
 
 def test_cli_sweep_from_config_file(tmp_path):
@@ -600,7 +601,7 @@ def test_pipeline_oracle_consistency_is_checked():
 # Golden digest of the canonical report of a 300-trial `2k3` sweep, the kind
 # the benchmark's oracle workload runs.  It pins every record's
 # `pipeline_stages`, oracle status and oracle node count.
-_SWEEP_REPORT_DIGEST = "a378151d996fb692c670138881c9419e809de6f947223f80ea73de3dcdcef319"
+_SWEEP_REPORT_DIGEST = "e8573d05c57e5ddc86c4604ad08a54213b039f3677c209ed39c40707c2fb8560"
 
 
 def test_sweep_report_pinned():
@@ -609,3 +610,36 @@ def test_sweep_report_pinned():
     )
     text = lab.render_report(lab.run_sweep(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_REPORT_DIGEST
+
+
+def test_random_trial_draws_from_one_stream(monkeypatch):
+    # a non-planted trial seeds one random.Random, with its trial_seed, and
+    # draws its host order, host, hub lift and tree from it
+    seeded, shuffled = [], []
+    seed, shuffle = random.Random.seed, random.Random.shuffle
+
+    def counting_seed(self, a=None, version=2):
+        seeded.append(a)
+        return seed(self, a, version)
+
+    def counting_shuffle(self, x):
+        shuffled.append(len(x))
+        return shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
+    cfg = lab.ExperimentConfig(
+        conjecture="2k3", k_values=(9, 10, 11, 12), tree_max_degree=4, trials=40, seed=5,
+        extremal_mix=True,
+    )
+    planted = 0
+    for idx in range(cfg.trials):
+        seeded.clear()
+        record = lab.run_trial(cfg, idx)
+        if record.instance == "two_cliques_apex+three_branch":
+            planted += 1
+            assert seeded == []
+        else:
+            assert seeded == [record.trial_seed]
+    assert planted == 4
+    assert shuffled  # some hosts had a hub lifted, on the same stream

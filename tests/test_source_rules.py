@@ -95,6 +95,24 @@ def test_unchecked_mask_constructor_callers_are_pinned():
     }
 
 
+def test_unchecked_tree_constructor_callers_are_pinned():
+    # Tree._from_sorted_edges skips the conversion, sort and range checks, so
+    # only code whose edges are sorted, normalised and in range by
+    # construction may call it: the Pruefer decode (`decode` inside
+    # gen_random_tree) and the path
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, node in _functions_with_nodes(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_from_sorted_edges":
+                callers.add((path.name, name))
+    assert callers == {
+        ("generators.py", "gen_random_tree"),
+        ("generators.py", "decode"),
+        ("generators.py", "gen_path"),
+    }
+
+
 def test_rooted_view_constructor_callers_are_pinned():
     # Tree.rooted hands back the view it built last for the same tree object
     # and root, so a procedure that built its own RootedView would miss that

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import random
 from fractions import Fraction
 from math import log
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from treebed.corpus import _free_tree_code, all_trees_up_to
 from treebed.errors import InternalInvariantError, PreconditionViolated
+from treebed import generators
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
 from treebed.graph import VertexSet
 from treebed.trees import (
@@ -559,3 +561,48 @@ def test_free_tree_codes_pinned():
     for t in all_trees_up_to(10):
         h.update(f"{t.n} {t.edges} {_free_tree_code(t)}\n".encode())
     assert h.hexdigest() == _TREE_CODE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The unchecked constructor the generators build through
+
+
+def _same_tree(a: Tree, b: Tree) -> bool:
+    return (a.n, a.edges, a.adjacency, a.root) == (b.n, b.edges, b.adjacency, b.root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 8), st.integers(0, 10**6), st.sampled_from([0, 8]))
+def test_from_sorted_edges_equals_checked_tree(n, max_deg, seed, rounds):
+    # both sampler stages (rounds 0 is the exact stage alone) build through
+    # Tree._from_sorted_edges; the checked constructor, given the same edges
+    # reversed, flipped and shuffled, must build the same tree
+    t = gen_random_tree(n, max_deg, seed, _rejection_rounds=rounds)
+    edges = [(v, u) for u, v in reversed(t.edges)]
+    random.Random(seed).shuffle(edges)
+    assert _same_tree(t, Tree(n, edges, root=0))
+    assert _same_tree(Tree._from_sorted_edges(n, t.edges, 0), t)
+    assert type(t.edges) is tuple and all(type(e) is tuple for e in t.edges)
+
+
+def test_gen_path_equals_checked_path():
+    for n in (1, 2, 3, 50):
+        assert _same_tree(gen_path(n), Tree(n, [(i + 1, i) for i in range(n - 1)], root=0))
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [("pass", "needs"), ("edges.append(edges[0])", "not connected")],
+)
+def test_mutant_pruefer_decode_is_an_internal_error(monkeypatch, mutation, message):
+    # a decode that loses its last edge, or repeats another in its place, must
+    # be caught by the edge count or the walk, and blamed on the code
+    source = inspect.getsource(generators._pruefer_edges)
+    line = "edges.append((leaf, n - 1))"
+    assert source.count(line) == 1
+    namespace = dict(vars(generators))
+    exec(compile(source.replace(line, mutation), "<mutant>", "exec"), namespace)
+    monkeypatch.setattr(generators, "_pruefer_edges", namespace["_pruefer_edges"])
+    for n, max_deg, rounds in ((12, 4, 8), (30, 3, 0), (3, 2, 8)):
+        with pytest.raises(InternalInvariantError, match=message):
+            gen_random_tree(n, max_deg, 1, _rejection_rounds=rounds)
