@@ -316,8 +316,10 @@ def gen_random_tree(
     if n == 2 and max_deg < 1:
         raise Infeasible("an edge needs degree 1")
     rng = _stream(seed, "tree", n, max_deg)
-    if n <= 2:
-        return Tree._from_sorted_edges(n, [(0, 1)][: n - 1], 0)
+    if n == 1:
+        return Tree._from_sorted_edges(1, (), 0)
+    if n == 2:
+        return Tree._from_sorted_edges(2, ((0, 1),), 0)
 
     def decode(code: Sequence[int]) -> Tree:
         t = Tree._from_sorted_edges(n, _pruefer_edges(n, code), 0)
