@@ -263,6 +263,78 @@ def test_min_cut_witness_pinned():
     assert h.hexdigest() == _CUT_WITNESS_DIGEST
 
 
+def _pops(monkeypatch, adj, n, rho=None):
+    """The pops of one `min_density_cut` call: the least budget under which
+    it completes, found by doubling and then bisection."""
+
+    def completes(budget):
+        monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
+        return kernel.min_density_cut(adj, n, rho)[2]
+
+    lo, hi = 0, 1
+    while not completes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if completes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# The pops of every graph of the witness pin.  A change to the bound, the
+# keep test or the child order moves some count even when the witnesses
+# stay put, and a cheaper pop must leave every count as it is.
+_CUT_POPS_DIGEST = "f03037d0dd1f46046aa1048260d573e3c84551d90c7abc89bbcc7475f82ea892"
+
+
+def test_min_cut_pops_pinned(monkeypatch):
+    counts = []
+    for seed, n, edges in _cut_grid():
+        counts.append((seed, _pops(monkeypatch, Graph(n, edges).masks(), n)))
+    for n in range(14, 21):
+        rng = random.Random(n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        counts.append((f"n{n}", _pops(monkeypatch, Graph(n, edges).masks(), n)))
+    assert [c for _, c in counts[-7:]] == [47, 177, 147, 481, 291, 1985, 1525]
+    assert sum(c for _, c in counts) == 7325
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == _CUT_POPS_DIGEST
+
+
+def _large_hosts():
+    """40 seeded hosts on 21..60 vertices: connected ones of several
+    densities, and sparse G(n, p) ones, most of them disconnected.  Hosts 3,
+    5 and 23 (54, 54 and 56 vertices) use up the full budget at rho = 1/30."""
+    rng = random.Random(11)
+    for i in range(40):
+        n = rng.randrange(21, 61)
+        if i % 2:
+            yield gen_random_connected_graph(n, rng.randrange(0, 3 * n), i)
+        else:
+            p = rng.choice((0.02, 0.05, 0.3))
+            yield Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+# Budget-truncated searches on the large hosts: an incomplete result is the
+# incumbent after exactly 1,024 pops, so the visiting order, the bound and
+# the keep test are all pinned, not only the complete searches' witnesses.
+_LARGE_HOST_CUT_DIGEST = "25f15288e934734341894155c3d096db3ee07a771053d2c76801282d6bb32bfd"
+
+
+def test_large_host_cuts_pinned(monkeypatch):
+    monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", 1024)
+    h = hashlib.sha256()
+    incomplete = [0, 0]
+    for i, g in enumerate(_large_hosts()):
+        for j, rho in enumerate((Fraction(1, 30), None)):
+            out = kernel.min_density_cut(g.masks(), g.n, rho)
+            incomplete[j] += not out[2]
+            h.update(f"{i} {rho} {out}\n".encode())
+    assert incomplete == [13, 26]
+    assert h.hexdigest() == _LARGE_HOST_CUT_DIGEST
+
+
 def test_oracle_handles_hosts_wider_than_64():
     # host masks are plain ints, so a 70-vertex host is searched like any other
     g = Graph(70, [(i, (i + 1) % 70) for i in range(70)])
