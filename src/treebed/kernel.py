@@ -6,6 +6,10 @@ stacks, not recursion, under a node budget, and bitmasks are plain ints, so
 hosts of any size are covered.
 """
 
+from functools import lru_cache
+from itertools import accumulate
+from operator import add, lt
+
 FOUND = 0
 NOT_FOUND = 1
 BUDGET = 2
@@ -103,6 +107,49 @@ def solve_embed(
             img[i] = -1
 
 
+@lru_cache(maxsize=64)
+def _sizes(n):
+    """s(n - s) for s = 0..n: the denominator of a cut whose side A has s vertices."""
+    return tuple(s * (n - s) for s in range(n + 1))
+
+
+@lru_cache(maxsize=1024)
+def _caps(n, num, den, tie):
+    """For s = 0..n-1 the least int b with b * den >= num * s(n - s) + tie, so
+    that b < caps[s] exactly when b * den < num * s(n - s) + tie."""
+    return tuple(-(-(num * size + tie) // den) for size in _sizes(n)[:n])
+
+
+@lru_cache(maxsize=256)
+def _inside(u, m):
+    """For k = 0..u, the least number of crossing edges inside u unplaced
+    vertices with m non-adjacent pairs when k of them join A: at least
+    e - C(k, 2) - C(u - k, 2) = k(u - k) - m, and at least 0.  None when
+    every entry is 0, since k(u - k) <= u^2/4."""
+    if m >= u * u // 4:
+        return None
+    return tuple(k * (u - k) - m if k * (u - k) > m else 0 for k in range(u + 1))
+
+
+def _levels(adj, n):
+    """Per level v: `_inside` of the unplaced 1..v, and the positions w - 1 in
+    the difference vector of v's lower neighbours w = 1..v-1."""
+    inside = [None] * n
+    lower = [()] * n
+    e_u = 0
+    for v in range(2, n):
+        low = (adj[v] & ((1 << v) - 2)) >> 1
+        pos = []
+        while low:
+            bit = low & -low
+            pos.append(bit.bit_length() - 1)
+            low ^= bit
+        lower[v] = pos
+        e_u += len(pos)
+        inside[v] = _inside(v, v * (v - 1) // 2 - e_u)
+    return inside, lower
+
+
 def min_density_cut(adj, n, rho=None):
     """Exact min of crossing/(|A||B|) over proper bipartitions, by branch and bound.
 
@@ -155,8 +202,33 @@ def min_density_cut(adj, n, rho=None):
     b <= d(F) < rho at every ancestor of F, so F is still found and the
     result is unchanged.  Otherwise the result may be any leaf visited, of
     density >= rho, and a complete search then proves no bipartition is
-    sparser than rho.  Both tests are in ints: b * den < num * d + tie,
-    where tie = 1 keeps b = rho1 and tie = 0 drops b = rho.
+    sparser than rho.
+
+    *One keep test.*  With best the incumbent's density and c the ceiling,
+    a size is kept when b/d < best and b/d < c, or b/d <= c when c is rho1
+    (tie = 1).  When best <= c, b/d < best implies both ceiling tests, so
+    the pair keeps exactly b/d < best; when best > c, either ceiling test
+    implies b/d < best, so the pair keeps exactly the ceiling's sizes.  The
+    search therefore holds one threshold num/den with a tie flag (0 for the
+    incumbent), set again only when the incumbent improves, and keeps a
+    size when b * den < num * d + tie, all in ints.  As a table per size,
+    caps[s] = the least int b with b * den >= num * s(n - s) + tie
+    (`_caps`), the test is b < caps[s].  It keeps the same sizes as the two
+    tests, so the pops, the leaves and the witness are theirs.
+
+    *Incremental bound.*  No a_w or b_w is recounted at a node.  Each stack
+    entry carries |A|, the list d with d[w - 1] = b_w - a_w for the unplaced
+    w = 1..v, and base = cross + sum(a_w), the part of the bound that does
+    not depend on k; at a leaf U is empty and base = cross.  Placing v drops
+    v's entry, d[:-1], and moves only the entries of v's lower neighbours
+    w < v, by one each: v -> A adds 1 to a_w, so d[w - 1] falls by 1, and
+    v -> B adds 1 to b_w, so it rises by 1.  v -> B crosses a_v placed
+    edges and takes a_v out of the sum, so base stays; v -> A crosses b_v
+    and adds 1 to the sum per lower neighbour, so base rises by
+    d[v - 1] + #lower neighbours.  A pop is then one sorted(d): its prefix
+    sums from base are the placed terms for k = 0..v, `_inside` holds the
+    inside term per k (None when U is too sparse for it to be positive), and
+    the node is kept when some size's bound is below its cap.
 
     *Budget.*  The search pops at most CUT_NODE_BUDGET = 2^20 nodes.  The
     full search tree has one root, 2^j nodes at depth j and 2^(n-1) leaves,
@@ -169,61 +241,65 @@ def min_density_cut(adj, n, rho=None):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    # inner[v]: edges among vertices 1..v, the unplaced set below level v
-    inner = [0] * n
-    for v in range(2, n):
-        inner[v] = inner[v - 1] + (adj[v] & ((1 << v) - 2)).bit_count()
-    best_cross = adj[0].bit_count()
+    sizes = _sizes(n)
+    deg = [a.bit_count() for a in adj]
+    best_cross = deg[0]
     best_den = n - 1
     best_amask = 1
-    min_deg = min(a.bit_count() for a in adj)
+    min_deg = min(deg)
     # the ceiling cnum/cden is rho when rho <= rho1 = min_deg / (n - 1), else rho1
     if rho is not None and rho.numerator * (n - 1) <= min_deg * rho.denominator:
         cnum, cden, tie = rho.numerator, rho.denominator, 0
     else:
         cnum, cden, tie = min_deg, n - 1, 1
+    # the one keep test: the incumbent's when it is at most the ceiling
+    if best_cross * cden <= cnum * best_den:
+        caps = _caps(n, best_cross, best_den, 0)
+    else:
+        caps = _caps(n, cnum, cden, tie)
+    # the root's inside term needs only e(1..n-1); the other levels are
+    # tabled by `_levels` when the root is first expanded
+    top = n - 1
+    inside = [None] * n
+    inside[top] = _inside(top, top * (top - 1) // 2 - (sum(deg) // 2 - deg[0]))
+    lower = None
     budget = CUT_NODE_BUDGET
     pops = 0
-    # (next vertex to place, A mask, B mask, crossings among placed, parity)
-    stack = [(n - 1, 1, 0, 0, 0)]
+    # (next vertex to place, A mask, |A|, base, d, parity)
+    stack = [(top, 1, 1, best_cross, [-(a & 1) for a in adj[1:]], 0)]
     while stack:
         if pops == budget:
             return best_cross, best_amask, False
         pops += 1
-        v, amask, bmask, cross, par = stack.pop()
-        asz = amask.bit_count()
+        v, amask, asz, base, d, par = stack.pop()
         if v == 0:
-            den = asz * (n - asz)
+            den = sizes[asz]
             # den is 0 only with every vertex in A; the test is then false
-            if cross * best_den < best_cross * den:
-                best_cross = cross
+            if base * best_den < best_cross * den:
+                best_cross = base
                 best_den = den
                 best_amask = amask
+                if best_cross * cden <= cnum * best_den:
+                    caps = _caps(n, best_cross, best_den, 0)
+                else:
+                    caps = _caps(n, cnum, cden, tie)
             continue
-        lb = cross
-        diffs = []
-        for w in range(1, v + 1):
-            aw = (adj[w] & amask).bit_count()
-            lb += aw
-            diffs.append((adj[w] & bmask).bit_count() - aw)
-        diffs.sort()
-        e_u = inner[v]
-        for k in range(v + 1):
-            if k:
-                lb += diffs[k - 1]
-            s = asz + k
-            rest = e_u - (k * (k - 1) + (v - k) * (v - k - 1)) // 2
-            if s < n:
-                b = lb + rest if rest > 0 else lb
-                d = s * (n - s)
-                # keep the size if its bound is below the incumbent and the ceiling
-                if b * best_den < best_cross * d and b * cden < cnum * d + tie:
-                    break
-        else:
+        # bounds for k = 0..v joiners, against the caps of sizes |A| + k < n
+        bounds = accumulate(sorted(d), initial=base)
+        if inside[v] is not None:
+            bounds = map(add, bounds, inside[v])
+        if not any(map(lt, bounds, caps[asz:])):
             continue  # every size is dropped
-        bit = 1 << v
-        to_b = (v - 1, amask, bmask | bit, cross + (adj[v] & amask).bit_count(), par)
-        to_a = (v - 1, amask | bit, bmask, cross + (adj[v] & bmask).bit_count(), par ^ 1)
+        if lower is None:
+            inside, lower = _levels(adj, n)
+        below = lower[v]
+        d_a = d[:-1]
+        d_b = d[:-1]
+        for i in below:
+            d_a[i] -= 1
+            d_b[i] += 1
+        to_b = (v - 1, amask, asz, base, d_b, par)
+        to_a = (v - 1, amask | 1 << v, asz + 1, base + d[-1] + len(below), d_a, par ^ 1)
         # the child on side `par` (A = 1) goes first, so it is pushed last
         stack.extend((to_b, to_a) if par else (to_a, to_b))
     return best_cross, best_amask, True
