@@ -114,9 +114,16 @@ def _sizes(n):
 
 
 @lru_cache(maxsize=1024)
-def _caps(n, num, den, tie):
-    """For s = 0..n-1 the least int b with b * den >= num * s(n - s) + tie, so
-    that b < caps[s] exactly when b * den < num * s(n - s) + tie."""
+def _caps(n, best_cross, best_den, cnum, cden, tie):
+    """The one keep test as a table over sizes s = 0..n-1.  Its threshold
+    num/den is the incumbent's density with tie 0 when that is at most the
+    ceiling cnum/cden, else the ceiling with its tie; caps[s] is the least
+    int b with b * den >= num * s(n - s) + tie, so that b < caps[s] exactly
+    when b * den < num * s(n - s) + tie."""
+    if best_cross * cden <= cnum * best_den:
+        num, den, tie = best_cross, best_den, 0
+    else:
+        num, den = cnum, cden
     return tuple(-(-(num * size + tie) // den) for size in _sizes(n)[:n])
 
 
@@ -252,11 +259,7 @@ def min_density_cut(adj, n, rho=None):
         cnum, cden, tie = rho.numerator, rho.denominator, 0
     else:
         cnum, cden, tie = min_deg, n - 1, 1
-    # the one keep test: the incumbent's when it is at most the ceiling
-    if best_cross * cden <= cnum * best_den:
-        caps = _caps(n, best_cross, best_den, 0)
-    else:
-        caps = _caps(n, cnum, cden, tie)
+    caps = _caps(n, best_cross, best_den, cnum, cden, tie)
     # the root's inside term needs only e(1..n-1); the other levels are
     # tabled by `_levels` when the root is first expanded
     top = n - 1
@@ -279,10 +282,7 @@ def min_density_cut(adj, n, rho=None):
                 best_cross = base
                 best_den = den
                 best_amask = amask
-                if best_cross * cden <= cnum * best_den:
-                    caps = _caps(n, best_cross, best_den, 0)
-                else:
-                    caps = _caps(n, cnum, cden, tie)
+                caps = _caps(n, best_cross, best_den, cnum, cden, tie)
             continue
         # bounds for k = 0..v joiners, against the caps of sizes |A| + k < n
         bounds = accumulate(sorted(d), initial=base)

@@ -7,6 +7,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from treebed import kernel
 from treebed.checks import _min_cut_reference
 from treebed.embed import _lower_twins, brute_force_embed
@@ -143,7 +146,7 @@ def _cut_families(n):
     for a in sorted({n // 3, h} - {0, 1}):
         yield f"K_{a},{n - a}", [(u, v) for u in range(a) for v in range(a, n)]
     # with even/odd parts most balanced cuts tie at the minimum, so the bound
-    # prunes little: the kernel's slowest family (0.6 s at n = 20)
+    # prunes little: the kernel's slowest family (0.35–0.55 s at n = 20)
     if n <= 14:
         yield "K_n/2,n/2 interleaved", [(u, v) for u, v in every if (u - v) % 2]
 
@@ -176,6 +179,49 @@ def test_min_cut_matches_gray_scan_on_families():
         for name, edges in _cut_families(n):
             adj = Graph(n, edges).masks()
             assert kernel.min_density_cut(adj, n) == (*_gray_scan(adj, n), True), f"{name}, n = {n}"
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(2, 11))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+# Densities on at most 11 vertices have denominators s(n - s) <= 30, so
+# distinct ones differ by more than this.
+_EPS = Fraction(1, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs(), st.sampled_from(("min", "below min", "above min", "rho1", "above rho1")))
+def test_min_cut_ceiling_corners(graph, where):
+    """The kernel against the scan with the ceiling on each side of the
+    minimum and of rho1: where the keep test switches between the incumbent
+    and the ceiling, and between dropping and keeping a tie."""
+    n, edges = graph
+    adj = Graph(n, edges).masks()
+    cross, amask = _gray_scan(adj, n)
+    low = Fraction(cross, amask.bit_count() * (n - amask.bit_count()))
+    rho1 = Fraction(min(a.bit_count() for a in adj), n - 1)
+    rho = {
+        "min": low,
+        "below min": max(low - _EPS, Fraction(0)),
+        "above min": low + _EPS,
+        "rho1": rho1,
+        "above rho1": rho1 + _EPS,
+    }[where]
+    c, a, complete = kernel.min_density_cut(adj, n, rho)
+    assert complete
+    if low < rho:
+        # a cut below the ceiling exists, so the scan's witness comes back
+        assert (c, a) == (cross, amask)
+    else:
+        # none does: any real proper cut proves it
+        asz = a.bit_count()
+        assert a & 1 and 0 < asz < n
+        assert c == sum((adj[v] & ~a).bit_count() for v in range(n) if a >> v & 1)
 
 
 def _cut_grid():
