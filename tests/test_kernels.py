@@ -309,13 +309,13 @@ def test_min_cut_witness_pinned():
     assert h.hexdigest() == _CUT_WITNESS_DIGEST
 
 
-def _pops(monkeypatch, adj, n, rho=None):
+def _pops(monkeypatch, adj, n):
     """The pops of one `min_density_cut` call: the least budget under which
     it completes, found by doubling and then bisection."""
 
     def completes(budget):
         monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
-        return kernel.min_density_cut(adj, n, rho)[2]
+        return kernel.min_density_cut(adj, n)[2]
 
     lo, hi = 0, 1
     while not completes(hi):
