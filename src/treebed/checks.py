@@ -259,11 +259,11 @@ def _recheck_components(t: Tree, pivot: int, parts: list[frozenset]) -> bool:
     return total == frozenset(range(t.n)) - {pivot}
 
 
-def check_tree_splitting(seed: int = 0, count: int = 1000, max_n: int = 200) -> CheckResult:
+def check_tree_splitting(seed: int = 0, count: int = 1000) -> CheckResult:
     res = CheckResult("tree splits: separator/two/three/chain/even-odd/classes")
     rng = random.Random(repr(("split", seed)))
     for i in range(count):
-        n = rng.randrange(3, max_n + 1)
+        n = rng.randrange(3, 201)
         dmax = rng.randrange(2, 6)
         t = gen_random_tree(n, dmax, seed * 13 + i)
         k = t.k
@@ -338,11 +338,11 @@ def check_even_odd_exhaustive(seed: int = 0, count: int = 150) -> CheckResult:
     return res
 
 
-def check_msf(seed: int = 0, count: int = 1000, max_n: int = 200) -> CheckResult:
+def check_msf(seed: int = 0, count: int = 1000) -> CheckResult:
     res = CheckResult("matching/tree/forest decomposition: P1 P2 P5 P6 + edge partition")
     rng = random.Random(repr(("msf", seed)))
     for i in range(count):
-        n = rng.randrange(2, max_n + 1)
+        n = rng.randrange(2, 201)
         t = gen_random_tree(n, rng.randrange(2, 5), seed * 19 + i)
         res.runs += 1
         try:
@@ -387,8 +387,9 @@ def _two_part_feasible(a: list[int], ell: int) -> bool:
     return False
 
 
-def check_sum_partition_exhaustive(max_m: int = 8, max_val: int = 4, max_ell: int = 12) -> CheckResult:
-    """All multisets with entries 1..max_val (plus every ordering for m <= 5)."""
+def check_sum_partition_exhaustive() -> CheckResult:
+    """Every ell <= 12 against all multisets of at most 8 entries in 1..4,
+    and against every ordering of those with at most 5 entries."""
     res = CheckResult("sum partitions: exhaustive small-range verification")
     from itertools import combinations_with_replacement, permutations as perms
 
@@ -427,14 +428,14 @@ def check_sum_partition_exhaustive(max_m: int = 8, max_val: int = 4, max_ell: in
         if not (sums[2] <= sums[1] <= sums[0] <= -(-ell // 2)) or len(i3) > 1:
             res.fail(f"three-part returned a bad split on {a}, ell={ell}")
 
-    for ell in range(1, max_ell + 1):
-        for m in range(0, max_m + 1):
-            for combo in combinations_with_replacement(range(1, max_val + 1), m):
+    for ell in range(1, 13):
+        for m in range(0, 9):
+            for combo in combinations_with_replacement(range(1, 5), m):
                 try_pair(list(combo), ell)
     # every ordering for short sequences: index bookkeeping must not care
-    for ell in range(1, max_ell + 1):
+    for ell in range(1, 13):
         for m in range(1, 6):
-            for combo in combinations_with_replacement(range(1, max_val + 1), m):
+            for combo in combinations_with_replacement(range(1, 5), m):
                 for arrangement in set(perms(combo)):
                     try_pair(list(arrangement), ell)
     return res
@@ -526,29 +527,31 @@ def check_oracle_agreement(hosts, trees, budget: int = 10**7) -> CheckResult:
     return res
 
 
+def _escape_path_host(size: int, x_degree: int) -> tuple[Graph, dict]:
+    """Three disjoint cliques A, B1, B2 of `size` vertices, x adjacent to
+    x_degree vertices of A and of B1, and a bridge a-b from A into B2; with
+    `embed_via_path`'s keyword arguments for them."""
+    A, B1, B2 = (list(range(b * size, (b + 1) * size)) for b in range(3))
+    x = 3 * size
+    edges = [e for blk in (A, B1, B2) for e in combinations(blk, 2)]
+    edges += [(x, v) for v in A[:x_degree] + B1[:x_degree]]
+    a, b = A[-1], B2[0]
+    g = Graph(x + 1, edges + [(a, b)])
+    pools = dict(a_set=VertexSet(A, g.n), b1_set=VertexSet(B1, g.n), b2_set=VertexSet(B2, g.n))
+    return g, dict(x=x, a=a, b=b, **pools)
+
+
 def structured_embedder_instances() -> list[tuple[str, Graph, Tree, object]]:
     """Hand-built hosts exercising the path-escape and matching-forest embedders."""
     out = []
 
-    # escape-path instance: A, B1, B2 are disjoint cliques; x sees A and B1;
-    # bridge a-b runs from A into B2
-    kA, kB1, kB2 = 10, 10, 10
-    A = list(range(kA))
-    B1 = list(range(kA, kA + kB1))
-    B2 = list(range(kA + kB1, kA + kB1 + kB2))
-    x = kA + kB1 + kB2
-    edges = []
-    for blk in (A, B1, B2):
-        edges.extend((u, v) for u, v in combinations(blk, 2))
-    edges.extend((x, v) for v in A[:4])
-    edges.extend((x, v) for v in B1[:4])
-    a, b = A[-1], B2[0]
-    edges.append((a, b))
-    g = Graph(x + 1, edges)
-    t = gen_spider(9, 3)  # three legs of three: not splittable into the window
-    args = dict(x=x, a_set=VertexSet(A, g.n), b1_set=VertexSet(B1, g.n),
-                b2_set=VertexSet(B2, g.n), a=a, b=b)
-    out.append(("embed_via_path", g, t, args))
+    # escape-path instances.  The spider's three legs of four regroup into the
+    # two pools, so the embedder takes its two-pool short-circuit; no
+    # regrouping of three 16-vertex branches lands in the window [17, 31] of
+    # 32-vertex cliques, so it routes the heavy branch along a path through A
+    for size, x_degree, t in ((10, 4, gen_spider(9, 3)), (32, 3, gen_three_branch_tree(48))):
+        g, args = _escape_path_host(size, x_degree)
+        out.append(("embed_via_path", g, t, args))
 
     # matching-forest instance: K14 core with pendant K8 blocks behind portals
     core = list(range(14))

@@ -62,9 +62,10 @@ def connected_hosts_up_to_5() -> list[Graph]:
     return out
 
 
-def sampled_hosts_6_to_8(seed: int, per_size: int = 40) -> list[Graph]:
-    """Seeded connected hosts on 6..8 vertices: named families plus ER samples,
-    deduplicated by the invariant (sampling 'up to isomorphism')."""
+def sampled_hosts_6_to_8(seed: int) -> list[Graph]:
+    """Seeded connected hosts on 6..8 vertices: named families plus up to 40
+    ER samples per order, from at most 1,600 draws, deduplicated by the
+    invariant (sampling 'up to isomorphism')."""
     rng = random.Random(repr(("corpus-hosts", seed)))
     out: list[Graph] = []
     seen: set = set()
@@ -85,8 +86,8 @@ def sampled_hosts_6_to_8(seed: int, per_size: int = 40) -> list[Graph]:
         for m in range(1, n // 2 + 1):
             keep(gen_complete_bipartite(m, n - m))
         tries = 0
-        target = len(out) + per_size
-        while len(out) < target and tries < per_size * 40:
+        target = len(out) + 40
+        while len(out) < target and tries < 1600:
             tries += 1
             p = rng.choice((0.25, 0.4, 0.55, 0.7, 0.85))
             edges = [
@@ -100,8 +101,8 @@ def sampled_hosts_6_to_8(seed: int, per_size: int = 40) -> list[Graph]:
     return out
 
 
-def host_corpus(seed: int = 2024, per_size: int = 40) -> list[Graph]:
-    return connected_hosts_up_to_5() + sampled_hosts_6_to_8(seed, per_size)
+def host_corpus() -> list[Graph]:
+    return connected_hosts_up_to_5() + sampled_hosts_6_to_8(2024)
 
 
 # ---------------------------------------------------------------------------

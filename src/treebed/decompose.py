@@ -18,7 +18,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .graph import (
-    DEFAULT_COVER_BUDGET,
     CutDenseVerdict,
     CutWitness,
     Graph,
@@ -32,18 +31,10 @@ from .graph import (
     _max_bipartite_matching,
 )
 
-# rho presets mirroring the refinement analysis: delta^2/20000 inside one
-# refinement run, delta^2/10^10 and delta^2/10^12 for collection-level reuse
-RHO_PRESET_DIVISORS = {
-    "refine": 20_000,
-    "collection": 10**10,
-    "collection_fine": 10**12,
-}
-
-
-def rho_preset(delta: Fraction, preset: str = "refine") -> Fraction:
+def rho_preset(delta: Fraction) -> Fraction:
+    """delta^2/20000, the rho of the refinement analysis inside one run."""
     delta = Fraction(delta)
-    return delta * delta / RHO_PRESET_DIVISORS[preset]
+    return delta * delta / 20_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,6 @@ def is_rich(
     g: Graph,
     h,
     p: RichParams,
-    cover_budget: int = DEFAULT_COVER_BUDGET,
     cut_verdict: Optional[CutDenseVerdict] = None,
 ) -> RichReport:
     """Check the four richness conditions of the induced subgraph on h.
@@ -110,7 +100,7 @@ def is_rich(
     cover: Optional[VertexSet] = None
     cover_ok: Optional[bool]
     try:
-        got = vertex_cover_at_most(sub, 3 * p.k, budget=cover_budget)
+        got = vertex_cover_at_most(sub, 3 * p.k)
         cover_ok = got is not None
         if got is not None:
             cover = VertexSet([hv.members[i] for i in got.members], g.n)
@@ -204,7 +194,7 @@ def refine_cut_dense(
     a, eps, delta = Fraction(a), Fraction(eps), Fraction(delta)
     preset = rho is None
     if preset:
-        rho = rho_preset(delta, "refine")
+        rho = rho_preset(delta)
     rho = Fraction(rho)
     if g.min_degree() < (a + eps) * k:
         raise PreconditionViolated("min degree below (a + eps)k")
@@ -413,7 +403,6 @@ def intersection_property_report(
     delta_t: int,
     eps: Fraction,
     k: int,
-    cover_budget: int = DEFAULT_COVER_BUDGET,
 ) -> IntersectionReport:
     """Check the three exclusion properties of component peripheries.
 
@@ -427,7 +416,7 @@ def intersection_property_report(
     eps = Fraction(eps)
     cvs = _disjoint_vertex_sets(comps, g.n)
     p = RichParams(Fraction(1, 2) + eps, Fraction(0), k)
-    reports = tuple(is_rich(g, c, p, cover_budget=cover_budget) for c in cvs)
+    reports = tuple(is_rich(g, c, p) for c in cvs)
     for rep in reports:
         if not rep.rich:
             raise PreconditionViolated("every component must be (1/2+eps, 0, k)-rich")
@@ -529,7 +518,7 @@ def x_peripheral_matching(g: Graph, x: int, comps: Sequence, eta_k) -> Periphera
         )
         for z in ext
     }
-    ml = _max_bipartite_matching(list(ext), live_idx, nbrs_stage1)
+    ml = _max_bipartite_matching(list(ext), nbrs_stage1)
     comp_of = dict(ml)
     w_side = sorted(comp_of)
     nx = frozenset(g.neighbors(x))
@@ -537,7 +526,7 @@ def x_peripheral_matching(g: Graph, x: int, comps: Sequence, eta_k) -> Periphera
     nbrs_stage2 = {
         y: tuple(w for w in g.neighbors(y) if w in set(w_side)) for y in x_side
     }
-    m2 = _max_bipartite_matching(x_side, w_side, nbrs_stage2)
+    m2 = _max_bipartite_matching(x_side, nbrs_stage2)
     pairs = sorted((y, w) for y, w in m2.items())
     assignment = tuple(sorted((w, comp_of[w]) for _, w in pairs))
     for w, j in assignment:
@@ -561,14 +550,7 @@ class RichDecomposition:
     coverage: Fraction
 
 
-def rich_decompose(
-    g: Graph,
-    k: int,
-    p: RichParams,
-    eps: Optional[Fraction] = None,
-    delta: Optional[Fraction] = None,
-    cover_budget: int = DEFAULT_COVER_BUDGET,
-) -> RichDecomposition:
+def rich_decompose(g: Graph, k: int, p: RichParams) -> RichDecomposition:
     """Heuristic pipeline: components -> low-degree peel -> cut-dense refine
     -> richness filter.
 
@@ -580,11 +562,8 @@ def rich_decompose(
     promised; an empty result is an inconclusive outcome, not evidence about
     containment.
     """
-    if eps is None:
-        eps = max(p.c / 2, Fraction(1, 100))
-    if delta is None:
-        delta = eps / 401
-    eps, delta = Fraction(eps), Fraction(delta)
+    eps = max(p.c / 2, Fraction(1, 100))
+    delta = eps / 401
     accepted: list[VertexSet] = []
     reports: list[RichReport] = []
     for comp in g.components():
@@ -615,7 +594,7 @@ def rich_decompose(
             continue
         for rcomp in refined.graph.components():
             orig = tuple(back[refined.vertices[i]] for i in rcomp)
-            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p, cover_budget)
+            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p)
             if rep.rich:
                 accepted.append(rep.subgraph)
                 reports.append(rep)
@@ -633,7 +612,6 @@ def is_rich_on_refined(
     orig: tuple[int, ...],
     n: int,
     p: RichParams,
-    cover_budget: int,
 ) -> RichReport:
     """Richness check on a refined component (edge deletions already applied).
 
@@ -649,8 +627,6 @@ def is_rich_on_refined(
     # refine's last pass found every final component rho-cut-dense, and it
     # records the ones whose verdict was inconclusive
     verdict = CutDenseVerdict(True, rcomp not in refined.inconclusive, None)
-    rep = is_rich(
-        sub, VertexSet(range(sub.n), sub.n), p, cover_budget=cover_budget, cut_verdict=verdict
-    )
+    rep = is_rich(sub, VertexSet(range(sub.n), sub.n), p, cut_verdict=verdict)
     cover = None if rep.cover is None else VertexSet((orig[i] for i in rep.cover), n)
     return replace(rep, subgraph=VertexSet(orig, n), cover=cover)

@@ -121,7 +121,7 @@ def gen_spider(k: int, ell: int) -> Tree:
     return t
 
 
-def gen_bps_alpha_host(k: int, alpha: Fraction, seed: int = 0) -> tuple[Graph, int]:
+def gen_bps_alpha_host(k: int, alpha: Fraction) -> tuple[Graph, int]:
     """Two complete bipartite blocks plus an apex seeing both larger classes.
 
     Block parts have ceil((1+alpha)k/2) and ceil((1-alpha)k) vertices (the
@@ -289,9 +289,7 @@ def _pruefer_edges(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def gen_random_tree(
-    n: int, max_deg: int, seed: int | random.Random, _rejection_rounds: int = _REJECTION_ROUNDS
-) -> Tree:
+def gen_random_tree(n: int, max_deg: int, seed: int | random.Random) -> Tree:
     """Seeded random tree, exactly uniform over the labelled trees on 0..n-1
     with max degree <= max_deg.
 
@@ -342,7 +340,7 @@ def gen_random_tree(
     left = accepted(b"")  # empty, of the type the accepter returns
     # from cap 13 on, a uniform code breaks the bound with probability below
     # n / 13!, and stage 2's weights would not fit in 32 bits (13! > 2**32)
-    for _ in range(_rejection_rounds) if cap < 13 else count():
+    for _ in range(_REJECTION_ROUNDS) if cap < 13 else count():
         code, left = draw(accepted, m, left)
         # in sorted order, a symbol used more than cap times gives s[i] == s[i + cap]
         s = sorted(code)
@@ -461,9 +459,7 @@ class _Params(dict):
 _GRAPH_FAMILIES = {
     "two_cliques_apex": lambda p, s: gen_two_cliques_apex(p["k"]),
     "two_cliques_apex_grown": lambda p, s: gen_two_cliques_apex_grown(p["k"]),
-    "bps_alpha_host": lambda p, s: gen_bps_alpha_host(
-        p["k"], p["alpha"], s or 0
-    )[0],
+    "bps_alpha_host": lambda p, s: gen_bps_alpha_host(p["k"], p["alpha"])[0],
     "clique_chain_apex": lambda p, s: gen_clique_chain_apex(p["k"], p["d"]),
     "complete_bipartite": lambda p, s: gen_complete_bipartite(p["m"], p["n"]),
     "complete": lambda p, s: Graph.complete(p["n"]),

@@ -20,7 +20,10 @@ from .errors import (
     SearchBudgetExceeded,
 )
 
-DEFAULT_COVER_BUDGET = 10**6
+# Search nodes allowed to one `vertex_cover_at_most` call, and vertices
+# placed on the path by one `path_in_range` DFS; both are read at call time
+COVER_NODE_BUDGET = 10**6
+PATH_NODE_BUDGET = 400_000
 
 
 class VertexSet:
@@ -479,15 +482,14 @@ def is_cut_dense(g: Graph, rho: Fraction) -> CutDenseVerdict:
 # Vertex cover (exact branch and bound)
 
 
-def vertex_cover_at_most(
-    g: Graph, bound: int, budget: int = DEFAULT_COVER_BUDGET
-) -> Optional[VertexSet]:
+def vertex_cover_at_most(g: Graph, bound: int) -> Optional[VertexSet]:
     """A vertex cover of size <= bound, or None when provably none exists.
 
     Classical max-degree branching ("v in the cover" vs "N(v) in the cover")
     with an edges-over-max-degree lower bound.  The search runs on an explicit
     stack, so its depth is not bounded by the recursion limit.  Raises
-    SearchBudgetExceeded when the node budget runs out before either verdict.
+    SearchBudgetExceeded when COVER_NODE_BUDGET nodes run out before either
+    verdict.
     """
     if bound < 0:
         raise PreconditionViolated("cover bound must be nonnegative")
@@ -524,6 +526,7 @@ def vertex_cover_at_most(
     # neighbours taken in branch 2 (None while branch 1 is open).  Frames are
     # undone in LIFO order, which keeps `deg` exact for every live vertex.
     stack: list[tuple[int, int, Optional[list[int]]]] = []
+    budget = COVER_NODE_BUDGET
     nodes = 0
     left = bound
     while True:
@@ -572,9 +575,7 @@ def vertex_cover_at_most(
 # Bipartite matching
 
 
-def _max_bipartite_matching(
-    left: Sequence, right: Sequence, nbrs: dict
-) -> dict:
+def _max_bipartite_matching(left: Sequence, nbrs: dict) -> dict:
     """Kuhn's augmenting-path maximum matching; returns left->right assignment.
 
     Each augmenting search is a depth-first search on an explicit stack, so
@@ -633,7 +634,7 @@ def bipartite_matching_lower(g: Graph, x_side, y_side) -> Matching:
     for y in ys:
         if not any(g.has_edge(x, y) for x in xs):
             raise PreconditionViolated(f"y-side vertex {y} has no neighbour in x_side")
-    ml = _max_bipartite_matching(list(xs), list(ys), nbrs)
+    ml = _max_bipartite_matching(list(xs), nbrs)
     matching = Matching(tuple(sorted((x, y) for x, y in ml.items())))
     matching.check_in(g)
     d = max(len(nbrs[x]) for x in xs) if len(xs) else 0
@@ -753,19 +754,12 @@ def _exhaustive_path_search(
     return None, True
 
 
-def path_in_range(
-    g: Graph,
-    y: int,
-    z: int,
-    ell: int,
-    slack: int,
-    dfs_budget: int = 400_000,
-) -> PathSearchResult:
+def path_in_range(g: Graph, y: int, z: int, ell: int, slack: int) -> PathSearchResult:
     """A simple y-z path whose edge count lies in [ell+1, ell+slack].
 
     Strategy: accept the BFS-shortest path when it already lands in the
     window, and report absence when even that path is too long; otherwise
-    run a DFS over simple paths, capped at `dfs_budget` nodes.  Every
+    run a DFS over simple paths, capped at PATH_NODE_BUDGET nodes.  Every
     returned path is re-verified simple and in range.  A None with
     conclusive=True is a proof that no such path exists; a DFS that hits its
     budget returns None, conclusive=False.
@@ -801,7 +795,7 @@ def path_in_range(
             path.append(min(w for w in g.neighbors(v) if dist[w] == dist[v] - 1))
         return PathSearchResult(verify(list(reversed(path))), True)
 
-    res, completed = _exhaustive_path_search(g, y, z, lo, hi, dfs_budget)
+    res, completed = _exhaustive_path_search(g, y, z, lo, hi, PATH_NODE_BUDGET)
     if res is not None:
         return PathSearchResult(verify(res), True)
     return PathSearchResult(None, completed)

@@ -151,23 +151,7 @@ class TrialRecord:
     consistency_failure: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "trial_seed": self.trial_seed,
-            "instance": self.instance,
-            "k": self.k,
-            "host_n": self.host_n,
-            "host_edges": self.host_edges,
-            "tree_edges": self.tree_edges,
-            "template_ok": self.template_ok,
-            "degree_checks": self.degree_checks,
-            "pipeline_stages": self.pipeline_stages,
-            "pipeline_found": self.pipeline_found,
-            "oracle_status": self.oracle_status,
-            "oracle_nodes": self.oracle_nodes,
-            "verdict": self.verdict,
-            "consistency_failure": self.consistency_failure,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +277,7 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
         host_edges=g.edge_count,
         tree_edges=t.k,
         template_ok=template_ok,
-        degree_checks={key: _jsonable_scalar(v) for key, v in degree_checks.items()},
+        degree_checks=degree_checks,
         pipeline_stages=stages,
         pipeline_found=pipeline_found,
         oracle_status=oracle_status,
@@ -301,14 +285,6 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
         verdict=verdict,
         consistency_failure=consistency_failure,
     )
-
-
-def _jsonable_scalar(v):
-    if isinstance(v, bool) or isinstance(v, int) or isinstance(v, str):
-        return v
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 @dataclass
@@ -444,13 +420,10 @@ def timed_check(fn, **kwargs) -> checks.CheckResult:
     return res
 
 
-def oracle_corpus_check(
-    seed: int = 2024, max_tree_edges: int = 7, budget: int = 10**7
-) -> checks.CheckResult:
-    """Criterion-style corpus run: every stored host against every stored tree."""
-    hosts = host_corpus(seed)
-    trees = [t for t in all_trees_up_to(max_tree_edges + 1)]
-    res = checks.check_oracle_agreement(hosts, trees, budget=budget)
+def oracle_corpus_check(budget: int = 10**7) -> checks.CheckResult:
+    """Criterion-style corpus run: every stored host against every tree of
+    at most 7 edges."""
+    res = checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), budget=budget)
     structured = checks.check_structured_embedders(budget=budget)
     res.runs += structured.runs
     res.failures += structured.failures

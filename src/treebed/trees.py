@@ -7,7 +7,7 @@ construction, so a successful return *is* the certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 from typing import Iterable, Optional, Sequence
@@ -187,17 +187,13 @@ class RootedView:
 
 
 # The view Tree.rooted built last.  A split pass asks for root 0 six times
-# per tree, so one slot saves most rebuilds; it holds a single view, not one
-# per live tree, and the view refers only to its tree, so it makes no cycle.
+# per tree, and each record asks again for the view its procedure just built
+# to re-check its bounds on, so one slot saves most rebuilds; it holds a
+# single view, not one per live tree, and the view refers only to its tree,
+# so it makes no cycle.
 # Tree.rooted reads it once per call, so threads that share it may rebuild a
 # view but never get one of another tree or root.
 _last_view: Optional[RootedView] = None
-
-
-def _check_view(record, view: RootedView, root: int) -> None:
-    """A record checks its bounds only on a view of its own tree at `root`."""
-    if view.tree is not record.tree or view.root != root:
-        raise InternalInvariantError(f"{type(record).__name__} got a view of another tree or root")
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +392,9 @@ class TwoForestSplit:
     pivot: int
     f1: VertexSet
     f2: VertexSet
-    view: InitVar[RootedView]  # the tree rooted at 0, checked on and not kept
 
-    def __post_init__(self, view: RootedView):
-        _check_view(self, view, 0)
+    def __post_init__(self):
+        view = self.tree.rooted(0)
         k, a = self.tree.k, self.f1.as_set()
         _check_forests(view, self.pivot, [a, self.f2.as_set()])
         if not (Fraction(k, 2) <= len(a) <= (2 * k) // 3):
@@ -415,10 +410,9 @@ class ThreeForestSplit:
     f1: VertexSet
     f2: VertexSet
     f3: VertexSet
-    view: InitVar[RootedView]  # the tree rooted at 0, checked on and not kept
 
-    def __post_init__(self, view: RootedView):
-        _check_view(self, view, 0)
+    def __post_init__(self):
+        view = self.tree.rooted(0)
         sets = [self.f1.as_set(), self.f2.as_set(), self.f3.as_set()]
         _check_forests(view, self.pivot, sets)
         cap = -(-self.tree.k // 2)
@@ -445,7 +439,7 @@ def split_two_forests(t: Tree) -> TwoForestSplit:
     j1, j2 = sum_partition_two(sizes, t.k)
     f1 = [v for i in j1 for v in comps[i]]
     f2 = [v for i in j2 for v in comps[i]]
-    return TwoForestSplit(t, pivot, VertexSet(f1, t.n), VertexSet(f2, t.n), rv)
+    return TwoForestSplit(t, pivot, VertexSet(f1, t.n), VertexSet(f2, t.n))
 
 
 def split_three_forests(t: Tree) -> ThreeForestSplit:
@@ -461,7 +455,7 @@ def split_three_forests(t: Tree) -> ThreeForestSplit:
         VertexSet([v for i in idx for v in comps[i]], t.n)
         for idx in (i1, i2, i3)
     ]
-    return ThreeForestSplit(t, pivot, fs[0], fs[1], fs[2], rv)
+    return ThreeForestSplit(t, pivot, fs[0], fs[1], fs[2])
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +638,6 @@ class EvenOddSplit:
     class2: tuple[int, ...]
     even_counts: tuple[int, ...]
     odd_counts: tuple[int, ...]
-    view: InitVar[RootedView]  # the tree rooted at 0, checked on and not kept
 
     def bound(self) -> Fraction:
         d = self.tree.max_degree()
@@ -657,8 +650,8 @@ class EvenOddSplit:
             load += self.even_counts[i] if i in inside else self.odd_counts[i]
         return load
 
-    def __post_init__(self, view: RootedView):
-        _check_view(self, view, 0)
+    def __post_init__(self):
+        view = self.tree.rooted(0)
         if set(self.class1) | set(self.class2) != set(range(len(self.components))) or set(
             self.class1
         ) & set(self.class2):
@@ -746,7 +739,6 @@ def even_odd_split(t: Tree) -> EvenOddSplit:
         class2,
         tuple(even_counts),
         tuple(odd_counts),
-        rv,
     )
 
 
@@ -762,7 +754,8 @@ class MSFDecomposition:
     (P2), matched S-endpoints share a bipartition class (P5), their spanning
     subtree in S is small (P6), F-components stay under ceil(k/2), and the
     three edge sets partition E(T).  The |S| <= ceil(k/2) half of P3 is asymptotic and only
-    asserted above `s_bound_min_k`; below it the measured size is recorded.
+    asserted from k = `s_bound_min_k` = 8 * max_degree**(4 * max_degree + 1)
+    on; below it the measured size is recorded.
     """
 
     tree: Tree
@@ -771,12 +764,11 @@ class MSFDecomposition:
     s_vertices: tuple[int, ...]
     f_components: tuple[tuple[int, ...], ...]
     s_bound_min_k: int
-    view: InitVar[RootedView]  # the tree rooted at `root`, checked on and not kept
     s_size: int = field(init=False, default=0)
     s_bound_checked: bool = field(init=False, default=False)
 
-    def __post_init__(self, view: RootedView):
-        _check_view(self, view, self.root)
+    def __post_init__(self):
+        view = self.tree.rooted(self.root)
         t, k = self.tree, self.tree.k
         sset = set(self.s_vertices)
         fset = {v for comp in self.f_components for v in comp}
@@ -840,7 +832,7 @@ def _steiner_size(rv: RootedView, terminals: list[int]) -> int:
     return span
 
 
-def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomposition:
+def msf_decomposition(t: Tree) -> MSFDecomposition:
     """Partition E(T) into matching + central tree + outer forest.
 
     Root at a balanced separator; on even depth layers 2..4*max_degree pick,
@@ -856,8 +848,6 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
     if t.n < 2:
         raise PreconditionViolated("need at least 2 vertices")
     dmax = t.max_degree()
-    if s_bound_min_k is None:
-        s_bound_min_k = 8 * dmax ** (4 * dmax + 1)
     r = _separator(t.rooted(0))
     rv = t.rooted(r)
     shadow: set[int] = set()
@@ -879,6 +869,5 @@ def msf_decomposition(t: Tree, s_bound_min_k: Optional[int] = None) -> MSFDecomp
         matching,
         tuple(v for v in range(t.n) if v not in shadow),
         tuple(picks[v][1] for v in sorted(picks)),
-        s_bound_min_k,
-        rv,
+        8 * dmax ** (4 * dmax + 1),
     )

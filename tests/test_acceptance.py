@@ -45,7 +45,7 @@ def test_criterion_2_tree_splitting_suite():
     """1000 seeded random trees (n <= 200, max degree <= 5): every splitting
     bound holds exactly as stated."""
     t0 = time.monotonic()
-    res = checks.check_tree_splitting(seed=0, count=1000, max_n=200)
+    res = checks.check_tree_splitting()
     elapsed = time.monotonic() - t0
     _run(res, f"2 tree-splitting suite ({elapsed:.1f}s)", expected_runs=1000)
     assert elapsed < 60
@@ -55,8 +55,8 @@ def test_criterion_3_msf_decomposition():
     """P1/P2/P5/P6 plus the edge partition on 1000 trees (max degree <= 4);
     the |S| bound on 100 degree-2 trees with k >= 4096."""
     t0 = time.monotonic()
-    res = checks.check_msf(seed=0, count=1000, max_n=200)
-    res_p3 = checks.check_msf_p3_paths(seed=0, count=100)
+    res = checks.check_msf()
+    res_p3 = checks.check_msf_p3_paths()
     elapsed = time.monotonic() - t0
     ok = res.failures == 0 and res_p3.failures == 0
     _report(
@@ -74,7 +74,7 @@ def test_criterion_4_sum_partition_exhaustive():
     """Both partition procedures verified over every admissible sequence with
     m <= 8, entries <= 4, ell <= 12."""
     t0 = time.monotonic()
-    res = checks.check_sum_partition_exhaustive(max_m=8, max_val=4, max_ell=12)
+    res = checks.check_sum_partition_exhaustive()
     elapsed = time.monotonic() - t0
     _run(res, f"4 sum-partition exhaustive ({elapsed:.1f}s)")
     assert elapsed < 60
@@ -84,7 +84,7 @@ def test_criterion_5_oracle_cross_agreement():
     """Stored corpus (all hosts to n=8 up to isomorphism sampling, all trees to
     7 edges): specialized embedders never contradict the exhaustive oracle."""
     t0 = time.monotonic()
-    res = lab.oracle_corpus_check(seed=2024, max_tree_edges=7)
+    res = lab.oracle_corpus_check()
     elapsed = time.monotonic() - t0
     _run(res, f"5 oracle cross-agreement ({elapsed:.1f}s)")
 

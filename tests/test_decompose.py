@@ -81,8 +81,7 @@ def test_refine_preconditions():
 
 
 def test_rho_presets():
-    assert rho_preset(Fraction(1, 10), "refine") == Fraction(1, 2_000_000)
-    assert rho_preset(Fraction(1, 10), "collection") == Fraction(1, 10**12)
+    assert rho_preset(Fraction(1, 10)) == Fraction(1, 2_000_000)
 
 
 def test_classify_two_cliques_apex():
@@ -108,8 +107,7 @@ def test_intersection_properties():
     half = (g.n - 1) // 2
     c1 = VertexSet(range(0, half), g.n)
     c2 = VertexSet(range(half, g.n - 1), g.n)
-    rep = intersection_property_report(g, [c1, c2], delta_t=3, eps=Fraction(1, 8), k=60,
-                                       cover_budget=10**5)
+    rep = intersection_property_report(g, [c1, c2], delta_t=3, eps=Fraction(1, 8), k=60)
     assert rep.l1_holds
     # three disjoint K7 blocks plus one vertex seeing 3 in each: an L1 witness
     edges = []
@@ -227,13 +225,13 @@ def test_rich_on_refined_reuses_the_last_pass_verdicts():
         p = RichParams(Fraction(1, 2), rho, k)
         for rcomp in refined.graph.components():
             orig = tuple(refined.vertices[i] for i in rcomp)
-            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p, 10**5)
-            fresh = is_rich(refined.graph, rcomp, p, cover_budget=10**5)
+            rep = is_rich_on_refined(refined, rcomp, orig, g.n, p)
+            fresh = is_rich(refined.graph, rcomp, p)
             assert (rep.cut_dense_ok, rep.cut_dense_conclusive, rep.cut_witness) == (
                 fresh.cut_dense_ok, fresh.cut_dense_conclusive, fresh.cut_witness
             )
     with pytest.raises(PreconditionViolated):
-        is_rich_on_refined(refined, rcomp, orig, g.n, RichParams(Fraction(1, 2), rho / 2, k), 10**5)
+        is_rich_on_refined(refined, rcomp, orig, g.n, RichParams(Fraction(1, 2), rho / 2, k))
 
 
 def test_apex_host_pieces_are_certified():
@@ -266,7 +264,7 @@ def test_refine_records_inconclusive_components(monkeypatch):
     assert refined.inconclusive == (tuple(range(6, 12)),) and not refined.certified_exact
     p = RichParams(Fraction(1, 2), rho, 4)
     conclusive = [
-        is_rich_on_refined(refined, rcomp, rcomp, 12, p, 10**5).cut_dense_conclusive
+        is_rich_on_refined(refined, rcomp, rcomp, 12, p).cut_dense_conclusive
         for rcomp in refined.graph.components()
     ]
     assert conclusive == [True, False]

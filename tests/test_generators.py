@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from treebed import generators
 from treebed.embed import brute_force_embed
 from treebed.errors import Infeasible, PreconditionViolated
 from treebed.generators import (
@@ -150,14 +151,15 @@ def _pruefer_code(t) -> tuple:
 
 
 @pytest.mark.parametrize("n, max_deg, draws", [(6, 3, 11_700), (6, 2, 3_600)])
-def test_random_tree_exact_stage_is_uniform(n, max_deg, draws):
+def test_random_tree_exact_stage_is_uniform(monkeypatch, n, max_deg, draws):
     # every Pruefer code whose symbols each appear at most max_deg - 1 times
     # is one labelled tree with max degree <= max_deg, and the exact stage
     # alone must hit each equally often: 1,170 trees for (6, 3), 360 paths
     # for (6, 2), about 10 draws each
     trees = [c for c in product(range(n), repeat=n - 2) if max(Counter(c).values()) < max_deg]
     assert len(trees) == {3: 1170, 2: 360}[max_deg]
-    seen = Counter(_pruefer_code(gen_random_tree(n, max_deg, s, _rejection_rounds=0)) for s in range(draws))
+    monkeypatch.setattr(generators, "_REJECTION_ROUNDS", 0)
+    seen = Counter(_pruefer_code(gen_random_tree(n, max_deg, s)) for s in range(draws))
     assert set(seen) <= set(trees)
     expected = draws / len(trees)
     chi2 = sum((seen[c] - expected) ** 2 / expected for c in trees)
@@ -192,13 +194,14 @@ _GRAPH_DIGEST = "c5e22bae949b56aa7179dd4483327b732511dc128bfcc609f73ef98ede1534c
 
 
 @pytest.mark.parametrize("rounds", sorted(_TREE_DIGESTS))
-def test_random_tree_corpus_pinned(rounds):
+def test_random_tree_corpus_pinned(monkeypatch, rounds):
+    monkeypatch.setattr(generators, "_REJECTION_ROUNDS", rounds)
     h = hashlib.sha256()
     for n in _TREE_NS:
         for d in sorted({1, 2, 3, 4, 5, 8, n - 1}):
             for seed in range(4):
                 try:
-                    out = gen_random_tree(n, d, seed, _rejection_rounds=rounds).edges
+                    out = gen_random_tree(n, d, seed).edges
                 except Infeasible:
                     out = "Infeasible"
                 h.update(f"{n} {d} {seed} {out}\n".encode())

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treebed import graph
 from treebed.errors import Disconnected, PreconditionViolated
 from treebed.generators import gen_random_connected_graph, gen_random_graph_min_degree
 from treebed.graph import (
@@ -148,13 +149,14 @@ def test_vertex_cover_deep_search_is_iterative():
     assert vertex_cover_at_most(g, n // 2 - 1) is None
 
 
-def test_vertex_cover_budget():
+def test_vertex_cover_budget(monkeypatch):
     from treebed.errors import SearchBudgetExceeded
 
     # K10 needs 9 cover vertices; bound 8 is infeasible but the edge-count
     # lower bound cannot prune it at the root, so the search must branch
+    monkeypatch.setattr(graph, "COVER_NODE_BUDGET", 5)
     with pytest.raises(SearchBudgetExceeded):
-        vertex_cover_at_most(Graph.complete(10), 8, budget=5)
+        vertex_cover_at_most(Graph.complete(10), 8)
 
 
 def test_bipartite_matching_examples():
@@ -228,12 +230,14 @@ def test_path_in_range_examples():
     assert r.path is None and r.conclusive
 
 
-def test_path_search_budget_spent_only_on_admissible_steps():
+def test_path_search_budget_spent_only_on_admissible_steps(monkeypatch):
     # 0-6-5-4-3-2-1 places exactly 7 vertices; entering z = 1 early, where
     # it cannot close a 6-edge path, must not spend the budget
-    r = path_in_range(C7, 0, 1, 5, 1, dfs_budget=7)
+    monkeypatch.setattr(graph, "PATH_NODE_BUDGET", 7)
+    r = path_in_range(C7, 0, 1, 5, 1)
     assert r.path == (0, 6, 5, 4, 3, 2, 1) and r.conclusive
-    r = path_in_range(C7, 0, 1, 5, 1, dfs_budget=6)
+    monkeypatch.setattr(graph, "PATH_NODE_BUDGET", 6)
+    r = path_in_range(C7, 0, 1, 5, 1)
     assert r.path is None and not r.conclusive
 
 

@@ -134,9 +134,10 @@ def test_rooted_view_constructor_callers_are_pinned():
 
 
 def test_tree_records_check_on_the_view_they_are_given():
-    # a record re-checks its bounds on the view its procedure built, so no
-    # __post_init__ in trees.py roots the tree again or walks it by a
-    # module-level function that takes the Tree itself
+    # a record re-checks its bounds on the view its procedure just built,
+    # which Tree.rooted hands back from its slot, so no __post_init__ in
+    # trees.py builds a view or walks the tree by a module-level function
+    # that takes the Tree itself
     module = ast.parse((SRC / "trees.py").read_text())
     walkers = {"RootedView"} | {
         fn.name
@@ -156,9 +157,7 @@ def test_tree_records_check_on_the_view_they_are_given():
                     if not isinstance(node, ast.Call):
                         continue
                     f = node.func
-                    if (isinstance(f, ast.Attribute) and f.attr == "rooted") or (
-                        isinstance(f, ast.Name) and f.id in walkers
-                    ):
+                    if isinstance(f, ast.Name) and f.id in walkers:
                         sites.append(f"{cls.name}:{node.lineno}: {ast.unparse(f)}")
     assert {"TwoForestSplit", "ThreeForestSplit", "EvenOddSplit", "MSFDecomposition"} <= checked
     assert sites == []
@@ -234,3 +233,72 @@ def test_every_experiment_config_field_is_read():
     names = [f.name for f in fields(ExperimentConfig)]
     assert len(names) >= 11
     assert [n for n in names if n not in read] == []
+
+
+def _call_name(node):
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a default that no call in the package overrides is a constant under
+    # another name: one more value to set that nothing sets.  A call with *
+    # or ** counts as passing everything.  The seeded checks get `seed` and
+    # `count`, and oracle_corpus_check its `budget`, from the CLI through
+    # timed_check(fn, **kwargs); `argv` is the entry point's
+    from treebed import checks
+
+    allowed = {("main", "argv"), ("oracle_corpus_check", "budget")} | {
+        (fn.__name__, p)
+        for fn in checks.ALL_CHECKS.values()
+        for p in ("seed", "count")
+        if p in inspect.signature(fn).parameters
+    }
+    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    calls: dict = {}  # callee name -> (positional count, keyword names, starred) per call
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _call_name(node):
+                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    kw.arg is None for kw in node.keywords
+                )
+                calls.setdefault(_call_name(node), []).append(
+                    (len(node.args), {kw.arg for kw in node.keywords}, starred)
+                )
+    unpassed = set()
+    for tree in modules:
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            defaulted = [(i, p.arg) for i, p in enumerate(pos) if i >= first]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for i, name in defaulted:
+                if not any(
+                    starred or (i is not None and i < npos) or name in kws
+                    for npos, kws, starred in calls.get(fn.name, ())
+                ):
+                    unpassed.add((fn.name, name))
+    assert len(allowed) >= 20
+    assert unpassed == allowed
+
+
+def test_every_parameter_is_read():
+    # a parameter its body never reads is accepted and silently dropped
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            reads = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            sites += [f"{path.name}:{fn.lineno}: {fn.name}({p.arg})" for p in params if p.arg not in reads]
+    assert sites == []

@@ -1,6 +1,5 @@
 """Tree-toolkit tests: splitting procedures and their certified records."""
 
-import dataclasses
 import hashlib
 import inspect
 import random
@@ -315,36 +314,21 @@ def test_split_records_certify(seed, n, dmax):
     msf_decomposition(t)
 
 
-def test_records_check_only_a_view_of_their_own_tree():
-    t = gen_random_tree(30, 3, 1)
-    twin = Tree(t.n, t.edges)  # equal to t, but not t
-    for rec in (split_two_forests(t), split_three_forests(t), even_odd_split(t), msf_decomposition(t)):
-        root = rec.root if isinstance(rec, MSFDecomposition) else 0
-        args = [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.init]
-        assert type(rec)(*args, t.rooted(root)) == rec
-        for view in (twin.rooted(root), t.rooted((root + 1) % t.n)):
-            with pytest.raises(InternalInvariantError, match="view of another tree or root"):
-                type(rec)(*args, view)
-
-
 def test_records_reject_broken_forests_and_a_split_s():
     # STAR6 - 0 is six singletons; f3 = {5, 6} holds two of them
-    rv = STAR6.rooted(0)
     vs = [VertexSet(p, 7) for p in ((1, 2, 3), (4,), (5, 6))]
     with pytest.raises(InternalInvariantError, match="single component"):
-        ThreeForestSplit(STAR6, 0, *vs, rv)
+        ThreeForestSplit(STAR6, 0, *vs)
     # on the path 0-..-6 with pivot 3, moving 1 away from 0 and 2 breaks {0, 1, 2}
     p7 = gen_path(7)
     with pytest.raises(InternalInvariantError, match="breaks a component"):
-        TwoForestSplit(p7, 3, VertexSet((0, 2, 4), 7), VertexSet((1, 5, 6), 7), p7.rooted(0))
+        TwoForestSplit(p7, 3, VertexSet((0, 2, 4), 7), VertexSet((1, 5, 6), 7))
     for f2 in ((2, 4, 5), (4, 5), (3, 5, 6)):  # overlapping, short, holding the pivot
         with pytest.raises(InternalInvariantError, match="do not partition"):
-            TwoForestSplit(p7, 3, VertexSet((0, 1, 2), 7), VertexSet(f2, 7), p7.rooted(0))
+            TwoForestSplit(p7, 3, VertexSet((0, 1, 2), 7), VertexSet(f2, 7))
     # S = {0, 1} + {5, 6} with F = {2, 3, 4} between them: every other bound holds
     with pytest.raises(InternalInvariantError, match="S is not a subtree"):
-        MSFDecomposition(
-            p7, 0, ((1, 2), (5, 4)), (0, 1, 5, 6), ((2, 3, 4),), 100, p7.rooted(0)
-        )
+        MSFDecomposition(p7, 0, ((1, 2), (5, 4)), (0, 1, 5, 6), ((2, 3, 4),), 100)
 
 
 def test_steiner_size_matches_leaf_stripping():
@@ -501,11 +485,6 @@ def test_rooted_returns_the_last_view_of_the_same_tree_object():
     assert t.rooted(0) is rv
     tv = twin.rooted(0)  # keyed by identity: the twin gets a view of its own
     assert tv is not rv and tv.tree is twin and rv.tree is t
-    rec = split_two_forests(t)
-    args = [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.init]
-    with pytest.raises(InternalInvariantError, match="view of another tree or root"):
-        TwoForestSplit(*args, twin.rooted(0))
-    assert TwoForestSplit(*args, t.rooted(0)) == rec
 
 
 def test_interleaved_rooted_calls_match_fresh_views():
@@ -577,7 +556,9 @@ def test_from_sorted_edges_equals_checked_tree(n, max_deg, seed, rounds):
     # both sampler stages (rounds 0 is the exact stage alone) build through
     # Tree._from_sorted_edges; the checked constructor, given the same edges
     # reversed, flipped and shuffled, must build the same tree
-    t = gen_random_tree(n, max_deg, seed, _rejection_rounds=rounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_REJECTION_ROUNDS", rounds)
+        t = gen_random_tree(n, max_deg, seed)
     edges = [(v, u) for u, v in reversed(t.edges)]
     random.Random(seed).shuffle(edges)
     assert _same_tree(t, Tree(n, edges, root=0))
@@ -604,5 +585,6 @@ def test_mutant_pruefer_decode_is_an_internal_error(monkeypatch, mutation, messa
     exec(compile(source.replace(line, mutation), "<mutant>", "exec"), namespace)
     monkeypatch.setattr(generators, "_pruefer_edges", namespace["_pruefer_edges"])
     for n, max_deg, rounds in ((12, 4, 8), (30, 3, 0), (3, 2, 8)):
+        monkeypatch.setattr(generators, "_REJECTION_ROUNDS", rounds)
         with pytest.raises(InternalInvariantError, match=message):
-            gen_random_tree(n, max_deg, 1, _rejection_rounds=rounds)
+            gen_random_tree(n, max_deg, 1)
