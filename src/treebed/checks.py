@@ -475,7 +475,7 @@ def pipeline_attempts(g: Graph, t: Tree):
     """
     if g.n == 0 or t.n == 0:
         return
-    x = g.degree_order()[0]
+    x = g.degrees().index(g.max_degree())  # the first vertex of maximum degree
     deg = list(map(len, t.adjacency))
     root = deg.index(max(deg))  # the first vertex of maximum degree
     yield "greedy", lambda: greedy_embed(g, t, x, root=root)

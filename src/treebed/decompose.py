@@ -46,6 +46,12 @@ class RichParams:
     k: int
 
     def __post_init__(self):
+        # thresholds stay exact: an int becomes a Fraction, a float is refused
+        for name in ("c", "rho"):
+            val = getattr(self, name)
+            if not isinstance(val, (int, Fraction)):
+                raise PreconditionViolated(f"{name} must be an int or a Fraction, got {val!r}")
+            object.__setattr__(self, name, Fraction(val))
         if self.c < 0 or self.rho < 0 or self.k < 1:
             raise PreconditionViolated("need c, rho >= 0 and k >= 1")
 

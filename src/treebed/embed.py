@@ -210,12 +210,13 @@ def brute_force_embed(
     "not_found" is a proof; budget overruns report "budget_exhausted" instead.
     """
     pin_map = pins.as_dict() if pins is not None else {}
-    for tv, hv in pin_map.items():
-        if not (0 <= tv < t.n and 0 <= hv < g.n):
-            raise PreconditionViolated(f"pin ({tv},{hv}) out of range")
-    for u, v in t.edges:
-        if u in pin_map and v in pin_map and not g.has_edge(pin_map[u], pin_map[v]):
-            raise PreconditionViolated("pins violate edge preservation")
+    if pin_map:
+        for tv, hv in pin_map.items():
+            if not (0 <= tv < t.n and 0 <= hv < g.n):
+                raise PreconditionViolated(f"pin ({tv},{hv}) out of range")
+        for u, v in t.edges:
+            if u in pin_map and v in pin_map and not g.has_edge(pin_map[u], pin_map[v]):
+                raise PreconditionViolated("pins violate edge preservation")
     if t.n == 0:
         return EmbedOutcome("found", Embedding(()), 0)
     if t.n > g.n or t.max_degree() > g.max_degree():
@@ -223,15 +224,17 @@ def brute_force_embed(
 
     order_t, parent_pos, tdeg, nchild, symprev = _search_plan(t, pin_map)
     full = (1 << g.n) - 1
-    allowed = [1 << pin_map[v] if v in pin_map else full for v in order_t]
+    if pin_map:
+        allowed = [1 << pin_map[v] if v in pin_map else full for v in order_t]
+    else:
+        allowed = [full] * t.n
     adj = g.masks()
     lower_twins = _lower_twins(adj, set(pin_map.values()))
     if any(lower_twins):
         symprev = [-1] * t.n
 
     status, imgs, nodes = kernel.solve_embed(
-        adj, g.degrees(), g.degree_order(), parent_pos, allowed, tdeg, nchild, symprev,
-        lower_twins, budget,
+        adj, *g.degree_classes(), parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
     )
     if status == kernel.FOUND:
         phi = [0] * t.n

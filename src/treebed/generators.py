@@ -456,40 +456,49 @@ class _Params(dict):
         return self[key] if key in self else default
 
 
+# Each family: (whether it reads a seed, builder).  A seed given to a family
+# that reads none is refused rather than ignored.
 _GRAPH_FAMILIES = {
-    "two_cliques_apex": lambda p, s: gen_two_cliques_apex(p["k"]),
-    "two_cliques_apex_grown": lambda p, s: gen_two_cliques_apex_grown(p["k"]),
-    "bps_alpha_host": lambda p, s: gen_bps_alpha_host(p["k"], p["alpha"])[0],
-    "clique_chain_apex": lambda p, s: gen_clique_chain_apex(p["k"], p["d"]),
-    "complete_bipartite": lambda p, s: gen_complete_bipartite(p["m"], p["n"]),
-    "complete": lambda p, s: Graph.complete(p["n"]),
-    "random_min_degree": lambda p, s: gen_random_graph_min_degree(
-        p["n"], p["delta"], s or 0
+    "two_cliques_apex": (False, lambda p, s: gen_two_cliques_apex(p["k"])),
+    "two_cliques_apex_grown": (False, lambda p, s: gen_two_cliques_apex_grown(p["k"])),
+    "bps_alpha_host": (False, lambda p, s: gen_bps_alpha_host(p["k"], p["alpha"])[0]),
+    "clique_chain_apex": (False, lambda p, s: gen_clique_chain_apex(p["k"], p["d"])),
+    "complete_bipartite": (False, lambda p, s: gen_complete_bipartite(p["m"], p["n"])),
+    "complete": (False, lambda p, s: Graph.complete(p["n"])),
+    "random_min_degree": (
+        True,
+        lambda p, s: gen_random_graph_min_degree(p["n"], p["delta"], s or 0),
     ),
-    "random_connected": lambda p, s: gen_random_connected_graph(
-        p["n"], p.get("extra_edges", 0), s or 0
+    "random_connected": (
+        True,
+        lambda p, s: gen_random_connected_graph(p["n"], p.get("extra_edges", 0), s or 0),
     ),
 }
 
 _TREE_FAMILIES = {
-    "three_branch": lambda p, s: gen_three_branch_tree(p["k"]),
-    "spider": lambda p, s: gen_spider(p["k"], p["ell"]),
-    "path": lambda p, s: gen_path(p["n"]),
-    "caterpillar": lambda p, s: gen_caterpillar(p["spine"], p["legs"], s or 0),
-    "random_tree": lambda p, s: gen_random_tree(p["n"], p["max_deg"], s or 0),
+    "three_branch": (False, lambda p, s: gen_three_branch_tree(p["k"])),
+    "spider": (False, lambda p, s: gen_spider(p["k"], p["ell"])),
+    "path": (False, lambda p, s: gen_path(p["n"])),
+    "caterpillar": (True, lambda p, s: gen_caterpillar(p["spine"], p["legs"], s or 0)),
+    "random_tree": (True, lambda p, s: gen_random_tree(p["n"], p["max_deg"], s or 0)),
 }
 
 
+def _build(kind: str, families: dict, spec: FamilySpec):
+    if spec.family not in families:
+        raise PreconditionViolated(f"unknown {kind} family {spec.family!r}")
+    seeded, build = families[spec.family]
+    if spec.seed is not None and not seeded:
+        raise PreconditionViolated(f"{kind} family {spec.family!r} reads no seed")
+    return build(_Params(spec.family, spec.params), spec.seed)
+
+
 def build_graph(spec: FamilySpec) -> Graph:
-    if spec.family not in _GRAPH_FAMILIES:
-        raise PreconditionViolated(f"unknown graph family {spec.family!r}")
-    return _GRAPH_FAMILIES[spec.family](_Params(spec.family, spec.params), spec.seed)
+    return _build("graph", _GRAPH_FAMILIES, spec)
 
 
 def build_tree(spec: FamilySpec) -> Tree:
-    if spec.family not in _TREE_FAMILIES:
-        raise PreconditionViolated(f"unknown tree family {spec.family!r}")
-    return _TREE_FAMILIES[spec.family](_Params(spec.family, spec.params), spec.seed)
+    return _build("tree", _TREE_FAMILIES, spec)
 
 
 GRAPH_FAMILY_NAMES = tuple(sorted(_GRAPH_FAMILIES))

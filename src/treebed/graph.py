@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import kernel
@@ -110,11 +112,11 @@ class Graph:
 
     The stored form is one adjacency bitmask per vertex (bit w of mask v set
     iff vw is an edge) with the degrees beside it.  The neighbour tuples, the
-    sorted edge list and the degree order are derived on first use, cached,
+    sorted edge list and the degree classes are derived on first use, cached,
     and always ascending, so every view reads as if built from sorted edges.
     """
 
-    __slots__ = ("n", "_masks", "_deg", "_adj", "_edges", "_order")
+    __slots__ = ("n", "_masks", "_deg", "_adj", "_edges", "_classes")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -147,7 +149,7 @@ class Graph:
         self._deg: tuple[int, ...] = tuple(map(int.bit_count, self._masks))
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
-        self._order: Optional[tuple[int, ...]] = None
+        self._classes: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -183,12 +185,22 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return self._deg
 
+    def degree_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(classes, atleast), cached: one vertex mask per distinct degree,
+        highest degree first, and atleast[d], the mask of the vertices of
+        degree >= d, for d = 0..n."""
+        if self._classes is None:
+            by_deg = [0] * (self.n + 1)
+            for v, d in enumerate(self._deg):
+                by_deg[d] |= 1 << v
+            atleast = tuple(accumulate(reversed(by_deg), or_))[::-1]
+            self._classes = (tuple(filter(None, reversed(by_deg))), atleast)
+        return self._classes
+
     def degree_order(self) -> tuple[int, ...]:
-        """Vertices by degree, highest first, ties by smaller id (cached)."""
-        if self._order is None:
-            deg = self._deg
-            self._order = tuple(sorted(range(self.n), key=lambda h: (-deg[h], h)))
-        return self._order
+        """Vertices by degree, highest first, ties by smaller id: the bits of
+        each degree class in turn, ascending."""
+        return tuple(chain.from_iterable(map(_bits, self.degree_classes()[0])))
 
     def min_degree(self) -> int:
         return min(self._deg, default=0)

@@ -19,13 +19,15 @@ CUT_NODE_BUDGET = 1 << 20
 
 
 def solve_embed(
-    adj, host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
+    adj, classes, atleast, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
 ):
     """Backtracking search for an injective, edge-preserving tree placement.
 
-    adj:        per-host-vertex neighbour bitmask
-    host_deg:   per-host-vertex degree
-    host_order: all host ids, candidate iteration order (degree-descending)
+    adj:        per-host-vertex neighbour bitmask (no self-loops)
+    classes:    one host vertex mask per distinct degree, highest degree first
+                (`Graph.degree_classes`)
+    atleast:    atleast[d] is the mask of host vertices of degree >= d, for
+                every d in tdeg
     parent_pos: for tree-position i, the earlier position adjacent to it (-1 at 0)
     allowed:    per-position bitmask of admissible host vertices (pins shrink it)
     tdeg:       tree degree per position (candidates must have host degree >= it)
@@ -37,74 +39,101 @@ def solve_embed(
                 zeros disables the cut); a candidate h is skipped while any of
                 them is unused
 
-    The twin cut is value-symmetry breaking.  Twins u, v satisfy
+    *Candidate order.*  Candidates are tried in the host's degree order:
+    highest degree first, ties by smaller id.  The classes partition the
+    host vertices by degree and come highest degree first, so every vertex
+    of an earlier class precedes every vertex of a later one in that order,
+    and inside one class, where degrees tie, the order is by id, which is
+    the order in which the lowest set bit is popped.  Walking the classes
+    in turn and popping each one's bits ascending therefore visits exactly
+    the degree order restricted to the position's candidate mask.  On
+    backtracking, a position resumes from its saved state: the candidates
+    in classes not yet entered, the next class, and the untried bits of the
+    current class, which is the point where the walk stopped.
+
+    *Folded prunes.*  At each position one candidate mask is built,
+    adj[img[parent]] & allowed & ~used & atleast[tdeg] & (-1 << (floor + 1)),
+    with no parent factor at the root and the last factor only when symprev
+    names a sibling whose image is floor.  A vertex fails `atleast[tdeg]`
+    exactly when its host degree is below the tree degree, and fails the
+    floor mask exactly when its id is at most floor, so the two masks drop
+    the same vertices that a test per vertex would skip, and nothing else.
+    Neither test depends on `used`, so the mask built on entry stays right
+    on every return to the position: by then `used` is back to its value on
+    entry.  Only the twin and lookahead tests, which read `used`, run per
+    candidate.  `atleast` holds host vertices only, so every candidate lies
+    in some class and the walk ends with the classes.
+
+    *Twin cut.*  This is value-symmetry breaking.  Twins u, v satisfy
     N(u) - {v} = N(v) - {u}, so swapping them is a host automorphism; the
     caller leaves pinned host vertices out of every twin class, so the swap
     also fixes every pin.  When h and a smaller twin h' are both unused, the
     swap fixes the partial map too, and h' passes every filter h passes (same
     adjacency to the parent's image, same degree, same count of unused
     neighbours).  Any embedding placing h here thus has a swapped copy placing
-    h', and h' comes first in host_order (equal degree, smaller id): the
-    lexicographically first embedding is never cut.  Combining this cut with
-    symprev is not covered by that argument, so callers pass symprev all -1
-    whenever lower_twins is nonzero.
+    h', and h' comes first in the degree order (equal degree, smaller id):
+    the lexicographically first embedding is never cut.  Combining this cut
+    with symprev is not covered by that argument, so callers pass symprev
+    all -1 whenever lower_twins is nonzero.
 
     Returns (status, images|None, nodes); nodes counts accepted placements.
     A NOT_FOUND status means the constrained search space was exhausted.
     """
     m = len(parent_pos)
-    n = len(adj)
     if m == 0:
         return FOUND, [], 0
-    img = [-1] * m
-    used = 0
-    ptr = [0] * m
+    img = [0] * m
+    # per placed position, where its candidate walk resumes after a backtrack
+    rest = [0] * m
+    nxt = [0] * m
+    left = [0] * m
+    free = -1  # the unused host vertices, as ~used
     nodes = 0
     i = 0
+    # position i's walk: `cur` holds the untried candidates of class c - 1,
+    # `mask` the candidates in classes c, c + 1, ...
+    mask = allowed[0] & atleast[tdeg[0]]
+    c = 0
+    cur = 0
+    kids = nchild[0]
     while True:
-        p = parent_pos[i]
-        if p < 0:
-            mask = allowed[i] & ~used
-        else:
-            mask = adj[img[p]] & allowed[i] & ~used
-        need = tdeg[i]
-        kids = nchild[i]
-        sp = symprev[i]
-        floor = img[sp] if sp >= 0 else -1
-        placed = False
-        j = ptr[i]
-        while j < n:
-            h = host_order[j]
-            j += 1
-            if not (mask >> h) & 1:
-                continue
-            if host_deg[h] < need:
-                continue
-            if h <= floor:
-                continue
-            if lower_twins[h] & ~used:
-                continue
-            if ((adj[h] & ~used) & ~(1 << h)).bit_count() < kids:
+        if cur:
+            bit = cur & -cur
+            cur ^= bit
+            h = bit.bit_length() - 1
+            if lower_twins[h] & free or (adj[h] & free).bit_count() < kids:
                 continue
             nodes += 1
             if nodes > budget:
                 return BUDGET, None, nodes
             img[i] = h
-            used |= 1 << h
-            ptr[i] = j
-            placed = True
-            break
-        if placed:
+            free ^= bit
+            rest[i] = mask
+            nxt[i] = c
+            left[i] = cur
             i += 1
             if i == m:
                 return FOUND, img, nodes
-            ptr[i] = 0
-        else:
-            if i == 0:
-                return NOT_FOUND, None, nodes
+            mask = adj[img[parent_pos[i]]] & allowed[i] & atleast[tdeg[i]] & free
+            sp = symprev[i]
+            if sp >= 0:
+                mask &= -1 << (img[sp] + 1)
+            c = 0
+            cur = 0
+            kids = nchild[i]
+        elif mask:
+            cur = mask & classes[c]
+            mask ^= cur
+            c += 1
+        elif i:
             i -= 1
-            used &= ~(1 << img[i])
-            img[i] = -1
+            free |= 1 << img[i]
+            mask = rest[i]
+            c = nxt[i]
+            cur = left[i]
+            kids = nchild[i]
+        else:
+            return NOT_FOUND, None, nodes
 
 
 @lru_cache(maxsize=64)

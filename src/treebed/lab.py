@@ -199,7 +199,7 @@ def _host_for_trial(cfg: ExperimentConfig, k: int, rng: random.Random) -> Graph:
     g = gen_random_graph_min_degree(n, delta, rng)
     if g.max_degree() < want_max and want_max <= n - 1:
         # lift one hub to the max-degree demand
-        hub = g.degree_order()[0]
+        hub = g.degrees().index(g.max_degree())  # the first vertex of maximum degree
         masks = list(g.masks())
         others = [v for v in range(n) if v != hub and not masks[hub] >> v & 1]
         rng.shuffle(others)

@@ -40,6 +40,19 @@ def test_is_rich_examples():
     assert not rep.rich and not rep.min_degree_ok
 
 
+def test_rich_params_stay_exact():
+    # a float threshold is refused up front, not deep inside the decomposition
+    for c, rho in ((0.6, Fraction(1, 30)), (Fraction(1, 2), 0.1)):
+        with pytest.raises(PreconditionViolated):
+            RichParams(c, rho, 6)
+    # an int converts, so derived thresholds such as eps = c/2 stay rational
+    p = RichParams(1, 0, 6)
+    assert (p.c, p.rho) == (1, 0) and type(p.c) is type(p.rho) is Fraction
+    assert type(p.c / 2) is Fraction
+    g = gen_two_cliques_apex(9)
+    assert rich_decompose(g, 6, p) == rich_decompose(g, 6, RichParams(Fraction(1), Fraction(0), 6))
+
+
 def test_refine_bridge_example():
     edges = _clique_edges(range(8)) + _clique_edges(range(8, 16)) + [(0, 8)]
     g = Graph(16, edges)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebed import graph
+from treebed.corpus import host_corpus
 from treebed.errors import Disconnected, PreconditionViolated
 from treebed.generators import gen_random_connected_graph, gen_random_graph_min_degree
 from treebed.graph import (
@@ -370,6 +371,27 @@ def test_representation_matches_sorted_set_reference():
             idx = {v: i for i, v in enumerate(keep)}
             sub_edges = [(idx[u], idx[v]) for u, v in edges if u in idx and v in idx]
             _assert_matches_reference(sub, len(keep), sub_edges)
+
+
+def test_degree_classes_match_sorted_order():
+    rng = random.Random(31)
+    cases = [Graph(0, []), Graph(1, []), Graph(6, [(0, 1), (1, 2)]), Graph(70, [(3, 65)])]
+    cases += host_corpus()
+    cases += [
+        gen_random_connected_graph(rng.randrange(2, 30), rng.randrange(0, 40), s) for s in range(40)
+    ]
+    cases += [Graph(n, edges) for n, edges in _reference_cases()]
+    for g in cases:
+        deg = g.degrees()
+        classes, atleast = g.degree_classes()
+        bits = [v for c in classes for v in range(g.n) if c >> v & 1]
+        assert bits == sorted(range(g.n), key=lambda v: (-deg[v], v))
+        assert classes == tuple(
+            sum(1 << v for v in range(g.n) if deg[v] == d) for d in sorted(set(deg), reverse=True)
+        )
+        assert len(atleast) == g.n + 1
+        for d, mask in enumerate(atleast):
+            assert mask == sum(1 << v for v in range(g.n) if deg[v] >= d)
 
 
 def test_induced_rejects_ids_outside_the_graph():

@@ -49,14 +49,118 @@ def _embed_inputs(seed):
     tdeg = [t.degree(v) for v in order]
     nchild = [len(rv.children[v]) for v in order]
     symprev = [-1] * t.n
-    host_deg = g.degrees()
-    host_order = sorted(range(g.n), key=lambda h: (-host_deg[h], h))
     lower_twins = _lower_twins(g.masks(), set())
     budget = rng.choice((10, 1000, 10**6))
     return (
-        g.masks(), host_deg, host_order, parent_pos, allowed, tdeg, nchild, symprev, lower_twins,
+        g.masks(), *g.degree_classes(), parent_pos, allowed, tdeg, nchild, symprev, lower_twins,
         budget,
     )
+
+
+def _scan_reference(adj, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget):
+    """The oracle kernel as a linear scan: at every position, walk all host
+    vertices in degree order and test each one for every prune in turn."""
+    m = len(parent_pos)
+    n = len(adj)
+    host_deg = [a.bit_count() for a in adj]
+    host_order = sorted(range(n), key=lambda h: (-host_deg[h], h))
+    if m == 0:
+        return kernel.FOUND, [], 0
+    img = [-1] * m
+    used = 0
+    ptr = [0] * m
+    nodes = 0
+    i = 0
+    while True:
+        p = parent_pos[i]
+        if p < 0:
+            mask = allowed[i] & ~used
+        else:
+            mask = adj[img[p]] & allowed[i] & ~used
+        sp = symprev[i]
+        floor = img[sp] if sp >= 0 else -1
+        placed = False
+        j = ptr[i]
+        while j < n:
+            h = host_order[j]
+            j += 1
+            if not (mask >> h) & 1 or host_deg[h] < tdeg[i] or h <= floor:
+                continue
+            if lower_twins[h] & ~used:
+                continue
+            if ((adj[h] & ~used) & ~(1 << h)).bit_count() < nchild[i]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return kernel.BUDGET, None, nodes
+            img[i] = h
+            used |= 1 << h
+            ptr[i] = j
+            placed = True
+            break
+        if placed:
+            i += 1
+            if i == m:
+                return kernel.FOUND, img, nodes
+            ptr[i] = 0
+        else:
+            if i == 0:
+                return kernel.NOT_FOUND, None, nodes
+            i -= 1
+            used &= ~(1 << img[i])
+            img[i] = -1
+
+
+def _sibling_floors(parent_pos, nchild):
+    """symprev for a tree given by parent positions: each position names the
+    last earlier sibling whose rooted subtree is isomorphic to its own."""
+    m = len(parent_pos)
+    kids = [[] for _ in range(m)]
+    for i in range(1, m):
+        kids[parent_pos[i]].append(i)
+    code = [()] * m
+    for i in reversed(range(m)):
+        code[i] = tuple(sorted(code[c] for c in kids[i]))
+    symprev = [-1] * m
+    for sibs in kids:
+        for a, i in enumerate(sibs):
+            same = [j for j in sibs[:a] if code[j] == code[i]]
+            symprev[i] = same[-1] if same else -1
+    assert [len(k) for k in kids] == list(nchild)
+    return symprev
+
+
+def test_class_walk_matches_the_scan():
+    twins_seen = floors_seen = pins_found = 0
+    for seed in range(120):
+        adj, classes, atleast, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, _ = (
+            _embed_inputs(seed)
+        )
+        m, n = len(parent_pos), len(adj)
+        rng = random.Random(seed)
+        pos, h = rng.randrange(m), rng.randrange(n)
+        pinned = list(allowed)
+        pinned[pos] = 1 << h
+        no_twins = [0] * n
+        cases = [
+            (allowed, symprev, lower_twins),
+            (allowed, symprev, no_twins),
+            (pinned, symprev, _lower_twins(adj, {h})),
+        ]
+        if not any(lower_twins):
+            floors = _sibling_floors(parent_pos, nchild)
+            floors_seen += any(f >= 0 for f in floors)
+            cases.append((allowed, floors, no_twins))
+        twins_seen += any(lower_twins)
+        for budget in (10, 1000, 10**6):
+            for allow, sym, twins in cases:
+                got = kernel.solve_embed(
+                    adj, classes, atleast, parent_pos, allow, tdeg, nchild, sym, twins, budget
+                )
+                want = _scan_reference(adj, parent_pos, allow, tdeg, nchild, sym, twins, budget)
+                assert got == want, f"seed {seed}, budget {budget}: {got} vs {want}"
+                pins_found += allow is pinned and got[0] == kernel.FOUND
+    assert twins_seen >= 60 and floors_seen >= 10 and pins_found >= 10
 
 
 def test_twin_cut_keeps_verdicts():

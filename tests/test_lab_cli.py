@@ -431,6 +431,23 @@ def test_cli_bad_family_is_usage_error(capsys):
     assert cli.main(["gen", "not_a_family"]) == 2
 
 
+def test_cli_seed_only_for_seeded_families(tmp_path, capsys):
+    # a deterministic family would print the same output for every seed
+    assert cli.main(["gen", "two_cliques_apex", "--param", "k=9", "--seed", "1"]) == 2
+    assert cli.main(["gen", "path", "--param", "n=4", "--seed", "1"]) == 2
+    assert "reads no seed" in capsys.readouterr().err
+    outs = []
+    for seed in (1, 2):
+        out = tmp_path / f"g{seed}.txt"
+        argv = ["gen", "random_min_degree", "--param", "n=12", "--param", "delta=4"]
+        assert cli.main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] != outs[1]
+    out = tmp_path / "t.json"
+    argv = ["gen", "random_tree", "--param", "n=9", "--param", "max_deg=3", "--seed", "1"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize(
     "flag, text, argv",
     [
