@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional
+from operator import lt
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernel
 from .errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
@@ -37,12 +38,16 @@ class Embedding:
 
     def __post_init__(self):
         m = self.mapping
-        if len({tv for tv, _ in m}) != len(m):
+        tvs, hvs = zip(*m) if m else ((), ())
+        injective = len(set(hvs)) == len(m)
+        # strictly ascending tree vertices are distinct and sort the pairs
+        if injective and all(map(lt, tvs, tvs[1:])):
+            return
+        if len(set(tvs)) != len(m):
             raise PreconditionViolated("a tree vertex is mapped twice")
-        if len({hv for _, hv in m}) != len(m):
+        if not injective:
             raise PreconditionViolated("embedding is not injective")
-        if list(m) != sorted(m):
-            raise PreconditionViolated("mapping pairs must be sorted")
+        raise PreconditionViolated("mapping pairs must be sorted")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Embedding":
@@ -108,78 +113,17 @@ def _certify_found(g: Graph, t: Tree, emb: Embedding, nodes: int) -> EmbedOutcom
 # Exhaustive oracle
 
 
-def _lower_twins(adj: list[int], pinned: set) -> list[int]:
-    """Per host vertex, the mask of its twins with smaller ids (0 if pinned).
-
-    False twins share the open neighbourhood adj[h], true twins the closed one
-    adj[h] | 1 << h.  One dict holds both kinds of key: an open mask never
-    equals a closed one, since N(u) = N[v] puts v in N(u), hence u in
-    N(v) within N[v] = N(u), a self-loop.
-    """
-    lower = [0] * len(adj)
-    seen: dict[int, int] = {}
-    for h, nb in enumerate(adj):
-        if h in pinned:
-            continue
-        bit = 1 << h
-        false_twins, true_twins = seen.get(nb, 0), seen.get(nb | bit, 0)
-        lower[h] = false_twins | true_twins
-        seen[nb], seen[nb | bit] = false_twins | bit, true_twins | bit
-    return lower
-
-
-def _search_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
-    """The oracle's placement order and per-position tables for t (n >= 1).
-
-    The root is the least pinned vertex, else the first of maximum degree.
-    A BFS from it finds the children; AHU codes, interned bottom-up in
-    reversed BFS order, are equal exactly on isomorphic rooted subtrees.  A
-    second BFS takes each vertex's children by (code, id) and emits
-    (order, parent_pos, tdeg, nchild, symprev), where symprev is the position
-    of the previous pin-free sibling with the same code (-1 if there is none,
-    and always -1 for a vertex whose subtree holds a pin).
-    """
-    n = t.n
-    nbrs = t.adjacency
-    deg = list(map(len, nbrs))
-    root = min(pin_map) if pin_map else deg.index(max(deg))
-    parent = [-1] * n
-    kids: list = [()] * n
-    bfs = [root]
-    for v in bfs:  # the list grows while it is walked
-        p = parent[v]
-        first = len(bfs)
-        for w in nbrs[v]:
-            if w != p:
-                parent[w] = v
-                bfs.append(w)
-        if len(bfs) > first:
-            kids[v] = bfs[first:]
-    code = [0] * n
-    code_of = code.__getitem__
-    intern = {(): 0}  # the last BFS vertex is a leaf, so leaves get code 0
-    for v in reversed(bfs):
-        if kids[v]:
-            kids[v].sort(key=code_of)
-            code[v] = intern.setdefault(tuple(map(code_of, kids[v])), len(intern))
-    holds_pin = [False] * n
-    for v in pin_map:
-        while v >= 0 and not holds_pin[v]:
-            holds_pin[v] = True
-            v = parent[v]
-    order, parent_pos, symprev = [root], [-1], [-1]
-    for pos, v in enumerate(order):
-        last = -1
-        for c in kids[v]:
-            parent_pos.append(pos)
-            if holds_pin[c]:
-                symprev.append(-1)
-            else:
-                symprev.append(last if last >= 0 and code[order[last]] == code[c] else -1)
-                last = len(order)
-            order.append(c)
-    nchild = map(len, map(kids.__getitem__, order))
-    return order, parent_pos, list(map(deg.__getitem__, order)), list(nchild), symprev
+def _host_twins(g: Graph, pinned: Iterable[int]) -> Sequence[int]:
+    """g's lower-twin table (`Graph.lower_twins`) with the pinned host
+    vertices taken out of every twin class: a pinned vertex has no twins,
+    and no vertex keeps a pinned one among its own."""
+    lower = g.lower_twins()
+    pin_bits = 0
+    for h in pinned:
+        pin_bits |= 1 << h
+    if not pin_bits or not any(lower):
+        return lower
+    return [0 if pin_bits >> h & 1 else m & ~pin_bits for h, m in enumerate(lower)]
 
 
 def brute_force_embed(
@@ -219,22 +163,26 @@ def brute_force_embed(
                 raise PreconditionViolated("pins violate edge preservation")
     if t.n == 0:
         return EmbedOutcome("found", Embedding(()), 0)
-    if t.n > g.n or t.max_degree() > g.max_degree():
+    if t.n > g.n:
+        return EmbedOutcome("not_found", None, 0)
+    order_t, parent_pos, tdeg, nchild, symprev = t.search_plan(pin_map)
+    classes, atleast = g.degree_classes()
+    # some host vertex must reach the tree's maximum degree, which is below
+    # t.n <= g.n and so indexes atleast
+    if not atleast[max(tdeg)]:
         return EmbedOutcome("not_found", None, 0)
 
-    order_t, parent_pos, tdeg, nchild, symprev = _search_plan(t, pin_map)
     full = (1 << g.n) - 1
     if pin_map:
         allowed = [1 << pin_map[v] if v in pin_map else full for v in order_t]
     else:
         allowed = [full] * t.n
-    adj = g.masks()
-    lower_twins = _lower_twins(adj, set(pin_map.values()))
+    lower_twins = _host_twins(g, pin_map.values())
     if any(lower_twins):
-        symprev = [-1] * t.n
+        symprev = (-1,) * t.n
 
     status, imgs, nodes = kernel.solve_embed(
-        adj, *g.degree_classes(), parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
+        g.masks(), classes, atleast, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
     )
     if status == kernel.FOUND:
         phi = [0] * t.n
@@ -299,11 +247,16 @@ def _place_forests(g: Graph, t: Tree, x: int, r: int, parts) -> dict:
 
 
 def _min_degree_without(g: Graph, x: int) -> int:
-    """Minimum degree of g - x."""
-    if g.n <= 1:
-        return 0
-    xm = g.masks()[x]
-    return min(d - (xm >> v & 1) for v, d in enumerate(g.degrees()) if v != x)
+    """Minimum degree of g - x (0 when g - x is empty), read off the degree
+    classes from the lowest: a vertex v != x of the lowest class that has
+    one, of degree d, keeps degree d in g - x, or d - 1 when it is adjacent
+    to x, and every vertex of a higher class keeps degree at least d."""
+    for cls in reversed(g.degree_classes()[0]):
+        others = cls & ~(1 << x)
+        if others:
+            d = g.degree((others & -others).bit_length() - 1)
+            return d - 1 if others & g.masks()[x] else d
+    return 0
 
 
 def greedy_embed(g: Graph, t: Tree, x: int, root: Optional[int] = None) -> EmbedOutcome:
@@ -382,6 +335,8 @@ def apex_three_split_embed(g: Graph, x: int, c1, c2, c3, t: Tree) -> EmbedOutcom
 def bipartite_apex_embed(g: Graph, x: int, y1, y2, t: Tree) -> EmbedOutcome:
     """Embed into a bipartite host plus apex by alternating the even/odd class
     split between the two sides."""
+    if not (0 <= x < g.n):
+        raise PreconditionViolated("x out of range")
     s1 = as_vertex_set(y1, g.n)
     s2 = as_vertex_set(y2, g.n)
     if s1.as_set() & s2.as_set() or x in s1 or x in s2:

@@ -112,11 +112,12 @@ class Graph:
 
     The stored form is one adjacency bitmask per vertex (bit w of mask v set
     iff vw is an edge) with the degrees beside it.  The neighbour tuples, the
-    sorted edge list and the degree classes are derived on first use, cached,
-    and always ascending, so every view reads as if built from sorted edges.
+    sorted edge list, the degree classes and the twin table are derived on
+    first use, cached, and always ascending, so every view reads as if built
+    from sorted edges.
     """
 
-    __slots__ = ("n", "_masks", "_deg", "_adj", "_edges", "_classes")
+    __slots__ = ("n", "_masks", "_deg", "_adj", "_edges", "_classes", "_twins")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -150,6 +151,7 @@ class Graph:
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
         self._classes: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+        self._twins: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -196,6 +198,30 @@ class Graph:
             atleast = tuple(accumulate(reversed(by_deg), or_))[::-1]
             self._classes = (tuple(filter(None, reversed(by_deg))), atleast)
         return self._classes
+
+    def lower_twins(self) -> tuple[int, ...]:
+        """Per vertex, the mask of its twins with smaller ids, cached.
+
+        Twins u, v satisfy N(u) - {v} = N(v) - {u}.  False twins share the open neighbourhood N(h), true twins the closed
+        one N(h) | {h}.  An open mask never equals a closed one, since
+        N(u) = N[v] puts v in N(u), hence u in N(v) within N[v] = N(u), a
+        self-loop; so one dict holds both kinds of key, and a graph whose
+        open masks and closed masks are each pairwise distinct has no twins.
+        """
+        if self._twins is None:
+            masks, n = self._masks, self.n
+            closed = [m | 1 << h for h, m in enumerate(masks)]
+            if len(set(masks)) == n and len(set(closed)) == n:
+                self._twins = (0,) * n
+            else:
+                lower = []
+                seen: dict[int, int] = {}
+                for h, (nb, nc) in enumerate(zip(masks, closed)):
+                    false_twins, true_twins = seen.get(nb, 0), seen.get(nc, 0)
+                    lower.append(false_twins | true_twins)
+                    seen[nb], seen[nc] = false_twins | 1 << h, true_twins | 1 << h
+                self._twins = tuple(lower)
+        return self._twins
 
     def degree_order(self) -> tuple[int, ...]:
         """Vertices by degree, highest first, ties by smaller id: the bits of
@@ -721,8 +747,13 @@ def _two_sides(g: Graph, parts: list) -> Optional[tuple[VertexSet, VertexSet]]:
     for _, e, o in parts:
         even |= e
         odd |= o
-    if any(masks[v] & side for side in (even, odd) for v in _bits(side)):
-        return None
+    for side in (even, odd):
+        rest = side
+        while rest:  # stops at the first vertex with a neighbour on its own side
+            low = rest & -rest
+            if masks[low.bit_length() - 1] & side:
+                return None
+            rest ^= low
     return VertexSet(_bits(even), g.n), VertexSet(_bits(odd), g.n)
 
 

@@ -17,9 +17,13 @@ from .graph import VertexSet
 
 
 class Tree:
-    """Connected acyclic graph on vertices 0..n-1, optionally rooted."""
+    """Connected acyclic graph on vertices 0..n-1, optionally rooted.
 
-    __slots__ = ("n", "edges", "root", "_adj")
+    Besides the neighbour tuples, a tree keeps one derived value: the
+    oracle's pin-free search plan, built on the first `search_plan` call.
+    """
+
+    __slots__ = ("n", "edges", "root", "_adj", "_plan")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], root: Optional[int] = None):
         es = [(int(u), int(v)) for u, v in edges]
@@ -57,6 +61,7 @@ class Tree:
         self.edges: tuple[tuple[int, int], ...] = es
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self.root = root
+        self._plan: Optional[tuple[tuple[int, ...], ...]] = None
         if n > 0:
             seen = [False] * n
             seen[0] = True
@@ -98,6 +103,16 @@ class Tree:
         if last is None or last.tree is not self or last.root != r:
             last = _last_view = RootedView(self, r)
         return last
+
+    def search_plan(self, pin_map: dict) -> Sequence[Sequence[int]]:
+        """The oracle's (order, parent_pos, tdeg, nchild, symprev) for these
+        pins (see `_search_plan`; n >= 1).  The pin-free plan is built once
+        and kept as tuples; a plan with pins is built afresh on every call."""
+        if pin_map:
+            return _search_plan(self, pin_map)
+        if self._plan is None:
+            self._plan = tuple(map(tuple, _search_plan(self, pin_map)))
+        return self._plan
 
     def with_root(self, r: Optional[int]) -> "Tree":
         return Tree(self.n, self.edges, root=r)
@@ -194,6 +209,60 @@ class RootedView:
 # Tree.rooted reads it once per call, so threads that share it may rebuild a
 # view but never get one of another tree or root.
 _last_view: Optional[RootedView] = None
+
+
+def _search_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
+    """The oracle's placement order and per-position tables for t (n >= 1).
+
+    The root is the least pinned vertex, else the first of maximum degree.
+    A BFS from it finds the children; AHU codes, interned bottom-up in
+    reversed BFS order, are equal exactly on isomorphic rooted subtrees.  A
+    second BFS takes each vertex's children by (code, id) and emits
+    (order, parent_pos, tdeg, nchild, symprev), where symprev is the position
+    of the previous pin-free sibling with the same code (-1 if there is none,
+    and always -1 for a vertex whose subtree holds a pin).
+    """
+    n = t.n
+    nbrs = t.adjacency
+    deg = list(map(len, nbrs))
+    root = min(pin_map) if pin_map else deg.index(max(deg))
+    parent = [-1] * n
+    kids: list = [()] * n
+    bfs = [root]
+    for v in bfs:  # the list grows while it is walked
+        p = parent[v]
+        first = len(bfs)
+        for w in nbrs[v]:
+            if w != p:
+                parent[w] = v
+                bfs.append(w)
+        if len(bfs) > first:
+            kids[v] = bfs[first:]
+    code = [0] * n
+    code_of = code.__getitem__
+    intern = {(): 0}  # the last BFS vertex is a leaf, so leaves get code 0
+    for v in reversed(bfs):
+        if kids[v]:
+            kids[v].sort(key=code_of)
+            code[v] = intern.setdefault(tuple(map(code_of, kids[v])), len(intern))
+    holds_pin = [False] * n
+    for v in pin_map:
+        while v >= 0 and not holds_pin[v]:
+            holds_pin[v] = True
+            v = parent[v]
+    order, parent_pos, symprev = [root], [-1], [-1]
+    for pos, v in enumerate(order):
+        last = -1
+        for c in kids[v]:
+            parent_pos.append(pos)
+            if holds_pin[c]:
+                symprev.append(-1)
+            else:
+                symprev.append(last if last >= 0 and code[order[last]] == code[c] else -1)
+                last = len(order)
+            order.append(c)
+    nchild = map(len, map(kids.__getitem__, order))
+    return order, parent_pos, list(map(deg.__getitem__, order)), list(nchild), symprev
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,28 @@ def test_validate_examples():
         (((0, 1), (0, 2)), "mapped twice"),
         (((0, 1), (1, 1)), "not injective"),
         (((1, 0), (0, 1)), "must be sorted"),
+        # with several faults the first in that order is reported
+        (((1, 5), (1, 5), (0, 5)), "mapped twice"),  # also not injective, not sorted
+        (((2, 7), (2, 8), (0, 1)), "mapped twice"),  # also not sorted
+        (((1, 5), (0, 5)), "not injective"),  # also not sorted
+        (((0, 4), (2, 4), (1, 3)), "not injective"),
+        (((0, 1), (2, 3), (1, 2)), "must be sorted"),
     ],
 )
 def test_embedding_rejects_malformed_mappings(mapping, error):
     with pytest.raises(PreconditionViolated, match=error):
         Embedding(mapping)
+
+
+def test_min_degree_without_matches_a_scan():
+    rng = random.Random(77)
+    for i in range(2000):
+        n = rng.randrange(0, 14)
+        p = rng.choice((0.1, 0.4, 0.8))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for x in range(n):
+            want = min((g.degree(v) - g.has_edge(x, v) for v in range(n) if v != x), default=0)
+            assert embed._min_degree_without(g, x) == want, (i, g.edges(), x)
 
 
 def test_greedy_examples():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from treebed import kernel
 from treebed.checks import _min_cut_reference
-from treebed.embed import _lower_twins, brute_force_embed
+from treebed.embed import _host_twins, brute_force_embed
 from treebed.generators import (
     gen_clique_chain_apex,
     gen_complete_bipartite,
@@ -49,7 +49,7 @@ def _embed_inputs(seed):
     tdeg = [t.degree(v) for v in order]
     nchild = [len(rv.children[v]) for v in order]
     symprev = [-1] * t.n
-    lower_twins = _lower_twins(g.masks(), set())
+    lower_twins = g.lower_twins()
     budget = rng.choice((10, 1000, 10**6))
     return (
         g.masks(), *g.degree_classes(), parent_pos, allowed, tdeg, nchild, symprev, lower_twins,
@@ -145,7 +145,7 @@ def test_class_walk_matches_the_scan():
         cases = [
             (allowed, symprev, lower_twins),
             (allowed, symprev, no_twins),
-            (pinned, symprev, _lower_twins(adj, {h})),
+            (pinned, symprev, _host_twins(Graph._from_masks(adj), (h,))),
         ]
         if not any(lower_twins):
             floors = _sibling_floors(parent_pos, nchild)

@@ -8,20 +8,28 @@ checked on twin-rich hosts: the extremal families, complete graphs, and
 corpus hosts given a true and a false twin of one vertex.
 """
 
+import random
 from itertools import combinations, permutations
 
 import pytest
+from test_graph import _reference_cases
 
-from treebed.corpus import all_trees_up_to, connected_hosts_up_to_5, sampled_hosts_6_to_8
-from treebed.embed import Embedding, _lower_twins, _search_plan, brute_force_embed
+from treebed.corpus import (
+    all_trees_up_to,
+    connected_hosts_up_to_5,
+    host_corpus,
+    sampled_hosts_6_to_8,
+)
+from treebed.embed import Embedding, _host_twins, brute_force_embed
 from treebed.generators import (
     gen_clique_chain_apex,
     gen_complete_bipartite,
+    gen_random_tree,
     gen_two_cliques_apex,
     gen_two_cliques_apex_grown,
 )
 from treebed.graph import Graph
-from treebed.trees import Tree
+from treebed.trees import Tree, _search_plan
 
 
 def _naive_embeds(g: Graph, t: Tree, pins: dict | None = None) -> bool:
@@ -104,6 +112,23 @@ def test_oracle_agrees_with_naive_reference_under_pins():
     assert checked > 2000
 
 
+def _lower_twins(adj: list[int], pinned: set) -> list[int]:
+    """The twin table built afresh for one call: per host vertex, the mask of
+    its twins with smaller ids, 0 if pinned, with pinned vertices left out of
+    every class.  False twins share the open neighbourhood adj[h], true twins
+    the closed one adj[h] | 1 << h, and one dict holds both kinds of key."""
+    lower = [0] * len(adj)
+    seen: dict[int, int] = {}
+    for h, nb in enumerate(adj):
+        if h in pinned:
+            continue
+        bit = 1 << h
+        false_twins, true_twins = seen.get(nb, 0), seen.get(nb | bit, 0)
+        lower[h] = false_twins | true_twins
+        seen[nb], seen[nb | bit] = false_twins | bit, true_twins | bit
+    return lower
+
+
 def _with_twin(g: Graph, v: int, true_twin: bool) -> Graph:
     """g plus a vertex g.n copying v's neighbourhood (and adjacent to v if true)."""
     nbrs = list(g.neighbors(v)) + ([v] if true_twin else [])
@@ -139,12 +164,30 @@ def _check(g: Graph, t: Tree, pins: dict) -> None:
 
 def test_lower_twins_classes():
     # K_{2,3}: {0,1} and {2,3,4} are false twins; K_3: all true twins
-    assert _lower_twins(gen_complete_bipartite(2, 3).masks(), set()) == [0, 1, 0, 4, 12]
-    assert _lower_twins(Graph.complete(3).masks(), set()) == [0, 1, 3]
+    assert list(_host_twins(gen_complete_bipartite(2, 3), ())) == [0, 1, 0, 4, 12]
+    assert list(_host_twins(Graph.complete(3), ())) == [0, 1, 3]
     # pinned vertices leave their class; the rest stay twins
-    assert _lower_twins(gen_complete_bipartite(2, 3).masks(), {3}) == [0, 1, 0, 0, 4]
+    assert list(_host_twins(gen_complete_bipartite(2, 3), (3,))) == [0, 1, 0, 0, 4]
     # the path on 4 vertices has none
-    assert _lower_twins(Graph(4, [(0, 1), (1, 2), (2, 3)]).masks(), set()) == [0] * 4
+    assert list(_host_twins(Graph(4, [(0, 1), (1, 2), (2, 3)]), ())) == [0] * 4
+
+
+def test_cached_twin_table_with_pins_masked_matches_the_per_call_table():
+    rng = random.Random(22)
+    hosts = host_corpus() + _twin_rich_hosts() + [Graph(n, e) for n, e in _reference_cases()]
+    with_twins = pairs = 0
+    for g in hosts:
+        adj = g.masks()
+        table = g.lower_twins()
+        assert list(table) == _lower_twins(adj, set()) and g.lower_twins() is table
+        with_twins += any(table)
+        for h in range(g.n):
+            assert list(_host_twins(g, (h,))) == _lower_twins(adj, {h}), (g.edges(), h)
+        for _ in range(20 if g.n >= 2 else 0):
+            pins = rng.sample(range(g.n), 2)
+            assert list(_host_twins(g, pins)) == _lower_twins(adj, set(pins)), (g.edges(), pins)
+            pairs += 1
+    assert with_twins >= 15 and pairs >= 1500
 
 
 def test_twin_cut_agrees_with_naive_reference():
@@ -240,3 +283,39 @@ def test_search_plan_matches_rooted_view_reference():
             assert _search_plan(t, pin_map) == _reference_plan(t, pin_map), (t.edges, pin_map)
             checked += 1
     assert checked > 3000
+
+
+def _as_tuples(plan) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, plan))
+
+
+def _plan_trees() -> list[Tree]:
+    rng = random.Random(21)
+    trees = all_trees_up_to(10)
+    for seed in range(3000):
+        trees.append(gen_random_tree(rng.randrange(1, 41), rng.randrange(2, 7), seed))
+    return trees
+
+
+def test_cached_search_plan_matches_fresh_plans():
+    for t in _plan_trees():
+        if t.n == 0:
+            continue
+        plan = t.search_plan({})
+        assert plan == _as_tuples(_search_plan(t, {})) == _as_tuples(_reference_plan(t, {}))
+        assert t.search_plan({}) is plan  # built once per tree
+
+
+def test_pinned_plans_are_never_served_from_the_cache():
+    moved = 0
+    for t in _plan_trees()[::10]:
+        if t.n == 0:
+            continue
+        free = t.search_plan({})
+        for tv in range(t.n):
+            pin_map = {tv: 0}
+            got = t.search_plan(pin_map)
+            assert _as_tuples(got) == _as_tuples(_reference_plan(t, pin_map)), (t.edges, tv)
+            moved += _as_tuples(got) != free
+        assert t.search_plan({}) is free  # the pinned calls left the cache alone
+    assert moved > 1000

@@ -57,16 +57,13 @@ def _functions_with_nodes(tree):
                 yield fn.name, node
 
 
-def test_graph_private_slots_stay_in_graph_module():
-    # the bitmasks, degrees and cached views are Graph's own business; other
-    # modules go through its accessors (their own `self._x` is theirs)
-    from treebed.graph import Graph
-
-    private = {s for s in Graph.__slots__ if s.startswith("_")}
-    assert {"_masks", "_deg"} <= private
+def _private_slot_reads(cls, home: str) -> list[str]:
+    """Reads of cls's private slots outside its home module, other than a
+    module's own `self._x`."""
+    private = {s for s in cls.__slots__ if s.startswith("_")}
     sites = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "graph.py":
+        if path.name == home:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
@@ -75,7 +72,25 @@ def test_graph_private_slots_stay_in_graph_module():
                 and not (isinstance(node.value, ast.Name) and node.value.id == "self")
             ):
                 sites.append(f"{path.name}:{node.lineno}: .{node.attr}")
-    assert sites == []
+    return sites
+
+
+def test_graph_private_slots_stay_in_graph_module():
+    # the bitmasks, degrees and cached views are Graph's own business; other
+    # modules go through its accessors (their own `self._x` is theirs)
+    from treebed.graph import Graph
+
+    assert {"_masks", "_deg"} <= set(Graph.__slots__)
+    assert _private_slot_reads(Graph, "graph.py") == []
+
+
+def test_tree_private_slots_stay_in_trees_module():
+    # the adjacency and the cached search plan are Tree's own business; other
+    # modules go through `adjacency`, `neighbors` and `search_plan`
+    from treebed.trees import Tree
+
+    assert {"_adj", "_plan"} <= set(Tree.__slots__)
+    assert _private_slot_reads(Tree, "trees.py") == []
 
 
 def test_unchecked_mask_constructor_callers_are_pinned():
