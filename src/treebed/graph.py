@@ -202,25 +202,21 @@ class Graph:
     def lower_twins(self) -> tuple[int, ...]:
         """Per vertex, the mask of its twins with smaller ids, cached.
 
-        Twins u, v satisfy N(u) - {v} = N(v) - {u}.  False twins share the open neighbourhood N(h), true twins the closed
-        one N(h) | {h}.  An open mask never equals a closed one, since
-        N(u) = N[v] puts v in N(u), hence u in N(v) within N[v] = N(u), a
-        self-loop; so one dict holds both kinds of key, and a graph whose
-        open masks and closed masks are each pairwise distinct has no twins.
+        Twins u, v satisfy N(u) - {v} = N(v) - {u}: false twins share the
+        open neighbourhood N(h), true twins the closed one N(h) | {h}.  One
+        dict holds both kinds of key: an open mask never equals a closed one,
+        since N(u) = N[v] puts v in N(u), hence u in N(v) within N[v] = N(u),
+        a self-loop.
         """
         if self._twins is None:
-            masks, n = self._masks, self.n
-            closed = [m | 1 << h for h, m in enumerate(masks)]
-            if len(set(masks)) == n and len(set(closed)) == n:
-                self._twins = (0,) * n
-            else:
-                lower = []
-                seen: dict[int, int] = {}
-                for h, (nb, nc) in enumerate(zip(masks, closed)):
-                    false_twins, true_twins = seen.get(nb, 0), seen.get(nc, 0)
-                    lower.append(false_twins | true_twins)
-                    seen[nb], seen[nc] = false_twins | 1 << h, true_twins | 1 << h
-                self._twins = tuple(lower)
+            lower = []
+            seen: dict[int, int] = {}
+            for h, nb in enumerate(self._masks):
+                bit = 1 << h
+                false_twins, true_twins = seen.get(nb, 0), seen.get(nb | bit, 0)
+                lower.append(false_twins | true_twins)
+                seen[nb], seen[nb | bit] = false_twins | bit, true_twins | bit
+            self._twins = tuple(lower)
         return self._twins
 
     def degree_order(self) -> tuple[int, ...]:

@@ -195,6 +195,10 @@ def test_bipartite_apex_examples():
     odd = Graph(g.n, list(g.edges()) + [(0, 1)])
     with pytest.raises(PreconditionViolated):
         bipartite_apex_embed(odd, apex, y1, y2, gen_path(14))
+    # an apex outside 0..n-1 is refused before any mask is read
+    for x in (-1, g.n):
+        with pytest.raises(PreconditionViolated, match="x out of range"):
+            bipartite_apex_embed(g, x, y1, y2, gen_path(14))
 
 
 def test_bipartite_apex_class_discipline():

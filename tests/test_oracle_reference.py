@@ -12,7 +12,6 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from test_graph import _reference_cases
 
 from treebed.corpus import (
     all_trees_up_to,
@@ -172,9 +171,24 @@ def test_lower_twins_classes():
     assert list(_host_twins(Graph(4, [(0, 1), (1, 2), (2, 3)]), ())) == [0] * 4
 
 
+def _random_hosts():
+    """The seeded hosts of `_reference_cases` in tests/test_graph.py: empty
+    graphs, masks wider than 64 bits, and random graphs of every density."""
+    rng = random.Random(90210)
+    yield Graph(0, [])
+    yield Graph(1, [])
+    yield Graph(5, [])
+    yield Graph(70, [(u, v) for u, v in combinations(range(60), 2) if rng.random() < 0.08])
+    yield Graph(70, [(i, i + 1) for i in range(0, 68, 2)])
+    for _ in range(40):
+        n = rng.randrange(2, 24)
+        p = rng.choice((0.1, 0.3, 0.6, 0.9))
+        yield Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
 def test_cached_twin_table_with_pins_masked_matches_the_per_call_table():
     rng = random.Random(22)
-    hosts = host_corpus() + _twin_rich_hosts() + [Graph(n, e) for n, e in _reference_cases()]
+    hosts = host_corpus() + _twin_rich_hosts() + list(_random_hosts())
     with_twins = pairs = 0
     for g in hosts:
         adj = g.masks()
