@@ -28,6 +28,8 @@ from .embed import (
 from .errors import EmbedNotFound, PreconditionViolated
 from .generators import (
     gen_caterpillar,
+    gen_escape_path_host,
+    gen_matching_forest_host,
     gen_path,
     gen_random_graph_min_degree,
     gen_random_connected_graph,
@@ -527,22 +529,10 @@ def check_oracle_agreement(hosts, trees, budget: int = 10**7) -> CheckResult:
     return res
 
 
-def _escape_path_host(size: int, x_degree: int) -> tuple[Graph, dict]:
-    """Three disjoint cliques A, B1, B2 of `size` vertices, x adjacent to
-    x_degree vertices of A and of B1, and a bridge a-b from A into B2; with
-    `embed_via_path`'s keyword arguments for them."""
-    A, B1, B2 = (list(range(b * size, (b + 1) * size)) for b in range(3))
-    x = 3 * size
-    edges = [e for blk in (A, B1, B2) for e in combinations(blk, 2)]
-    edges += [(x, v) for v in A[:x_degree] + B1[:x_degree]]
-    a, b = A[-1], B2[0]
-    g = Graph(x + 1, edges + [(a, b)])
-    pools = dict(a_set=VertexSet(A, g.n), b1_set=VertexSet(B1, g.n), b2_set=VertexSet(B2, g.n))
-    return g, dict(x=x, a=a, b=b, **pools)
-
-
 def structured_embedder_instances() -> list[tuple[str, Graph, Tree, object]]:
-    """Hand-built hosts exercising the path-escape and matching-forest embedders."""
+    """Hosts exercising the path-escape and matching-forest embedders, with
+    the embedder's keyword arguments for each: two from
+    `gen_escape_path_host` and one from `gen_matching_forest_host`."""
     out = []
 
     # escape-path instances.  The spider's three legs of four regroup into the
@@ -550,24 +540,12 @@ def structured_embedder_instances() -> list[tuple[str, Graph, Tree, object]]:
     # regrouping of three 16-vertex branches lands in the window [17, 31] of
     # 32-vertex cliques, so it routes the heavy branch along a path through A
     for size, x_degree, t in ((10, 4, gen_spider(9, 3)), (32, 3, gen_three_branch_tree(48))):
-        g, args = _escape_path_host(size, x_degree)
-        out.append(("embed_via_path", g, t, args))
+        g, roles = gen_escape_path_host(size, x_degree)
+        out.append(("embed_via_path", g, t, roles))
 
     # matching-forest instance: K14 core with pendant K8 blocks behind portals
-    core = list(range(14))
-    edges = [(u, v) for u, v in combinations(core, 2)]
-    pools = []
-    nxt = 14
-    for p in range(3):
-        blk = list(range(nxt, nxt + 8))
-        pools.append(blk)
-        edges.extend((u, v) for u, v in combinations(blk, 2))
-        edges.append((p, blk[0]))
-        nxt += 8
-    g2 = Graph(nxt, edges)
-    t2 = gen_caterpillar(9, 4, seed=5)
-    portals = [((p, pools[p][0]), VertexSet(pools[p], g2.n)) for p in range(3)]
-    out.append(("matching_forest", g2, t2, {"host_core": VertexSet(core, g2.n), "portals": portals}))
+    g, roles = gen_matching_forest_host()
+    out.append(("matching_forest", g, gen_caterpillar(9, 4, seed=5), roles))
     return out
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import lab
 from .decompose import RichParams, classify_components, refine_cut_dense, rich_decompose
-from .embed import Embedding, brute_force_embed, greedy_embed
+from .embed import DEFAULT_ORACLE_BUDGET, Embedding, brute_force_embed, greedy_embed
 from .errors import (
     InternalInvariantError,
     PreconditionViolated,
@@ -44,9 +44,6 @@ from .trees import (
     split_two_forests,
     subtree_split,
 )
-
-
-DEFAULT_BUDGET = 10**8
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -296,7 +293,7 @@ def cmd_sweep(args) -> int:
             trials=getattr(args, "trials", 50),
             seed=getattr(args, "seed", 0),
             alpha=getattr(args, "alpha", None),
-            oracle_budget=getattr(args, "budget", DEFAULT_BUDGET),
+            oracle_budget=getattr(args, "budget", DEFAULT_ORACLE_BUDGET),
         )
     result = lab.run_sweep(cfg, workers=args.workers)
     text = lab.render_report(result, args.format)
@@ -336,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=None, help="root seed for randomized steps")
         if "budget" in flags:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+            p.add_argument(
+                "--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="search node budget"
+            )
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
@@ -389,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 3")
     w.add_argument("--trials", type=int, default=absent, help="default 50")
     w.add_argument("--seed", type=int, default=absent, help="root seed, default 0")
-    w.add_argument("--budget", type=int, default=absent, help=f"oracle node budget, default {DEFAULT_BUDGET}")
+    w.add_argument("--budget", type=int, default=absent,
+                   help=f"oracle node budget, default {DEFAULT_ORACLE_BUDGET}")
     w.add_argument("--format", default="json", choices=("json", "csv"))
     w.add_argument("--workers", type=int, default=1)
     w.set_defaults(fn=cmd_sweep)

@@ -13,13 +13,13 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, combinations, count
 from math import factorial, gcd
 from operator import eq
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InternalInvariantError, PreconditionViolated
-from .graph import Graph, _bits
+from .graph import Graph, VertexSet, _bits
 from .trees import Tree
 
 
@@ -44,14 +44,20 @@ def _assert_profile(g: Graph, min_deg: int, max_deg: int) -> None:
 # Extremal hosts
 
 
+def _disjoint_cliques(sizes: Sequence[int]) -> tuple[list[tuple[int, int]], list[range]]:
+    """The edges of disjoint cliques on consecutive blocks of the given sizes,
+    the first starting at vertex 0, and the blocks."""
+    ends = list(accumulate(sizes, initial=0))
+    blocks = [range(start, stop) for start, stop in zip(ends, ends[1:])]
+    return [e for block in blocks for e in combinations(block, 2)], blocks
+
+
 def _two_cliques_apex(k: int, size: int) -> Graph:
     """Two disjoint cliques on `size` vertices plus one vertex adjacent to all
     of them; k must be a positive multiple of 3."""
     if k < 3 or k % 3:
         raise PreconditionViolated("k must be a positive multiple of 3")
-    edges = [
-        (base + i, base + j) for base in (0, size) for i in range(size) for j in range(i + 1, size)
-    ]
+    edges, _ = _disjoint_cliques((size, size))
     apex = 2 * size
     edges.extend((v, apex) for v in range(apex))
     return Graph(apex + 1, edges)
@@ -76,20 +82,26 @@ def gen_two_cliques_apex_grown(k: int) -> Graph:
     return g
 
 
+def gen_branches_tree(lengths: Sequence[int]) -> Tree:
+    """A centre 0, the root, with one path branch of each length; the
+    vertices of each branch are numbered outwards, branch after branch."""
+    if not lengths or min(lengths) < 1:
+        raise PreconditionViolated("need at least one branch, each of length >= 1")
+    edges = []
+    nxt = 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Tree(nxt, edges, root=0)
+
+
 def gen_three_branch_tree(k: int) -> Tree:
     """A degree-3 center with three path branches of k/3 vertices each."""
     if k < 3 or k % 3:
         raise PreconditionViolated("k must be a positive multiple of 3")
-    b = k // 3
-    edges = []
-    nxt = 1
-    for _ in range(3):
-        prev = 0
-        for _ in range(b):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    t = Tree(k + 1, edges, root=0)
+    t = gen_branches_tree((k // 3,) * 3)
     if t.degree(0) != 3 or t.max_degree() != 3:
         raise InternalInvariantError("three-branch tree degree profile drifted")
     return t
@@ -159,16 +171,10 @@ def gen_clique_chain_apex(k: int, d: int) -> Graph:
     one neighbour per clique.  Long paths cannot thread through it."""
     if k < 4 or d < 1:
         raise PreconditionViolated("need k >= 4 and d >= 1")
-    size = k // 2 - 1
-    edges = []
-    for c in range(d):
-        base = c * size
-        for i in range(size):
-            for j in range(i + 1, size):
-                edges.append((base + i, base + j))
-    apex = d * size
-    edges.extend((c * size, apex) for c in range(d))
-    g = Graph(d * size + 1, edges)
+    edges, blocks = _disjoint_cliques((k // 2 - 1,) * d)
+    apex = blocks[-1].stop
+    edges.extend((block[0], apex) for block in blocks)
+    g = Graph(apex + 1, edges)
     if g.degree(apex) != d:
         raise InternalInvariantError("apex degree drifted")
     return g
@@ -184,6 +190,62 @@ def gen_path(n: int) -> Tree:
     if n < 1:
         raise PreconditionViolated("need n >= 1")
     return Tree._from_sorted_edges(n, [(i, i + 1) for i in range(n - 1)], 0)
+
+
+# ---------------------------------------------------------------------------
+# Structured hosts of the constructive embedders.  Each returns (graph, roles),
+# where roles holds the embedder's keyword arguments for the host, so a caller
+# writes `embedder(g, t=t, **roles)`.  These are library functions, not
+# FamilySpec families: a family yields a bare graph, and every caller of
+# these already names the builder it wants.
+
+
+def gen_escape_path_host(size: int, x_degree: int) -> tuple[Graph, dict]:
+    """Three disjoint cliques A, B1, B2 on `size` vertices each, an apex x
+    adjacent to the first x_degree vertices of A and of B1, and a bridge from
+    a, the last vertex of A, to b, the first of B2; for `embed_via_path`
+    (roles x, a_set, b1_set, b2_set, a, b)."""
+    if size < 1 or not 0 <= x_degree <= size:
+        raise PreconditionViolated("need size >= 1 and 0 <= x_degree <= size")
+    edges, (A, B1, B2) = _disjoint_cliques((size,) * 3)
+    x = B2.stop
+    edges.extend((x, v) for v in (*A[:x_degree], *B1[:x_degree]))
+    edges.append((A[-1], B2[0]))
+    g = Graph(x + 1, edges)
+    pools = dict(a_set=VertexSet(A, g.n), b1_set=VertexSet(B1, g.n), b2_set=VertexSet(B2, g.n))
+    return g, dict(x=x, a=A[-1], b=B2[0], **pools)
+
+
+def gen_three_pool_host(block: int) -> tuple[Graph, dict]:
+    """Three disjoint cliques on `block` vertices and an apex x adjacent to
+    the first three vertices of each; for `apex_three_split_embed` (roles x,
+    c1, c2, c3)."""
+    if block < 3:
+        raise PreconditionViolated("need block >= 3")
+    edges, blocks = _disjoint_cliques((block,) * 3)
+    x = blocks[-1].stop
+    edges.extend((x, v) for c in blocks for v in c[:3])
+    g = Graph(x + 1, edges)
+    return g, dict(x=x, **{f"c{i}": VertexSet(c, g.n) for i, c in enumerate(blocks, 1)})
+
+
+def gen_bipartite_apex_host() -> tuple[Graph, dict]:
+    """K_{10,10} on the classes 0..9 and 10..19 plus an apex x = 20 adjacent
+    to two vertices of each class; for `bipartite_apex_embed` (roles x, y1,
+    y2)."""
+    g = Graph(21, [*gen_complete_bipartite(10, 10).edges(), (0, 20), (1, 20), (10, 20), (11, 20)])
+    return g, dict(x=20, y1=VertexSet(range(10), 21), y2=VertexSet(range(10, 20), 21))
+
+
+def gen_matching_forest_host() -> tuple[Graph, dict]:
+    """A K14 core on 0..13 and three K8 pools after it, core vertex p joined
+    to the first vertex of pool p; for `matching_forest_embed` (roles
+    host_core, portals: one ((core end, pool end), pool) per pool)."""
+    edges, (core, *pools) = _disjoint_cliques((14, 8, 8, 8))
+    edges.extend((p, pool[0]) for p, pool in enumerate(pools))
+    g = Graph(pools[-1].stop, edges)
+    portals = [((p, pool[0]), VertexSet(pool, g.n)) for p, pool in enumerate(pools)]
+    return g, dict(host_core=VertexSet(core, g.n), portals=portals)
 
 
 # ---------------------------------------------------------------------------

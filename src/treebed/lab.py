@@ -422,7 +422,8 @@ def timed_check(fn, **kwargs) -> checks.CheckResult:
 
 def oracle_corpus_check(budget: int = 10**7) -> checks.CheckResult:
     """Criterion-style corpus run: every stored host against every tree of
-    at most 7 edges."""
+    at most 7 edges, with `check_structured_embedders` folded in: the
+    escape-path and matching-forest embedders on their structured hosts."""
     res = checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), budget=budget)
     structured = checks.check_structured_embedders(budget=budget)
     res.runs += structured.runs

@@ -24,14 +24,19 @@ from treebed import checks, embed, lab
 from treebed.corpus import all_trees_up_to, host_corpus
 from treebed.errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
 from treebed.generators import (
+    gen_bipartite_apex_host,
+    gen_branches_tree,
     gen_caterpillar,
     gen_clique_chain_apex,
     gen_complete_bipartite,
+    gen_escape_path_host,
+    gen_matching_forest_host,
     gen_path,
     gen_random_graph_min_degree,
     gen_random_tree,
     gen_spider,
     gen_three_branch_tree,
+    gen_three_pool_host,
     gen_two_cliques_apex,
     gen_two_cliques_apex_grown,
 )
@@ -152,121 +157,58 @@ def test_apex_split_examples():
         apex_split_embed(weak, 8, VertexSet(range(0, 4), 9), VertexSet(range(4, 8), 9), t)
 
 
-def _three_pool_host(block: int):
-    edges = []
-    for b in range(3):
-        base = b * block
-        edges.extend((base + i, base + j) for i in range(block) for j in range(i + 1, block))
-    x = 3 * block
-    for b in range(3):
-        edges.extend((x, b * block + i) for i in range(3))
-    return Graph(x + 1, edges), x
-
-
 def test_apex_three_split_examples():
-    g, x = _three_pool_host(6)
-    pools = [VertexSet(range(b * 6, (b + 1) * 6), g.n) for b in range(3)]
+    g, roles = gen_three_pool_host(6)
     t = gen_three_branch_tree(6)
-    out = apex_three_split_embed(g, x, pools[0], pools[1], pools[2], t)
+    out = apex_three_split_embed(g, t=t, **roles)
     assert out.status == "found"
-    out = apex_three_split_embed(g, x, pools[0], pools[1], pools[2], gen_path(7))
+    out = apex_three_split_embed(g, t=gen_path(7), **roles)
     assert out.status == "found"  # empty third forest leaves pool 3 unused
     # no neighbour in the third pool
-    g2 = Graph(g.n, [e for e in g.edges() if not (e[1] == x and e[0] in pools[2])])
+    x, c3 = roles["x"], roles["c3"]
+    g2 = Graph(g.n, [e for e in g.edges() if not (e[1] == x and e[0] in c3)])
     with pytest.raises(PreconditionViolated):
-        apex_three_split_embed(g2, x, pools[0], pools[1], pools[2], t)
-
-
-def _bipartite_apex_host():
-    kb = gen_complete_bipartite(10, 10)
-    apex = 20
-    edges = list(kb.edges()) + [(0, apex), (1, apex), (10, apex), (11, apex)]
-    g = Graph(21, edges)
-    return g, apex, VertexSet(range(0, 10), 21), VertexSet(range(10, 20), 21)
+        apex_three_split_embed(g2, t=t, **roles)
 
 
 def test_bipartite_apex_examples():
-    g, apex, y1, y2 = _bipartite_apex_host()
-    out = bipartite_apex_embed(g, apex, y1, y2, gen_path(14))  # k = 13 > 6*2
+    g, roles = gen_bipartite_apex_host()
+    out = bipartite_apex_embed(g, t=gen_path(14), **roles)  # k = 13 > 6*2
     assert out.status == "found"
     cat = gen_caterpillar(10, 3, seed=1)  # k = 12 = 6*2: fails the k > 6*max_deg gate
     with pytest.raises(PreconditionViolated):
-        bipartite_apex_embed(g, apex, y1, y2, cat)
+        bipartite_apex_embed(g, t=cat, **roles)
     odd = Graph(g.n, list(g.edges()) + [(0, 1)])
     with pytest.raises(PreconditionViolated):
-        bipartite_apex_embed(odd, apex, y1, y2, gen_path(14))
+        bipartite_apex_embed(odd, t=gen_path(14), **roles)
     # an apex outside 0..n-1 is refused before any mask is read
     for x in (-1, g.n):
         with pytest.raises(PreconditionViolated, match="x out of range"):
-            bipartite_apex_embed(g, x, y1, y2, gen_path(14))
+            bipartite_apex_embed(g, t=gen_path(14), **dict(roles, x=x))
 
 
 def test_bipartite_apex_class_discipline():
-    g, apex, y1, y2 = _bipartite_apex_host()
-    t = gen_random_tree(14, 2, seed=9)
-    out = bipartite_apex_embed(g, apex, y1, y2, t)
+    g, roles = gen_bipartite_apex_host()
+    out = bipartite_apex_embed(g, t=gen_random_tree(14, 2, seed=9), **roles)
     assert out.status == "found"  # parity discipline asserted inside the op
 
 
-def _escape_path_host():
-    blocks = []
-    edges = []
-    for b in range(3):
-        base = b * 10
-        blocks.append(list(range(base, base + 10)))
-        edges.extend((base + i, base + j) for i in range(10) for j in range(i + 1, 10))
-    x = 30
-    edges.extend((x, v) for v in blocks[0][:4])
-    edges.extend((x, v) for v in blocks[1][:4])
-    a, b_vert = blocks[0][-1], blocks[2][0]
-    edges.append((a, b_vert))
-    g = Graph(31, edges)
-    return g, x, blocks, a, b_vert
-
-
-def _branches_tree(lengths):
-    """A centre with one path branch per length."""
-    edges, nxt = [], 1
-    for length in lengths:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-    return Tree(nxt, edges)
-
-
-def _wide_escape_host(size: int, x_degree: int):
-    """`_escape_path_host` with cliques of `size` and x_degree apex edges per
-    side: at size 32 a 48-edge tree with three 16-vertex branches admits no
-    two-pool regrouping, so `embed_via_path` runs its path stage."""
-    blocks = [list(range(b * size, (b + 1) * size)) for b in range(3)]
-    edges = [(u, v) for blk in blocks for i, u in enumerate(blk) for v in blk[i + 1:]]
-    x = 3 * size
-    edges += [(x, v) for v in blocks[0][:x_degree] + blocks[1][:x_degree]]
-    a, b_vert = blocks[0][-1], blocks[2][0]
-    g = Graph(x + 1, edges + [(a, b_vert)])
-    return g, x, [VertexSet(blk, g.n) for blk in blocks], a, b_vert
-
-
 def test_embed_via_path_splittable_fallback():
-    g, x, blocks, a, b_vert = _escape_path_host()
+    g, roles = gen_escape_path_host(10, 4)
     t = gen_spider(9, 3)  # k = 12, components of size 4 regroup directly
-    out = embed_via_path(
-        g, x, VertexSet(blocks[0], g.n), VertexSet(blocks[1], g.n),
-        VertexSet(blocks[2], g.n), a, b_vert, t,
-    )
-    assert out.status == "found"
+    assert embed_via_path(g, t=t, **roles).status == "found"
 
 
 def test_embed_via_path_path_stage():
-    # three branches of 16: no regrouping lands in the two-pool window
-    # [17, 31], so the heavy branch is routed along a path through A; an
-    # empty length window (no slack) is a failure only that stage reports
-    g, x, pools, a, b_vert = _wide_escape_host(32, 3)
-    t = _branches_tree((16, 16, 16))
-    assert embed_via_path(g, x, *pools, a, b_vert, t, slack=8).status == "found"
+    # three branches of 16 in 32-vertex cliques: no regrouping lands in the
+    # two-pool window [17, 31], so the heavy branch is routed along a path
+    # through A; an empty length window (no slack) is a failure only that
+    # stage reports
+    g, roles = gen_escape_path_host(32, 3)
+    t = gen_branches_tree((16, 16, 16))
+    assert embed_via_path(g, t=t, slack=8, **roles).status == "found"
     with pytest.raises(EmbedNotFound) as exc:
-        embed_via_path(g, x, *pools, a, b_vert, t, slack=0)
+        embed_via_path(g, t=t, slack=0, **roles)
     assert exc.value.stage == "tree_path"
 
 
@@ -274,84 +216,53 @@ def test_embed_via_path_bridge_end_inside_a_is_a_precondition():
     # b moved into A, adjacent to a and to six B2 vertices: the path through A
     # may use b, which is also the bridge's image, so every choice of b must
     # be refused up front rather than caught as a non-injective placement
-    g, x, pools, a, b_vert = _wide_escape_host(32, 3)
-    A, B1, B2 = pools
-    t = _branches_tree((16, 16, 16))
-    for inside in A.members:
-        if inside == a:
+    g, roles = gen_escape_path_host(32, 3)
+    B2 = roles["b2_set"]
+    t = gen_branches_tree((16, 16, 16))
+    for inside in roles["a_set"].members:
+        if inside == roles["a"]:
             continue
         h = Graph(g.n, list(g.edges()) + [(inside, w) for w in B2.members[:6]])
         with pytest.raises(PreconditionViolated):
-            embed_via_path(h, x, A, B1, B2, a, inside, t)
+            embed_via_path(h, t=t, **dict(roles, b=inside))
     # and the other end: a inside B1 or B2
-    for inside in (B1.members[-1], B2.members[-1]):
+    for inside in (roles["b1_set"].members[-1], B2.members[-1]):
         with pytest.raises(PreconditionViolated):
-            embed_via_path(g, x, A, B1, B2, inside, b_vert, t)
+            embed_via_path(g, t=t, **dict(roles, a=inside))
 
 
 def test_embed_via_path_star_window():
     # K_{1,30} leaves 30 singleton components around its centre; choosing
     # those in the degree window is a subset-sum question, not 2^30 subsets
-    A, B1, B2 = range(0, 62), range(62, 124), range(124, 186)
-    x = 186
-    edges = [(u, v) for blk in (A, B1, B2) for u in blk for v in blk if u < v]
-    edges += [(x, v) for v in A] + [(x, v) for v in B1]
-    a, b_vert = A[-1], B2[0]
-    edges.append((a, b_vert))
-    g = Graph(187, edges)
+    g, roles = gen_escape_path_host(62, 62)
     star = Tree(31, [(0, i) for i in range(1, 31)])
-    out = embed_via_path(
-        g, x, VertexSet(A, g.n), VertexSet(B1, g.n), VertexSet(B2, g.n), a, b_vert, star,
-    )
-    assert out.status == "found"
+    assert embed_via_path(g, t=star, **roles).status == "found"
 
 
 def test_embed_via_path_missing_bridge():
-    g, x, blocks, a, b_vert = _escape_path_host()
-    g2 = Graph(g.n, [e for e in g.edges() if e != tuple(sorted((a, b_vert)))])
+    g, roles = gen_escape_path_host(10, 4)
+    g2 = Graph(g.n, [e for e in g.edges() if e != (roles["a"], roles["b"])])
     with pytest.raises(PreconditionViolated):
-        embed_via_path(
-            g2, x, VertexSet(blocks[0], g2.n), VertexSet(blocks[1], g2.n),
-            VertexSet(blocks[2], g2.n), a, b_vert, gen_spider(9, 3),
-        )
-
-
-def _matching_forest_host():
-    core = list(range(14))
-    edges = [(i, j) for i in range(14) for j in range(i + 1, 14)]
-    pools = []
-    nxt = 14
-    for p in range(3):
-        blk = list(range(nxt, nxt + 8))
-        pools.append(blk)
-        edges.extend((blk[i], blk[j]) for i in range(8) for j in range(i + 1, 8))
-        edges.append((p, blk[0]))
-        nxt += 8
-    g = Graph(nxt, edges)
-    portals = [((p, pools[p][0]), VertexSet(pools[p], g.n)) for p in range(3)]
-    return g, VertexSet(core, g.n), portals
+        embed_via_path(g2, t=gen_spider(9, 3), **roles)
 
 
 def test_matching_forest_examples():
-    g, core, portals = _matching_forest_host()
+    g, roles = gen_matching_forest_host()
     t = gen_caterpillar(9, 4, seed=5)  # max degree 3, k = 12
-    out = matching_forest_embed(g, core, portals, t)
-    assert out.status == "found"
+    assert matching_forest_embed(g, t=t, **roles).status == "found"
     # an empty matching reduces to placing the whole tree in the core
-    small = gen_three_branch_tree(6)
-    out = matching_forest_embed(g, core, portals, small)
-    assert out.status == "found"
+    assert matching_forest_embed(g, t=gen_three_branch_tree(6), **roles).status == "found"
 
 
 def test_matching_forest_needs_enough_portals():
-    g, core, portals = _matching_forest_host()
+    g, roles = gen_matching_forest_host()
     t = gen_path(13)  # k = 12 path decomposes with a 2-edge matching
     from treebed.trees import msf_decomposition
 
     mu = len(msf_decomposition(t).matching)
     assert mu >= 1
     with pytest.raises(PreconditionViolated):
-        matching_forest_embed(g, core, portals[: mu - 1], t)
+        matching_forest_embed(g, t=t, **dict(roles, portals=roles["portals"][: mu - 1]))
 
 
 def _constructive_cases():
@@ -361,9 +272,9 @@ def _constructive_cases():
     hosts = host_corpus() + [
         gen_two_cliques_apex_grown(6),
         gen_two_cliques_apex_grown(9),
-        _three_pool_host(4)[0],
-        _three_pool_host(6)[0],
-        _bipartite_apex_host()[0],
+        gen_three_pool_host(4)[0],
+        gen_three_pool_host(6)[0],
+        gen_bipartite_apex_host()[0],
     ]
     for g in hosts:
         for t in trees:
@@ -386,38 +297,36 @@ def _constructive_cases():
                 g, g.n - 1, c1, c2, t
             )
     for block in (4, 6):
-        g, x = _three_pool_host(block)
-        pools = [VertexSet(range(b * block, (b + 1) * block), g.n) for b in range(3)]
+        g, roles = gen_three_pool_host(block)
         for t in trees:
-            yield "apex_three_split", lambda g=g, x=x, p=pools, t=t: apex_three_split_embed(
-                g, x, *p, t
+            yield "apex_three_split", lambda g=g, r=roles, t=t: apex_three_split_embed(
+                g, t=t, **r
             )
-    g, apex, y1, y2 = _bipartite_apex_host()
+    g, roles = gen_bipartite_apex_host()
     for n in range(14, 21):
         for t in (gen_path(n), gen_random_tree(n, 2, seed=n), gen_random_tree(n, 3, seed=n)):
-            yield "bipartite_apex", lambda g=g, t=t: bipartite_apex_embed(g, apex, y1, y2, t)
-    g, x, blocks, a, b_vert = _escape_path_host()
-    pools = [VertexSet(blk, g.n) for blk in blocks]
-    escape_trees = [gen_spider(9, 3), gen_spider(12, 4), _branches_tree((4, 4, 4)), gen_path(13)]
+            yield "bipartite_apex", lambda g=g, r=roles, t=t: bipartite_apex_embed(g, t=t, **r)
+    g, roles = gen_escape_path_host(10, 4)
+    escape_trees = [gen_spider(9, 3), gen_spider(12, 4), gen_branches_tree((4, 4, 4)), gen_path(13)]
     for t in escape_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
         for slack in (8, 64):
-            yield "embed_via_path", lambda g=g, x=x, p=pools, a=a, b=b_vert, t=t, s=slack: (
-                embed_via_path(g, x, *p, a, b, t, slack=s)
+            yield "embed_via_path", lambda g=g, r=roles, t=t, s=slack: (
+                embed_via_path(g, t=t, slack=s, **r)
             )
     for x_degree in (3, 6):
-        g, x, pools, a, b_vert = _wide_escape_host(32, x_degree)
+        g, roles = gen_escape_path_host(32, x_degree)
         for lengths in ((16, 16, 16), (15, 16, 17), (12, 12, 12, 12), (16, 16, 8, 8)):
-            t = _branches_tree(lengths)
+            t = gen_branches_tree(lengths)
             for slack in (0, 1, 8):
-                yield "embed_via_path", lambda g=g, x=x, p=pools, a=a, b=b_vert, t=t, s=slack: (
-                    embed_via_path(g, x, *p, a, b, t, slack=s)
+                yield "embed_via_path", lambda g=g, r=roles, t=t, s=slack: (
+                    embed_via_path(g, t=t, slack=s, **r)
                 )
-    g, core, portals = _matching_forest_host()
+    g, roles = gen_matching_forest_host()
     mf_trees = [gen_caterpillar(9, 4, seed=5), gen_three_branch_tree(6), gen_path(13)]
     for t in mf_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
         for budget in (5, 2_000_000):
-            yield "matching_forest", lambda g=g, t=t, b=budget: matching_forest_embed(
-                g, core, portals, t, budget=b
+            yield "matching_forest", lambda g=g, r=roles, t=t, b=budget: matching_forest_embed(
+                g, t=t, budget=b, **r
             )
 
 
@@ -597,8 +506,8 @@ def test_pipeline_attempts_match_induced_reference(monkeypatch):
         gen_complete_bipartite(3, 4),
         gen_two_cliques_apex(9),
         gen_clique_chain_apex(10, 2),
-        _three_pool_host(4)[0],
-        _bipartite_apex_host()[0],
+        gen_three_pool_host(4)[0],
+        gen_bipartite_apex_host()[0],
         Graph(70, [(0, v) for v in range(1, 70)] + [(v, v + 1) for v in range(1, 69, 3)]),
     ]
     names = set()

@@ -5,7 +5,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,19 +17,25 @@ from treebed.generators import (
     FamilySpec,
     build_graph,
     build_tree,
+    gen_bipartite_apex_host,
     gen_bps_alpha_host,
+    gen_branches_tree,
     gen_caterpillar,
     gen_clique_chain_apex,
     gen_complete_bipartite,
+    gen_escape_path_host,
+    gen_matching_forest_host,
     gen_path,
     gen_random_connected_graph,
     gen_random_graph_min_degree,
     gen_random_tree,
     gen_spider,
     gen_three_branch_tree,
+    gen_three_pool_host,
     gen_two_cliques_apex,
     gen_two_cliques_apex_grown,
 )
+from treebed.graph import VertexSet
 
 
 def test_two_cliques_apex_profiles():
@@ -54,6 +60,74 @@ def test_three_branch_tree():
     assert t.n == 4 and t.max_degree() == 3  # the claw
     with pytest.raises(PreconditionViolated):
         gen_three_branch_tree(8)
+
+
+def test_branches_tree():
+    t = gen_branches_tree((3, 1, 2))
+    assert t.n == 7 and t.root == 0 and t.degree(0) == 3
+    assert t.edges == ((0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (5, 6))
+    assert gen_branches_tree((16, 16, 16)) == gen_three_branch_tree(48)
+    for lengths in ((), (3, 0)):
+        with pytest.raises(PreconditionViolated):
+            gen_branches_tree(lengths)
+
+
+# Each structured host at the parameters the package and its tests use: the
+# builder, its arguments, the order of each vertex pool (a portal's pool is
+# named by its index), and the pools the apex x may see.
+_ESCAPE_POOLS = ("a_set", "b1_set", "b2_set")
+_STRUCTURED_HOSTS = [
+    *(
+        (gen_escape_path_host, (size, x_degree), dict.fromkeys(_ESCAPE_POOLS, size), _ESCAPE_POOLS[:2])
+        for size, x_degree in ((10, 4), (32, 3), (32, 6), (62, 62))
+    ),
+    *(
+        (gen_three_pool_host, (block,), dict.fromkeys(("c1", "c2", "c3"), block), ("c1", "c2", "c3"))
+        for block in (4, 6)
+    ),
+    (gen_bipartite_apex_host, (), {"y1": 10, "y2": 10}, ("y1", "y2")),
+    (gen_matching_forest_host, (), {"host_core": 14, 0: 8, 1: 8, 2: 8}, ()),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, orders, x_pools",
+    _STRUCTURED_HOSTS,
+    ids=[f"{case[0].__name__}{case[1]}" for case in _STRUCTURED_HOSTS],
+)
+def test_structured_host_roles(build, args, orders, x_pools):
+    g, roles = build(*args)
+    pools = {name: s for name, s in roles.items() if isinstance(s, VertexSet)}
+    pools.update(enumerate(pool for _, pool in roles.get("portals", ())))
+    assert {name: len(s) for name, s in pools.items()} == orders
+    members = [v for s in pools.values() for v in s]
+    assert len(set(members)) == len(members)  # the pools are disjoint
+    assert g.n == len(members) + ("x" in roles)
+    if build is gen_bipartite_apex_host:
+        # the classes of K_{10,10}: each independent, fully joined to the other
+        y1, y2 = roles["y1"], roles["y2"]
+        assert not any(g.has_edge(u, v) for s in (y1, y2) for u, v in combinations(s, 2))
+        assert all(g.has_edge(u, v) for u in y1 for v in y2)
+    else:
+        assert all(g.has_edge(u, v) for s in pools.values() for u, v in combinations(s, 2))
+    if "x" in roles:
+        assert set(g.neighbors(roles["x"])) <= {v for name in x_pools for v in pools[name]}
+    if build is gen_escape_path_host:
+        A, B1, B2 = (roles[name] for name in _ESCAPE_POOLS)
+        a, b = roles["a"], roles["b"]
+        assert a in A and b in B2
+        assert [(u, v) for u in (*A, *B1) for v in B2 if g.has_edge(u, v)] == [(a, b)]
+        assert g.degree(roles["x"]) == 2 * args[1]
+    for (c, p), pool in roles.get("portals", ()):
+        assert c in roles["host_core"] and p in pool and g.has_edge(c, p)
+
+
+def test_structured_hosts_refuse_bad_parameters():
+    for args in ((0, 0), (4, 5), (4, -1)):
+        with pytest.raises(PreconditionViolated):
+            gen_escape_path_host(*args)
+    with pytest.raises(PreconditionViolated):
+        gen_three_pool_host(2)
 
 
 def test_spider():

@@ -178,6 +178,29 @@ def test_tree_records_check_on_the_view_they_are_given():
     assert sites == []
 
 
+def test_host_builders_live_in_generators():
+    # every host builder is defined once, in generators.py, so the package
+    # and its tests build each host the same way; a module-level function
+    # named *_host anywhere else, other than a test pytest collects, is a
+    # second copy of one
+    paths = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    builders = {
+        (path.name, fn.name)
+        for path in paths
+        for fn in ast.parse(path.read_text(), str(path)).body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.endswith("_host")
+        and not fn.name.startswith("test_")
+    }
+    assert {name for module, name in builders if module == "generators.py"} >= {
+        "gen_escape_path_host",
+        "gen_three_pool_host",
+        "gen_bipartite_apex_host",
+        "gen_matching_forest_host",
+    }
+    assert {(module, name) for module, name in builders if module != "generators.py"} == set()
+
+
 def _handler_reads(fn):
     """Names the handler reads off its `args`: `args.x` or `getattr(args, "x", ...)`."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
