@@ -5,7 +5,7 @@ Library layout:
   trees       guest trees and the certified splitting procedures
   embed       constructive embedders plus the exhaustive oracle
   generators  extremal host/tree families and seeded random corpora
-  decompose   rich-subgraph machinery: refinement, classification, reports
+  decompose   rich-subgraph machinery: refinement, classification, rich decomposition
   lab         experiment harness, report emission, CLI backend
   kernel      the hot search loops: oracle backtracking, exact cut branch and bound
 """

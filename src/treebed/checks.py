@@ -27,6 +27,7 @@ from .embed import (
 )
 from .errors import EmbedNotFound, PreconditionViolated
 from .generators import (
+    _disjoint_cliques,
     gen_caterpillar,
     gen_escape_path_host,
     gen_matching_forest_host,
@@ -582,8 +583,7 @@ def refine_instance(seed: int, i: int):
     if variant == 0:
         s1 = rng.randrange(5, 9)
         s2 = rng.randrange(5, 10 - max(0, s1 - 8))
-        edges = [(u, v) for u, v in combinations(range(s1), 2)]
-        edges += [(s1 + u, s1 + v) for u, v in combinations(range(s2), 2)]
+        edges, _ = _disjoint_cliques((s1, s2))
         bridges = rng.randrange(1, 3)
         for bidx in range(bridges):
             edges.append((bidx % s1, s1 + (bidx % s2)))
@@ -593,12 +593,8 @@ def refine_instance(seed: int, i: int):
     elif variant == 1:
         sizes = [rng.randrange(4, 7) for _ in range(rng.randrange(2, 4))]
         sizes = sizes[: max(1, 18 // max(sizes))]
-        edges = []
-        base = 0
-        for s in sizes:
-            edges.extend((base + u, base + v) for u, v in combinations(range(s), 2))
-            base += s
-        g = Graph(base, edges)
+        edges, _ = _disjoint_cliques(sizes)
+        g = Graph(sum(sizes), edges)
         k = min(sizes) - 1
         rho = Fraction(1, 100)
     else:

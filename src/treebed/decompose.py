@@ -1,5 +1,6 @@
-"""Rich-subgraph machinery: richness checks, cut-dense refinement, periphery
-classifications, and the collection-level reports the embedding harness consumes.
+"""Rich-subgraph machinery: richness checks, cut-dense refinement, the
+periphery classification of a component collection, and a heuristic rich
+decomposition.
 
 Everything here is analysis over immutable graphs; reports carry evidence
 (witnesses, logs) so downstream consumers never need to re-derive it.
@@ -21,14 +22,11 @@ from .graph import (
     CutDenseVerdict,
     CutWitness,
     Graph,
-    Matching,
     VertexSet,
     as_vertex_set,
     is_cut_dense,
     periphery,
-    second_neighbourhood,
     vertex_cover_at_most,
-    _max_bipartite_matching,
 )
 
 def rho_preset(delta: Fraction) -> Fraction:
@@ -70,7 +68,6 @@ class RichReport:
     min_degree: int
     cover_ok: Optional[bool]  # None when the cover search ran out of budget
     cover: Optional[VertexSet]
-    cover_budget_exceeded: bool
     cut_dense_ok: bool
     cut_dense_conclusive: bool
     cut_witness: Optional[CutWitness]
@@ -102,7 +99,6 @@ def is_rich(
     sub, _ = g.induced(hv.members)
     mind = sub.min_degree()
     min_ok = mind >= p.c * p.k
-    cover_budget_exceeded = False
     cover: Optional[VertexSet] = None
     cover_ok: Optional[bool]
     try:
@@ -112,7 +108,6 @@ def is_rich(
             cover = VertexSet([hv.members[i] for i in got.members], g.n)
     except SearchBudgetExceeded:
         cover_ok = None
-        cover_budget_exceeded = True
     verdict = cut_verdict if cut_verdict is not None else is_cut_dense(sub, p.rho)
     # witness indices are subgraph-local; subgraph.members maps them back
     witness = verdict.witness
@@ -124,7 +119,6 @@ def is_rich(
         min_degree=mind,
         cover_ok=cover_ok,
         cover=cover,
-        cover_budget_exceeded=cover_budget_exceeded,
         cut_dense_ok=verdict.is_dense,
         cut_dense_conclusive=verdict.conclusive,
         cut_witness=witness,
@@ -367,185 +361,12 @@ def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> Collection
     )
 
 
-@dataclass(frozen=True)
-class IntersectionWitness:
-    property_name: str  # "L1" | "L2" | "L3"
-    vertices: tuple[int, ...]
-    components: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IntersectionReport:
-    """Violations of the three periphery-intersection exclusions, with witnesses.
-
-    Each witness is an embed opportunity: the harness hands it to the matching
-    constructive embedder, which must then produce the tree.
-    """
-
-    delta_t: int
-    eps: Fraction
-    k: int
-    l1_witnesses: tuple[IntersectionWitness, ...]
-    l2_witnesses: tuple[IntersectionWitness, ...]
-    l3_witnesses: tuple[IntersectionWitness, ...]
-    rich_reports: tuple[RichReport, ...]
-
-    @property
-    def l1_holds(self) -> bool:
-        return not self.l1_witnesses
-
-    @property
-    def l2_holds(self) -> bool:
-        return not self.l2_witnesses
-
-    @property
-    def l3_holds(self) -> bool:
-        return not self.l3_witnesses
-
-
-def intersection_property_report(
-    g: Graph,
-    comps: Sequence,
-    delta_t: int,
-    eps: Fraction,
-    k: int,
-) -> IntersectionReport:
-    """Check the three exclusion properties of component peripheries.
-
-    L1: no vertex sits in the Delta-periphery of two components and the
-        1-periphery of a third.
-    L2: no vertex neighbours the 2*Delta-periphery of 2*Delta components.
-    L3: the eps*k peripheries of two components overlap in < eps*k vertices.
-
-    Components must be (1/2 + eps, 0, k)-rich; that is re-checked here.
-    """
-    eps = Fraction(eps)
-    cvs = _disjoint_vertex_sets(comps, g.n)
-    p = RichParams(Fraction(1, 2) + eps, Fraction(0), k)
-    reports = tuple(is_rich(g, c, p) for c in cvs)
-    for rep in reports:
-        if not rep.rich:
-            raise PreconditionViolated("every component must be (1/2+eps, 0, k)-rich")
-    m = len(cvs)
-    pd = [periphery(g, c, delta_t).as_set() for c in cvs]
-    p1 = [periphery(g, c, 1).as_set() for c in cvs]
-    p2d = [periphery(g, c, 2 * delta_t).as_set() for c in cvs]
-    l1 = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            both = pd[i] & pd[j]
-            if not both:
-                continue
-            for ell in range(m):
-                if ell in (i, j):
-                    continue
-                hits = sorted(both & p1[ell])
-                if hits:
-                    l1.append(IntersectionWitness("L1", (hits[0],), (i, j, ell)))
-    # L2 via counting: how many 2Delta-peripheries does each vertex neighbour?
-    l2 = []
-    if delta_t >= 1:
-        touch = [
-            frozenset(
-                v for v in range(g.n) if any(w in p2d_i for w in g.neighbors(v))
-            )
-            for p2d_i in p2d
-        ]
-        for v in range(g.n):
-            idx = tuple(i for i in range(m) if v in touch[i])
-            if len(idx) >= 2 * delta_t:
-                l2.append(IntersectionWitness("L2", (v,), idx[: 2 * delta_t]))
-    l3 = []
-    ek = eps * k
-    pek = [periphery(g, c, _ceil_frac(ek)).as_set() for c in cvs]
-    for i in range(m):
-        for j in range(i + 1, m):
-            inter = sorted(pek[i] & pek[j])
-            if len(inter) >= ek:
-                l3.append(IntersectionWitness("L3", tuple(inter), (i, j)))
-    return IntersectionReport(
-        delta_t=delta_t,
-        eps=eps,
-        k=k,
-        l1_witnesses=tuple(l1),
-        l2_witnesses=tuple(l2),
-        l3_witnesses=tuple(l3),
-        rich_reports=reports,
-    )
+# ---------------------------------------------------------------------------
+# Heuristic rich decomposition
 
 
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-# ---------------------------------------------------------------------------
-# External/internal split and the apex-peripheral matching
-
-
-def external_internal_classify(
-    g: Graph, x: int, comps: Sequence, eta_k
-) -> tuple[VertexSet, VertexSet]:
-    """Partition the second neighbourhood of x: external vertices sit in the
-    eta_k-periphery of some component beyond the designated first two."""
-    cvs = _disjoint_vertex_sets(comps, g.n)
-    n2 = second_neighbourhood(g, x)
-    ext = []
-    for z in n2:
-        if any(g.deg_within(z, cvs[j].as_set()) >= eta_k for j in range(2, len(cvs))):
-            ext.append(z)
-    ext_set = set(ext)
-    internal = [z for z in n2 if z not in ext_set]
-    return VertexSet(ext, g.n), VertexSet(internal, g.n)
-
-
-@dataclass(frozen=True)
-class PeripheralMatching:
-    """Matching between N(x) and external second neighbours, plus the injective
-    assignment of matched externals to components whose periphery holds them."""
-
-    matching: Matching
-    assignment: tuple[tuple[int, int], ...]  # (external vertex, component index)
-
-
-def x_peripheral_matching(g: Graph, x: int, comps: Sequence, eta_k) -> PeripheralMatching:
-    """Two-stage construction: externals are first matched injectively to
-    component indices (>= 2) via their periphery membership, the survivors are
-    then matched to neighbours of x along host edges."""
-    cvs = [as_vertex_set(c, g.n) for c in comps]
-    ext, _ = external_internal_classify(g, x, comps, eta_k)
-    live_idx = [
-        j
-        for j in range(2, len(cvs))
-        if any(g.deg_within(z, cvs[j].as_set()) >= eta_k for z in ext)
-    ]
-    nbrs_stage1 = {
-        z: tuple(
-            j for j in live_idx if g.deg_within(z, cvs[j].as_set()) >= eta_k
-        )
-        for z in ext
-    }
-    ml = _max_bipartite_matching(list(ext), nbrs_stage1)
-    comp_of = dict(ml)
-    w_side = sorted(comp_of)
-    nx = frozenset(g.neighbors(x))
-    x_side = sorted(nx - set(w_side))
-    nbrs_stage2 = {
-        y: tuple(w for w in g.neighbors(y) if w in set(w_side)) for y in x_side
-    }
-    m2 = _max_bipartite_matching(x_side, nbrs_stage2)
-    pairs = sorted((y, w) for y, w in m2.items())
-    assignment = tuple(sorted((w, comp_of[w]) for _, w in pairs))
-    for w, j in assignment:
-        if g.deg_within(w, cvs[j].as_set()) < eta_k:
-            raise InternalInvariantError("matched external lost its periphery membership")
-    js = [j for _, j in assignment]
-    if len(set(js)) != len(js):
-        raise InternalInvariantError("component assignment is not injective")
-    return PeripheralMatching(Matching(tuple(pairs)), assignment)
-
-
-# ---------------------------------------------------------------------------
-# Heuristic rich decomposition
 
 
 @dataclass(frozen=True)
@@ -594,7 +415,6 @@ def rich_decompose(g: Graph, k: int, p: RichParams) -> RichDecomposition:
                 delta,
                 k,
                 rho=p.rho,
-                relax_delta=delta >= eps / 400,
             )
         except PreconditionViolated:
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -218,11 +218,6 @@ class Graph:
                 seen[nb], seen[nb | bit] = false_twins | bit, true_twins | bit
             self._twins = tuple(lower)
         return self._twins
-
-    def degree_order(self) -> tuple[int, ...]:
-        """Vertices by degree, highest first, ties by smaller id: the bits of
-        each degree class in turn, ascending."""
-        return tuple(chain.from_iterable(map(_bits, self.degree_classes()[0])))
 
     def min_degree(self) -> int:
         return min(self._deg, default=0)

@@ -1,4 +1,4 @@
-"""Decomposition tests: richness, refinement, classification, matchings."""
+"""Decomposition tests: richness, refinement, classification, rich decomposition."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -9,14 +9,11 @@ from treebed import checks, kernel
 from treebed.decompose import (
     RichParams,
     classify_components,
-    external_internal_classify,
-    intersection_property_report,
     is_rich,
     is_rich_on_refined,
     refine_cut_dense,
     rho_preset,
     rich_decompose,
-    x_peripheral_matching,
 )
 from treebed.errors import OverlappingComponents, PreconditionViolated
 from treebed.generators import gen_random_graph_min_degree, gen_two_cliques_apex
@@ -112,82 +109,6 @@ def test_classify_two_cliques_apex():
     assert all(a.residual_degree == g.degree(a.vertex) for a in empty.affinities)
     with pytest.raises(OverlappingComponents):
         classify_components(g, [c1, c1], s=2, t=2)
-
-
-def test_intersection_properties():
-    # two rich components: L1 holds vacuously (needs three)
-    g = gen_two_cliques_apex(60)
-    half = (g.n - 1) // 2
-    c1 = VertexSet(range(0, half), g.n)
-    c2 = VertexSet(range(half, g.n - 1), g.n)
-    rep = intersection_property_report(g, [c1, c2], delta_t=3, eps=Fraction(1, 8), k=60)
-    assert rep.l1_holds
-    # three disjoint K7 blocks plus one vertex seeing 3 in each: an L1 witness
-    edges = []
-    for b in range(3):
-        edges += _clique_edges(range(b * 7, b * 7 + 7))
-    x = 21
-    for b in range(3):
-        edges += [(x, b * 7 + i) for i in range(3)]
-    g2 = Graph(22, edges)
-    comps = [VertexSet(range(b * 7, b * 7 + 7), g2.n) for b in range(3)]
-    rep = intersection_property_report(g2, comps, delta_t=3, eps=Fraction(1, 8), k=8)
-    assert not rep.l1_holds
-    assert rep.l1_witnesses[0].vertices == (x,)
-    empty = intersection_property_report(g2, [], delta_t=3, eps=Fraction(1, 8), k=8)
-    assert empty.l1_holds and empty.l2_holds and empty.l3_holds
-
-
-def test_external_internal_and_matching():
-    edges = _clique_edges(range(5)) + _clique_edges(range(5, 10))
-    edges += [(10, 0), (10, 5)]
-    base = 11
-    outer = []
-    for anchor in (1, 2, 6):
-        vs = list(range(base, base + 4))
-        outer.append(vs)
-        edges += _clique_edges(vs)
-        edges += [(anchor, v) for v in vs]
-        base += 4
-    g = Graph(base, edges)
-    comps = [VertexSet(range(0, 5), g.n), VertexSet(range(5, 10), g.n)]
-    comps += [VertexSet(o, g.n) for o in outer]
-    ext, internal = external_internal_classify(g, 10, comps, eta_k=4)
-    assert set(ext.members) == {1, 2, 6}
-    two_only = external_internal_classify(g, 10, comps[:2], eta_k=4)
-    assert two_only[0].members == ()  # no third component, nothing external
-    isolated_x = external_internal_classify(Graph(3, []), 0, [], eta_k=1)
-    assert isolated_x == (VertexSet([], 3), VertexSet([], 3))
-    pm = x_peripheral_matching(g, 10, comps, eta_k=4)
-    assert 1 <= len(pm.matching) <= 2
-    for w, j in pm.assignment:
-        assert g.deg_within(w, comps[j].as_set()) >= 4
-    pm_empty = x_peripheral_matching(g, 10, comps[:2], eta_k=4)
-    assert len(pm_empty.matching) == 0
-
-
-def test_l1_witness_feeds_the_embedder():
-    # contrapositive wiring: an L1 witness is exactly an apex for the
-    # three-pool embedding, which must then produce the tree
-    from treebed.embed import apex_three_split_embed
-    from treebed.generators import gen_path
-
-    edges = []
-    for b in range(3):
-        edges += _clique_edges(range(b * 7, b * 7 + 7))
-    x = 21
-    for b in range(3):
-        edges += [(x, b * 7 + i) for i in range(3)]
-    g = Graph(22, edges)
-    comps = [VertexSet(range(b * 7, b * 7 + 7), g.n) for b in range(3)]
-    rep = intersection_property_report(g, comps, delta_t=3, eps=Fraction(1, 8), k=8)
-    assert rep.l1_witnesses
-    wit = rep.l1_witnesses[0]
-    i, j, ell = wit.components
-    out = apex_three_split_embed(
-        g, wit.vertices[0], comps[i], comps[j], comps[ell], gen_path(9)
-    )
-    assert out.status == "found"
 
 
 def test_rich_decompose_two_cliques():

@@ -164,6 +164,8 @@ def test_apex_three_split_examples():
     assert out.status == "found"
     out = apex_three_split_embed(g, t=gen_path(7), **roles)
     assert out.status == "found"  # empty third forest leaves pool 3 unused
+    g7, roles7 = gen_three_pool_host(7)
+    assert apex_three_split_embed(g7, t=gen_path(9), **roles7).status == "found"
     # no neighbour in the third pool
     x, c3 = roles["x"], roles["c3"]
     g2 = Graph(g.n, [e for e in g.edges() if not (e[1] == x and e[0] in c3)])
@@ -467,7 +469,7 @@ def _reference_attempts(g, t):
     `induced` and reading `components()` and `bipartition()` off the copy."""
     if g.n == 0 or t.n == 0:
         return []
-    x = g.degree_order()[0]
+    x = max(range(g.n), key=lambda v: (g.degree(v), -v))
     root = max(range(t.n), key=lambda v: (t.degree(v), -v))
     out = [("greedy", x, root)]
     if g.n > 1:

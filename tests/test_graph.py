@@ -326,7 +326,6 @@ def _assert_matches_reference(g, n, edges):
     assert [g.degree(v) for v in range(n)] == list(ref["degrees"])
     assert g.min_degree() == min(ref["degrees"], default=0)
     assert g.max_degree() == max(ref["degrees"], default=0)
-    assert g.degree_order() == tuple(sorted(range(n), key=lambda v: (-ref["degrees"][v], v)))
     assert g.masks() == ref["masks"]
     assert all(
         g.has_edge(u, v) == (v in ref["adjacency"][u]) for u in range(n) for v in range(-1, n + 2)

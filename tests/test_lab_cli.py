@@ -304,6 +304,16 @@ def test_cli_split_and_decompose(tmp_path):
     )
     payload = json.loads(dec.read_text())
     assert payload["op"] == "refine"
+    assert (
+        cli.main(
+            ["decompose", "--host", str(host), "--op", "classify",
+             "--comp", "0,1,2", "--comp", "3,4,5", "--out", str(dec)]
+        )
+        == 0
+    )
+    payload = json.loads(dec.read_text())
+    assert payload["op"] == "classify"
+    assert payload["split_vertices"] == [6] and payload["closed"] == [True, True]
 
 
 def test_cli_verify_and_sweep(tmp_path):

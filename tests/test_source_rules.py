@@ -201,6 +201,42 @@ def test_host_builders_live_in_generators():
     assert {(module, name) for module, name in builders if module != "generators.py"} == set()
 
 
+def test_public_embed_and_decompose_names_are_reached_from_the_package():
+    # a public function or class of embed.py or decompose.py that no package
+    # code names outside its own definition is reached only by tests; so is
+    # one named only inside such unreached definitions
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    uses = [(top, set(names(top))) for tree in trees.values() for top in tree.body]
+    public = [
+        top
+        for home in ("embed.py", "decompose.py")
+        for top in trees[home].body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
+    ]
+    unreached: list = []
+    while True:
+        more = [
+            defn
+            for defn in public
+            if defn not in unreached
+            and not any(
+                defn.name in used for top, used in uses if top is not defn and top not in unreached
+            )
+        ]
+        if not more:
+            break
+        unreached += more
+    assert len(public) >= 20
+    assert [defn.name for defn in unreached] == []
+
+
 def _handler_reads(fn):
     """Names the handler reads off its `args`: `args.x` or `getattr(args, "x", ...)`."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
