@@ -67,15 +67,15 @@ from .trees import (
 
 @dataclass
 class CheckResult:
+    """`inconclusive` counts the runs whose oracle search ran out of its
+    budget: they are neither failures nor passes."""
+
     name: str
     runs: int = 0
     failures: int = 0
+    inconclusive: int = 0
     notes: list[str] = field(default_factory=list)
     seconds: float = field(default=0.0, compare=False)  # wall time, set by timed_check
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
 
     def fail(self, msg: str) -> None:
         self.failures += 1
@@ -495,10 +495,12 @@ def pipeline_attempts(g: Graph, t: Tree):
         yield "bipartite_apex", lambda: bipartite_apex_embed(g, x, sides[0], sides[1], t)
 
 
-def cross_check_pair(g: Graph, t: Tree, budget: int = 10**7) -> list[str]:
+def cross_check_pair(g: Graph, t: Tree, budget: int = 10**7) -> tuple[list[str], bool]:
     """Run every applicable specialized embedder against the oracle verdict.
 
-    Returns discrepancy descriptions (empty = clean).  A specialized run
+    Returns discrepancy descriptions (empty = clean) and whether the oracle
+    search completed; an incomplete one proves nothing, so the pair is then
+    inconclusive rather than clean.  A specialized run
     whose preconditions held while the exhaustive oracle proves
     non-containment is a discrepancy even if the specialized procedure bailed
     out.  A specialized "found" needs no second look: every one has passed
@@ -515,7 +517,7 @@ def cross_check_pair(g: Graph, t: Tree, budget: int = 10**7) -> list[str]:
             pass
         if oracle.status == "not_found":
             problems.append(f"{name}: preconditions held but oracle proves non-containment")
-    return problems
+    return problems, oracle.status != "budget_exhausted"
 
 
 def check_oracle_agreement(hosts, trees, budget: int = 10**7) -> CheckResult:
@@ -525,7 +527,9 @@ def check_oracle_agreement(hosts, trees, budget: int = 10**7) -> CheckResult:
             if t.n > g.n:
                 continue
             res.runs += 1
-            for msg in cross_check_pair(g, t, budget=budget):
+            problems, complete = cross_check_pair(g, t, budget=budget)
+            res.inconclusive += not complete
+            for msg in problems:
                 res.fail(f"host(n={g.n},m={g.edge_count}) tree(n={t.n}): {msg}")
     return res
 
@@ -566,6 +570,7 @@ def check_structured_embedders(budget: int = 10**7) -> CheckResult:
         if not ok:
             res.fail(f"{name}: invalid embedding ({why})")
         oracle = brute_force_embed(g, t, budget=budget)
+        res.inconclusive += oracle.status == "budget_exhausted"
         if oracle.status == "not_found":
             res.fail(f"{name}: oracle contradicts the constructive embedding")
     return res

@@ -2,13 +2,15 @@
 
 Subcommands: gen, split, embed, decompose, verify-extremal, sweep, props.
 Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error,
-3 inconclusive (a search ran out of its node budget before a verdict).
+3 inconclusive: a search ran out of its node budget before a verdict, and
+nothing failed.  `embed`, `verify-extremal`, `decompose`, `sweep` and
+`props` write their whole output first, and `_finish` picks the code.
 
 Cut density needs no flag: one exact branch and bound serves every order,
 under a fixed node budget that every graph of at most 20 vertices fits.  A
 dense verdict from a search that ran out of it is inconclusive, and
-`decompose` says so: `certified_exact` for refine, one `conclusive` flag per
-component for rich.
+`decompose` says so, `certified_exact` for refine and one `conclusive` flag
+per component for rich, and exits 3.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from fractions import Fraction
 from . import lab
 from .decompose import RichParams, classify_components, refine_cut_dense, rich_decompose
 from .embed import DEFAULT_ORACLE_BUDGET, Embedding, brute_force_embed, greedy_embed
-from .errors import (
-    InternalInvariantError,
-    PreconditionViolated,
-    SearchBudgetExceeded,
-    TreebedError,
-)
+from .errors import InternalInvariantError, PreconditionViolated, TreebedError
 from .generators import (
     GRAPH_FAMILY_NAMES,
     TREE_FAMILY_NAMES,
@@ -52,6 +49,18 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _finish(text: str, out: str | None, failed: bool, complete: bool) -> int:
+    """Write a subcommand's output, then pick its exit code: 1 when a check
+    failed, else 3 when some search ran out of its node budget, else 0."""
+    _write_out(text, out)
+    if failed:
+        return 1
+    if not complete:
+        print("inconclusive: a search ran out of its node budget", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _load_graph(path: str) -> Graph:
@@ -186,15 +195,13 @@ def cmd_embed(args) -> int:
         "nodes_explored": out.nodes_explored,
         "embedding": dict(out.embedding.mapping) if out.embedding else None,
     }
-    _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    if out.status == "budget_exhausted":
-        print(f"inconclusive: the oracle spent its budget of {args.budget} nodes", file=sys.stderr)
-        return 3
-    return 0
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _finish(text, args.out, False, out.status != "budget_exhausted")
 
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.host)
+    complete = True
     if args.op == "rich":
         rho = _fraction("--rho", args.rho) if args.rho is not None else Fraction(0)
         p = RichParams(_fraction("--c", args.c), rho, args.k)
@@ -206,6 +213,7 @@ def cmd_decompose(args) -> int:
             "uncovered": list(rd.uncovered),
             "coverage": str(rd.coverage),
         }
+        complete = all(payload["conclusive"])
     elif args.op == "refine":
         res = refine_cut_dense(
             g,
@@ -225,6 +233,7 @@ def cmd_decompose(args) -> int:
             "certified_exact": res.certified_exact,
             "components": [list(c) for c in res.graph.components()],
         }
+        complete = res.certified_exact
     elif args.op == "classify":
         comps = [
             VertexSet([int(v) for v in grp.split(",") if v != ""], g.n)
@@ -247,24 +256,20 @@ def cmd_decompose(args) -> int:
         }
     else:
         raise PreconditionViolated(f"unknown decompose op {args.op!r}")
-    _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
+    return _finish(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out, False, complete)
 
 
 def cmd_verify_extremal(args) -> int:
-    ks = args.k or [6, 9, 12]
-    all_ok = True
-    lines = []
-    for k in ks:
-        rep = lab.verify_extremal(k, budget=args.budget)
-        all_ok &= rep.ok
-        lines.append(
-            f"k={k}: degrees_ok={rep.degrees_ok} avoids_tree={rep.avoids_tree}"
-            f" (nodes={rep.avoid_nodes}) grown_embeds={rep.grown_embeds}"
-        )
-    text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
-    return 0 if all_ok else 1
+    reps = [lab.verify_extremal(k, budget=args.budget) for k in args.k or [6, 9, 12]]
+    lines = [
+        f"k={rep.k}: degrees_ok={rep.degrees_ok} avoids_tree={rep.avoids_tree}"
+        f" (nodes={rep.avoid_nodes}) grown_embeds={rep.grown_embeds}"
+        + ("" if rep.complete else " complete=False")
+        for rep in reps
+    ]
+    failed = any(rep.complete and not rep.ok for rep in reps)
+    complete = all(rep.complete for rep in reps)
+    return _finish("\n".join(lines) + "\n", args.out, failed, complete)
 
 
 # the sweep flags a config file also sets; they default to absent, so that
@@ -297,10 +302,8 @@ def cmd_sweep(args) -> int:
         )
     result = lab.run_sweep(cfg, workers=args.workers)
     text = lab.render_report(result, args.format)
-    _write_out(text, args.out)
-    if result.summary["consistency_failures"]:
-        return 1
-    return 0
+    complete = all(r.oracle_status != "budget_exhausted" for r in result.records)
+    return _finish(text, args.out, result.summary["consistency_failures"] > 0, complete)
 
 
 def cmd_props(args) -> int:
@@ -308,16 +311,16 @@ def cmd_props(args) -> int:
     if args.corpus:
         results.append(lab.timed_check(lab.oracle_corpus_check, budget=args.budget))
     lines = []
-    bad = 0
     for r in results:
-        mark = "ok  " if r.ok else "FAIL"
-        bad += r.failures
-        lines.append(f"{mark} {r.name}: runs={r.runs} failures={r.failures}")
+        mark = "FAIL" if r.failures else "inc " if r.inconclusive else "ok  "
+        line = f"{mark} {r.name}: runs={r.runs} failures={r.failures}"
+        lines.append(line + (f" inconclusive={r.inconclusive}" if r.inconclusive else ""))
         lines.extend(f"       {note}" for note in r.notes)
         # wall times differ between runs, so they stay out of the report
         print(f"{r.seconds:.3f} s  {r.name}", file=sys.stderr)
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if bad == 0 else 1
+    failed = any(r.failures for r in results)
+    complete = not any(r.inconclusive for r in results)
+    return _finish("\n".join(lines) + "\n", args.out, failed, complete)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,9 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 1
-    except SearchBudgetExceeded as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except TreebedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    InternalInvariantError,
-    OverlappingComponents,
-    PreconditionViolated,
-    SearchBudgetExceeded,
-)
+from .errors import InternalInvariantError, OverlappingComponents, PreconditionViolated
 from .graph import (
     CutDenseVerdict,
     CutWitness,
@@ -99,15 +94,9 @@ def is_rich(
     sub, _ = g.induced(hv.members)
     mind = sub.min_degree()
     min_ok = mind >= p.c * p.k
-    cover: Optional[VertexSet] = None
-    cover_ok: Optional[bool]
-    try:
-        got = vertex_cover_at_most(sub, 3 * p.k)
-        cover_ok = got is not None
-        if got is not None:
-            cover = VertexSet([hv.members[i] for i in got.members], g.n)
-    except SearchBudgetExceeded:
-        cover_ok = None
+    got, complete, _ = vertex_cover_at_most(sub, 3 * p.k)
+    cover = None if got is None else VertexSet([hv.members[i] for i in got.members], g.n)
+    cover_ok = got is not None if complete else None
     verdict = cut_verdict if cut_verdict is not None else is_cut_dense(sub, p.rho)
     # witness indices are subgraph-local; subgraph.members maps them back
     witness = verdict.witness

@@ -28,6 +28,13 @@ from .trees import (
 )
 
 DEFAULT_ORACLE_BUDGET = 10**8
+# `embed_via_path`'s path-length window past the heavy branch's depth and
+# its degree slack eps (each pool needs min degree (2/3 - eps)k), and the
+# oracle nodes one `matching_forest_embed` call may spend over all portal
+# assignments; all three are read at call time
+ESCAPE_PATH_SLACK = 64
+ESCAPE_PATH_EPS = Fraction(1, 48)
+PORTAL_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -181,17 +188,15 @@ def brute_force_embed(
     if any(lower_twins):
         symprev = (-1,) * t.n
 
-    status, imgs, nodes = kernel.solve_embed(
+    imgs, complete, nodes = kernel.solve_embed(
         g.masks(), classes, atleast, parent_pos, allowed, tdeg, nchild, symprev, lower_twins, budget
     )
-    if status == kernel.FOUND:
+    if imgs is not None:
         phi = [0] * t.n
         for v, h in zip(order_t, imgs):
             phi[v] = h
         return _certify_found(g, t, Embedding(tuple(enumerate(phi))), nodes)
-    if status == kernel.BUDGET:
-        return EmbedOutcome("budget_exhausted", None, nodes)
-    return EmbedOutcome("not_found", None, nodes)
+    return EmbedOutcome("not_found" if complete else "budget_exhausted", None, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +394,6 @@ def embed_via_path(
     a: int,
     b: int,
     t: Tree,
-    slack: int = 64,
-    eps: Fraction = Fraction(1, 48),
 ) -> EmbedOutcome:
     """Embed by routing the heavy branch along a path through pool A and
     escaping over the bridge edge ab into pool B2.
@@ -402,6 +405,7 @@ def embed_via_path(
     branch.  Raises EmbedNotFound with the failing stage; that is never a
     proof of non-containment.
     """
+    eps = ESCAPE_PATH_EPS
     A = as_vertex_set(a_set, g.n)
     B1 = as_vertex_set(b1_set, g.n)
     B2 = as_vertex_set(b2_set, g.n)
@@ -475,7 +479,7 @@ def embed_via_path(
     a_prime = z_a[0]
     a_pool = (A.as_set() - set(z_a) - {a, y}) | {a_prime, y_prime}
 
-    hi_len = min(ell + slack, len(p_path) - 1 - 3)
+    hi_len = min(ell + ESCAPE_PATH_SLACK, len(p_path) - 1 - 3)
     if hi_len < ell + 1:
         raise EmbedNotFound("tree_path", "heavy path too short for the length window")
     sub_a, map_a = g.induced(a_pool)
@@ -536,7 +540,6 @@ def matching_forest_embed(
     host_core,
     portals: list,
     t: Tree,
-    budget: int = 2_000_000,
 ) -> EmbedOutcome:
     """Embed via a matching/tree/forest edge partition of t.
 
@@ -587,6 +590,7 @@ def matching_forest_embed(
     s_tree = Tree(len(s_verts), s_edges)
     matched = sorted(msf.matching)
 
+    budget = PORTAL_NODE_BUDGET
     nodes_total = 0
     for assignment in permutations(range(len(parsed)), mu):
         pins = Embedding.from_dict(

@@ -9,17 +9,6 @@ class PreconditionViolated(TreebedError):
     """An operation was called on inputs outside its contract."""
 
 
-class SearchBudgetExceeded(TreebedError):
-    """A budgeted search ran out of nodes before reaching a verdict.
-
-    Distinct from a negative answer: the question is still open.
-    """
-
-
-class OracleBudget(SearchBudgetExceeded):
-    """The embedding oracle exhausted its node budget mid-verification."""
-
-
 class Disconnected(TreebedError):
     """Operation requires a connected graph."""
 

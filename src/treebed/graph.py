@@ -15,12 +15,7 @@ from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import kernel
-from .errors import (
-    Disconnected,
-    InternalInvariantError,
-    PreconditionViolated,
-    SearchBudgetExceeded,
-)
+from .errors import Disconnected, InternalInvariantError, PreconditionViolated
 
 # Search nodes allowed to one `vertex_cover_at_most` call, and vertices
 # placed on the path by one `path_in_range` DFS; both are read at call time
@@ -481,7 +476,7 @@ def cut_density(g: Graph) -> CutDensityResult:
     """
     if g.n < 2:
         raise PreconditionViolated("cut density needs at least 2 vertices")
-    cross, amask, complete = kernel.min_density_cut(g.masks(), g.n)
+    cross, amask, complete, _ = kernel.min_density_cut(g.masks(), g.n)
     return CutDensityResult(_cut_witness(g.n, cross, amask), exact=complete)
 
 
@@ -500,7 +495,7 @@ def is_cut_dense(g: Graph, rho: Fraction) -> CutDenseVerdict:
         raise PreconditionViolated("rho must be nonnegative")
     if rho == 0 or g.n < 2:
         return CutDenseVerdict(True, True, None)
-    cross, amask, complete = kernel.min_density_cut(g.masks(), g.n, rho)
+    cross, amask, complete, _ = kernel.min_density_cut(g.masks(), g.n, rho)
     w = _cut_witness(g.n, cross, amask)
     if w.density < rho:
         return CutDenseVerdict(False, True, w)
@@ -511,21 +506,22 @@ def is_cut_dense(g: Graph, rho: Fraction) -> CutDenseVerdict:
 # Vertex cover (exact branch and bound)
 
 
-def vertex_cover_at_most(g: Graph, bound: int) -> Optional[VertexSet]:
-    """A vertex cover of size <= bound, or None when provably none exists.
+def vertex_cover_at_most(g: Graph, bound: int) -> tuple[Optional[VertexSet], bool, int]:
+    """(cover, complete, nodes): a vertex cover of size <= bound, or None.
 
     Classical max-degree branching ("v in the cover" vs "N(v) in the cover")
     with an edges-over-max-degree lower bound.  The search runs on an explicit
-    stack, so its depth is not bounded by the recursion limit.  Raises
-    SearchBudgetExceeded when COVER_NODE_BUDGET nodes run out before either
-    verdict.
+    stack, so its depth is not bounded by the recursion limit.  nodes counts
+    search nodes, the count the budget is charged in.  None with complete
+    True proves that no such cover exists; None with complete False means
+    COVER_NODE_BUDGET nodes ran out before either verdict.
     """
     if bound < 0:
         raise PreconditionViolated("cover bound must be nonnegative")
     if g.edge_count == 0:
-        return VertexSet((), g.n)
+        return VertexSet((), g.n), True, 0
     if bound >= g.n:
-        return VertexSet(range(g.n), g.n)
+        return VertexSet(range(g.n), g.n), True, 0
 
     adj = g.adjacency
     deg = list(g.degrees())  # degree among the vertices not yet taken into the cover
@@ -561,9 +557,9 @@ def vertex_cover_at_most(g: Graph, bound: int) -> Optional[VertexSet]:
     while True:
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded(f"vertex cover search exceeded {budget} nodes")
+            return None, False, nodes
         if edges_left == 0:
-            return VertexSet(picked, g.n)
+            return VertexSet(picked, g.n), True, nodes
         pivot = -1
         if left > 0:
             maxdeg = 0
@@ -597,7 +593,7 @@ def vertex_cover_at_most(g: Graph, bound: int) -> Optional[VertexSet]:
                 left -= len(live)
                 break
         else:
-            return None
+            return None, True, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +746,15 @@ def _two_sides(g: Graph, parts: list) -> Optional[tuple[VertexSet, VertexSet]]:
 
 def _exhaustive_path_search(
     g: Graph, y: int, z: int, lo: int, hi: int, node_budget: int
-) -> tuple[Optional[list[int]], bool]:
-    """DFS over simple y-z paths of length in [lo, hi]; returns (path, completed).
+) -> tuple[Optional[list[int]], bool, int]:
+    """DFS over simple y-z paths of length in [lo, hi]; returns (path, complete, nodes).
 
     Iterative, so the path length is not bounded by the recursion limit.  z is
     entered only when it closes a path of an admissible length, and each
     vertex placed on the path (y included) spends one node of `node_budget`.
     """
     if node_budget < 1:
-        return None, False
+        return None, False, 0
     nodes = 1
     path = [y]
     on_path = {y}
@@ -775,9 +771,9 @@ def _exhaustive_path_search(
                 continue
             nodes += 1
             if nodes > node_budget:
-                return None, False
+                return None, False, nodes
             if w == z:
-                return path + [z], True
+                return path + [z], True, nodes
             path.append(w)
             on_path.add(w)
             stack.append(iter(g.neighbors(w)))
@@ -785,7 +781,7 @@ def _exhaustive_path_search(
         else:
             stack.pop()
             on_path.discard(path.pop())
-    return None, True
+    return None, True, nodes
 
 
 def path_in_range(g: Graph, y: int, z: int, ell: int, slack: int) -> PathSearchResult:
@@ -829,7 +825,7 @@ def path_in_range(g: Graph, y: int, z: int, ell: int, slack: int) -> PathSearchR
             path.append(min(w for w in g.neighbors(v) if dist[w] == dist[v] - 1))
         return PathSearchResult(verify(list(reversed(path))), True)
 
-    res, completed = _exhaustive_path_search(g, y, z, lo, hi, PATH_NODE_BUDGET)
+    res, complete, _ = _exhaustive_path_search(g, y, z, lo, hi, PATH_NODE_BUDGET)
     if res is not None:
         return PathSearchResult(verify(res), True)
-    return PathSearchResult(None, completed)
+    return PathSearchResult(None, complete)

@@ -10,10 +10,6 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, lt
 
-FOUND = 0
-NOT_FOUND = 1
-BUDGET = 2
-
 # Stack pops allowed to one `min_density_cut` call; see its *Budget* paragraph.
 CUT_NODE_BUDGET = 1 << 20
 
@@ -76,12 +72,15 @@ def solve_embed(
     with symprev is not covered by that argument, so callers pass symprev
     all -1 whenever lower_twins is nonzero.
 
-    Returns (status, images|None, nodes); nodes counts accepted placements.
-    A NOT_FOUND status means the constrained search space was exhausted.
+    Returns (images | None, complete, nodes); nodes counts accepted
+    placements, the count the budget is charged in.  images is the host
+    vertex per position when an embedding was found; None with complete True
+    means the constrained search space was exhausted, and None with complete
+    False that the budget ran out first.
     """
     m = len(parent_pos)
     if m == 0:
-        return FOUND, [], 0
+        return [], True, 0
     img = [0] * m
     # per placed position, where its candidate walk resumes after a backtrack
     rest = [0] * m
@@ -105,7 +104,7 @@ def solve_embed(
                 continue
             nodes += 1
             if nodes > budget:
-                return BUDGET, None, nodes
+                return None, False, nodes
             img[i] = h
             free ^= bit
             rest[i] = mask
@@ -113,7 +112,7 @@ def solve_embed(
             left[i] = cur
             i += 1
             if i == m:
-                return FOUND, img, nodes
+                return img, True, nodes
             mask = adj[img[parent_pos[i]]] & allowed[i] & atleast[tdeg[i]] & free
             sp = symprev[i]
             if sp >= 0:
@@ -133,7 +132,7 @@ def solve_embed(
             cur = left[i]
             kids = nchild[i]
         else:
-            return NOT_FOUND, None, nodes
+            return None, True, nodes
 
 
 @lru_cache(maxsize=64)
@@ -189,7 +188,8 @@ def _levels(adj, n):
 def min_density_cut(adj, n, rho=None):
     """Exact min of crossing/(|A||B|) over proper bipartitions, by branch and bound.
 
-    Returns (crossing, a_mask, complete).  With complete True and no ceiling,
+    Returns (crossing, a_mask, complete, pops); pops counts stack pops, the
+    count the budget is charged in.  With complete True and no ceiling,
     (crossing, a_mask) is the first minimum in reflected-Gray order:
     a_mask = 1 | gray(g) << 1 for g = 0, 1, ..., 2^(n-1) - 1, where
     gray(g) = g ^ (g >> 1), so vertex 0 is always in A.  Whatever the
@@ -301,7 +301,7 @@ def min_density_cut(adj, n, rho=None):
     stack = [(top, 1, 1, best_cross, [-(a & 1) for a in adj[1:]], 0)]
     while stack:
         if pops == budget:
-            return best_cross, best_amask, False
+            return best_cross, best_amask, False, pops
         pops += 1
         v, amask, asz, base, d, par = stack.pop()
         if v == 0:
@@ -331,4 +331,4 @@ def min_density_cut(adj, n, rho=None):
         to_a = (v - 1, amask | 1 << v, asz + 1, base + d[-1] + len(below), d_a, par ^ 1)
         # the child on side `par` (A = 1) goes first, so it is pushed last
         stack.extend((to_b, to_a) if par else (to_a, to_b))
-    return best_cross, best_amask, True
+    return best_cross, best_amask, True, pops

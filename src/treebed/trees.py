@@ -107,11 +107,11 @@ class Tree:
     def search_plan(self, pin_map: dict) -> Sequence[Sequence[int]]:
         """The oracle's (order, parent_pos, tdeg, nchild, symprev) for these
         pins (see `_search_plan`; n >= 1).  The pin-free plan is built once
-        and kept as tuples; a plan with pins is built afresh on every call."""
+        and kept; a plan with pins is built afresh on every call."""
         if pin_map:
             return _search_plan(self, pin_map)
         if self._plan is None:
-            self._plan = tuple(map(tuple, _search_plan(self, pin_map)))
+            self._plan = _search_plan(self, pin_map)
         return self._plan
 
     def with_root(self, r: Optional[int]) -> "Tree":
@@ -211,7 +211,7 @@ class RootedView:
 _last_view: Optional[RootedView] = None
 
 
-def _search_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
+def _search_plan(t: Tree, pin_map: dict) -> tuple[tuple[int, ...], ...]:
     """The oracle's placement order and per-position tables for t (n >= 1).
 
     The root is the least pinned vertex, else the first of maximum degree.
@@ -261,8 +261,9 @@ def _search_plan(t: Tree, pin_map: dict) -> tuple[list[int], ...]:
                 symprev.append(last if last >= 0 and code[order[last]] == code[c] else -1)
                 last = len(order)
             order.append(c)
+    tdeg = map(deg.__getitem__, order)
     nchild = map(len, map(kids.__getitem__, order))
-    return order, parent_pos, list(map(deg.__getitem__, order)), list(nchild), symprev
+    return tuple(order), tuple(parent_pos), tuple(tdeg), tuple(nchild), tuple(symprev)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def _run(result: checks.CheckResult, criterion: str, expected_runs: int | None = None):
-    detail = f"runs={result.runs} failures={result.failures}"
-    ok = result.failures == 0 and (expected_runs is None or result.runs >= expected_runs)
+    detail = f"runs={result.runs} failures={result.failures} inconclusive={result.inconclusive}"
+    ok = not (result.failures or result.inconclusive)
+    ok &= expected_runs is None or result.runs >= expected_runs
     _report(criterion, ok, detail)
     assert result.failures == 0, result.notes
+    assert result.inconclusive == 0, "an oracle search ran out of its budget"
     if expected_runs is not None:
         assert result.runs >= expected_runs, f"only {result.runs} runs, wanted {expected_runs}"
 

@@ -201,16 +201,18 @@ def test_embed_via_path_splittable_fallback():
     assert embed_via_path(g, t=t, **roles).status == "found"
 
 
-def test_embed_via_path_path_stage():
+def test_embed_via_path_path_stage(monkeypatch):
     # three branches of 16 in 32-vertex cliques: no regrouping lands in the
     # two-pool window [17, 31], so the heavy branch is routed along a path
     # through A; an empty length window (no slack) is a failure only that
     # stage reports
     g, roles = gen_escape_path_host(32, 3)
     t = gen_branches_tree((16, 16, 16))
-    assert embed_via_path(g, t=t, slack=8, **roles).status == "found"
+    monkeypatch.setattr(embed, "ESCAPE_PATH_SLACK", 8)
+    assert embed_via_path(g, t=t, **roles).status == "found"
+    monkeypatch.setattr(embed, "ESCAPE_PATH_SLACK", 0)
     with pytest.raises(EmbedNotFound) as exc:
-        embed_via_path(g, t=t, slack=0, **roles)
+        embed_via_path(g, t=t, **roles)
     assert exc.value.stage == "tree_path"
 
 
@@ -267,6 +269,13 @@ def test_matching_forest_needs_enough_portals():
         matching_forest_embed(g, t=t, **dict(roles, portals=roles["portals"][: mu - 1]))
 
 
+def _with(name, value, call):
+    """call() with the module constant embed.<name> set to value meanwhile."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, name, value)
+        return call()
+
+
 def _constructive_cases():
     """(embedder, call) pairs that reach all six constructive embedders."""
     trees = all_trees_up_to(8) + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]
@@ -312,23 +321,23 @@ def _constructive_cases():
     escape_trees = [gen_spider(9, 3), gen_spider(12, 4), gen_branches_tree((4, 4, 4)), gen_path(13)]
     for t in escape_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
         for slack in (8, 64):
-            yield "embed_via_path", lambda g=g, r=roles, t=t, s=slack: (
-                embed_via_path(g, t=t, slack=s, **r)
+            yield "embed_via_path", lambda g=g, r=roles, t=t, s=slack: _with(
+                "ESCAPE_PATH_SLACK", s, lambda: embed_via_path(g, t=t, **r)
             )
     for x_degree in (3, 6):
         g, roles = gen_escape_path_host(32, x_degree)
         for lengths in ((16, 16, 16), (15, 16, 17), (12, 12, 12, 12), (16, 16, 8, 8)):
             t = gen_branches_tree(lengths)
             for slack in (0, 1, 8):
-                yield "embed_via_path", lambda g=g, r=roles, t=t, s=slack: (
-                    embed_via_path(g, t=t, slack=s, **r)
+                yield "embed_via_path", lambda g=g, r=roles, t=t, s=slack: _with(
+                    "ESCAPE_PATH_SLACK", s, lambda: embed_via_path(g, t=t, **r)
                 )
     g, roles = gen_matching_forest_host()
     mf_trees = [gen_caterpillar(9, 4, seed=5), gen_three_branch_tree(6), gen_path(13)]
     for t in mf_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
         for budget in (5, 2_000_000):
-            yield "matching_forest", lambda g=g, r=roles, t=t, b=budget: matching_forest_embed(
-                g, t=t, budget=b, **r
+            yield "matching_forest", lambda g=g, r=roles, t=t, b=budget: _with(
+                "PORTAL_NODE_BUDGET", b, lambda: matching_forest_embed(g, t=t, **r)
             )
 
 

@@ -125,18 +125,18 @@ def test_is_cut_dense_conclusive_above_20_vertices():
 
 def test_vertex_cover_examples():
     star5 = Graph(6, [(0, i) for i in range(1, 6)])
-    assert vertex_cover_at_most(star5, 1).members == (0,)
+    assert vertex_cover_at_most(star5, 1)[0].members == (0,)
     # derived by brute force over all subsets of C5
     for size in range(3):
         assert not any(
             all(u in s or v in s for u, v in C5.edges())
             for s in map(set, combinations(range(5), size))
         )
-    assert vertex_cover_at_most(C5, 2) is None
-    got = vertex_cover_at_most(C5, 3)
-    assert got is not None and len(got) <= 3
+    assert vertex_cover_at_most(C5, 2)[:2] == (None, True)
+    got, complete, _ = vertex_cover_at_most(C5, 3)
+    assert complete and got is not None and len(got) <= 3
     assert all(u in got or v in got for u, v in C5.edges())
-    assert vertex_cover_at_most(Graph(3, []), 0).members == ()
+    assert vertex_cover_at_most(Graph(3, []), 0)[0].members == ()
 
 
 def test_vertex_cover_deep_search_is_iterative():
@@ -145,19 +145,19 @@ def test_vertex_cover_deep_search_is_iterative():
     n = 3000
     g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
     assert n // 2 > sys.getrecursionlimit()
-    got = vertex_cover_at_most(g, n // 2)
+    got = vertex_cover_at_most(g, n // 2)[0]
     assert got is not None and got.members == tuple(range(0, n, 2))
-    assert vertex_cover_at_most(g, n // 2 - 1) is None
+    assert vertex_cover_at_most(g, n // 2 - 1)[:2] == (None, True)
 
 
 def test_vertex_cover_budget(monkeypatch):
-    from treebed.errors import SearchBudgetExceeded
-
     # K10 needs 9 cover vertices; bound 8 is infeasible but the edge-count
     # lower bound cannot prune it at the root, so the search must branch
+    k10 = Graph.complete(10)
+    cover, complete, nodes = vertex_cover_at_most(k10, 8)
+    assert (cover, complete) == (None, True) and nodes > 5
     monkeypatch.setattr(graph, "COVER_NODE_BUDGET", 5)
-    with pytest.raises(SearchBudgetExceeded):
-        vertex_cover_at_most(Graph.complete(10), 8)
+    assert vertex_cover_at_most(k10, 8) == (None, False, 6)
 
 
 def test_bipartite_matching_examples():

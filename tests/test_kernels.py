@@ -65,7 +65,7 @@ def _scan_reference(adj, parent_pos, allowed, tdeg, nchild, symprev, lower_twins
     host_deg = [a.bit_count() for a in adj]
     host_order = sorted(range(n), key=lambda h: (-host_deg[h], h))
     if m == 0:
-        return kernel.FOUND, [], 0
+        return [], True, 0
     img = [-1] * m
     used = 0
     ptr = [0] * m
@@ -92,7 +92,7 @@ def _scan_reference(adj, parent_pos, allowed, tdeg, nchild, symprev, lower_twins
                 continue
             nodes += 1
             if nodes > budget:
-                return kernel.BUDGET, None, nodes
+                return None, False, nodes
             img[i] = h
             used |= 1 << h
             ptr[i] = j
@@ -101,11 +101,11 @@ def _scan_reference(adj, parent_pos, allowed, tdeg, nchild, symprev, lower_twins
         if placed:
             i += 1
             if i == m:
-                return kernel.FOUND, img, nodes
+                return img, True, nodes
             ptr[i] = 0
         else:
             if i == 0:
-                return kernel.NOT_FOUND, None, nodes
+                return None, True, nodes
             i -= 1
             used &= ~(1 << img[i])
             img[i] = -1
@@ -159,7 +159,7 @@ def test_class_walk_matches_the_scan():
                 )
                 want = _scan_reference(adj, parent_pos, allow, tdeg, nchild, sym, twins, budget)
                 assert got == want, f"seed {seed}, budget {budget}: {got} vs {want}"
-                pins_found += allow is pinned and got[0] == kernel.FOUND
+                pins_found += allow is pinned and got[0] is not None
     assert twins_seen >= 60 and floors_seen >= 10 and pins_found >= 10
 
 
@@ -171,7 +171,7 @@ def test_twin_cut_keeps_verdicts():
         twins_seen += any(lower_twins)
         cut = kernel.solve_embed(*args)
         full = kernel.solve_embed(*args[:8], [0] * len(lower_twins), args[9])
-        if kernel.BUDGET in (cut[0], full[0]):
+        if not (cut[1] and full[1]):
             continue
         # the cut never removes the first embedding in search order, so both
         # searches agree on it and the cut one visits a subset of the nodes
@@ -261,16 +261,16 @@ def _check_ceilings(adj, n, label):
     least the minimum may come back), and with a ceiling just above it (the
     scan's witness)."""
     best = _gray_scan(adj, n)
-    assert kernel.min_density_cut(adj, n) == (*best, True), label
+    assert kernel.min_density_cut(adj, n)[:3] == (*best, True), label
     cross, amask = best
     low = Fraction(cross, amask.bit_count() * (n - amask.bit_count()))
-    c, a, complete = kernel.min_density_cut(adj, n, low)
+    c, a, complete, _ = kernel.min_density_cut(adj, n, low)
     asz = a.bit_count()
     assert complete and a & 1 and 0 < asz < n, f"{label}, rho = minimum"
     assert c == sum((adj[v] & ~a).bit_count() for v in range(n) if a >> v & 1), label
     assert Fraction(c, asz * (n - asz)) >= low, f"{label}, rho = minimum"
     above = low + Fraction(1, 10**9)
-    assert kernel.min_density_cut(adj, n, above) == (*best, True), f"{label}, rho above"
+    assert kernel.min_density_cut(adj, n, above)[:3] == (*best, True), f"{label}, rho above"
 
 
 def test_min_cut_matches_gray_scan_on_random_graphs():
@@ -282,7 +282,8 @@ def test_min_cut_matches_gray_scan_on_families():
     for n in list(range(2, 15)) + [20]:
         for name, edges in _cut_families(n):
             adj = Graph(n, edges).masks()
-            assert kernel.min_density_cut(adj, n) == (*_gray_scan(adj, n), True), f"{name}, n = {n}"
+            got = kernel.min_density_cut(adj, n)[:3]
+            assert got == (*_gray_scan(adj, n), True), f"{name}, n = {n}"
 
 
 @st.composite
@@ -316,7 +317,7 @@ def test_min_cut_ceiling_corners(graph, where):
         "rho1": rho1,
         "above rho1": rho1 + _EPS,
     }[where]
-    c, a, complete = kernel.min_density_cut(adj, n, rho)
+    c, a, complete, _ = kernel.min_density_cut(adj, n, rho)
     assert complete
     if low < rho:
         # a cut below the ceiling exists, so the scan's witness comes back
@@ -350,7 +351,7 @@ def test_ceiled_min_cut_matches_gray_scan_on_the_grid():
 def test_min_cut_matches_reference():
     for seed, n, edges in _cut_grid():
         g = Graph(n, edges)
-        cross, amask, complete = kernel.min_density_cut(g.masks(), n)
+        cross, amask, complete, _ = kernel.min_density_cut(g.masks(), n)
         assert complete, f"seed {seed}"
         asz = amask.bit_count()
         assert amask & 1 and 0 < asz < n, f"seed {seed}: improper side {amask:b}"
@@ -369,11 +370,12 @@ def test_cut_budget_overrun_returns_the_incumbent(monkeypatch):
     seen = set()
     for budget in range(64):
         monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
-        cross, amask, complete = kernel.min_density_cut(adj, 8, rho)
+        cross, amask, complete, pops = kernel.min_density_cut(adj, 8, rho)
         if budget == 0:
             assert (cross, amask, complete) == (adj[0].bit_count(), 1, False)
         if complete:
             break
+        assert pops == budget
         asz = amask.bit_count()
         assert amask & 1 and 0 < asz < 8
         assert cross == sum((adj[v] & ~amask).bit_count() for v in range(8) if amask >> v & 1)
@@ -391,6 +393,10 @@ def test_cut_budget_overrun_returns_the_incumbent(monkeypatch):
         raise AssertionError("the search never completed")
     assert seen == {"sparse", "dense"}
     assert (cross, amask) == full[:2]
+    # the returned pops are the least budget under which the search completes
+    for budget, complete in ((full[3] - 1, False), (full[3], True)):
+        monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
+        assert kernel.min_density_cut(adj, 8)[2:] == (complete, budget)
     # the K6 search is its root alone, so the budget counts pops exactly
     for budget, complete in ((0, False), (1, True)):
         monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
@@ -413,40 +419,20 @@ def test_min_cut_witness_pinned():
     assert h.hexdigest() == _CUT_WITNESS_DIGEST
 
 
-def _pops(monkeypatch, adj, n):
-    """The pops of one `min_density_cut` call: the least budget under which
-    it completes, found by doubling and then bisection."""
-
-    def completes(budget):
-        monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", budget)
-        return kernel.min_density_cut(adj, n)[2]
-
-    lo, hi = 0, 1
-    while not completes(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if completes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # The pops of every graph of the witness pin.  A change to the bound, the
 # keep test or the child order moves some count even when the witnesses
 # stay put, and a cheaper pop must leave every count as it is.
 _CUT_POPS_DIGEST = "f03037d0dd1f46046aa1048260d573e3c84551d90c7abc89bbcc7475f82ea892"
 
 
-def test_min_cut_pops_pinned(monkeypatch):
+def test_min_cut_pops_pinned():
     counts = []
     for seed, n, edges in _cut_grid():
-        counts.append((seed, _pops(monkeypatch, Graph(n, edges).masks(), n)))
+        counts.append((seed, kernel.min_density_cut(Graph(n, edges).masks(), n)[3]))
     for n in range(14, 21):
         rng = random.Random(n)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        counts.append((f"n{n}", _pops(monkeypatch, Graph(n, edges).masks(), n)))
+        counts.append((f"n{n}", kernel.min_density_cut(Graph(n, edges).masks(), n)[3]))
     assert [c for _, c in counts[-7:]] == [47, 177, 147, 481, 291, 1985, 1525]
     assert sum(c for _, c in counts) == 7325
     assert hashlib.sha256(repr(counts).encode()).hexdigest() == _CUT_POPS_DIGEST
@@ -478,7 +464,7 @@ def test_large_host_cuts_pinned(monkeypatch):
     incomplete = [0, 0]
     for i, g in enumerate(_large_hosts()):
         for j, rho in enumerate((Fraction(1, 30), None)):
-            out = kernel.min_density_cut(g.masks(), g.n, rho)
+            out = kernel.min_density_cut(g.masks(), g.n, rho)[:3]
             incomplete[j] += not out[2]
             h.update(f"{i} {rho} {out}\n".encode())
     assert incomplete == [13, 26]

@@ -244,11 +244,10 @@ def test_report_json_roundtrip_parse_equal():
 
 
 def test_oracle_budget_is_a_budget_error():
-    from treebed.errors import OracleBudget, SearchBudgetExceeded
-
-    assert issubclass(OracleBudget, SearchBudgetExceeded)
-    with pytest.raises(OracleBudget):
-        lab.verify_extremal(12, budget=100)
+    # an overrun is reported on the report, not raised, and refutes nothing
+    rep = lab.verify_extremal(12, budget=100)
+    assert rep.complete is False and not rep.ok and rep.degrees_ok
+    assert lab.verify_extremal(12).complete is True
 
 
 def test_property_suite_trials_zero():
@@ -550,9 +549,75 @@ def test_cli_malformed_sweep_config_is_usage_error(tmp_path, capsys, text):
 
 
 def test_cli_budget_overrun_is_inconclusive(capsys):
-    # an oracle budget overrun is neither a usage error (2) nor a failure (1)
+    # an oracle budget overrun is neither a usage error (2) nor a failure (1),
+    # and the report's lines are written before the exit
     assert cli.main(["verify-extremal", "--k", "12", "--budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "inconclusive" in captured.err
+    assert captured.out.startswith("k=12: degrees_ok=True avoids_tree=False")
+    assert captured.out.endswith(" complete=False\n")
+
+
+def test_cli_failure_beats_a_spent_budget(monkeypatch, capsys):
+    # a grown host too small for the tree refutes at once, so the report
+    # fails although the avoidance search ran out of its budget
+    monkeypatch.setattr(lab, "gen_two_cliques_apex_grown", lambda k: Graph(1, []))
+    assert cli.main(["verify-extremal", "--k", "9", "--budget", "1"]) == 1
+    from treebed.checks import CheckResult
+
+    monkeypatch.setattr(lab, "property_suite", lambda **kw: [CheckResult("x", 2, 1, 1)])
+    assert cli.main(["props"]) == 1
+    assert capsys.readouterr().out.endswith("FAIL x: runs=2 failures=1 inconclusive=1\n")
+
+
+def test_cli_props_corpus_budget_overrun_is_inconclusive(tmp_path, capsys):
+    # an oracle call that ran out of budget is no passing run: the corpus
+    # line is not `ok`, counts it, and the command exits 3
+    out = tmp_path / "props.txt"
+    argv = ["props", "--corpus", "--trials", "1", "--budget", "3", "--out", str(out)]
+    assert cli.main(argv) == 3
     assert "inconclusive" in capsys.readouterr().err
+    last = out.read_text().splitlines()[-1]
+    assert last == (
+        "inc  oracle cross-agreement over the stored corpus: runs=4285 failures=0"
+        " inconclusive=3333"
+    )
+    assert all(line.startswith(("ok ", "       ")) for line in out.read_text().splitlines()[:-1])
+
+
+def test_cli_sweep_budget_overrun_is_inconclusive(tmp_path):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--k", "10", "--trials", "4", "--seed", "1", "--budget", "5", "--out", str(out)]
+    assert cli.main(argv) == 3
+    records = json.loads(out.read_text())["records"]  # the report is still written
+    assert len(records) == 4 and "budget_exhausted" in {r["oracle_status"] for r in records}
+
+
+@pytest.mark.parametrize(
+    "op, flags, field, full, spent",
+    [
+        ("refine", ["--a", "1/2", "--eps", "1/4", "--delta", "1/4", "--relax-delta"],
+         "certified_exact", True, False),
+        ("rich", ["--c", "1/2"], "conclusive", [True, True], [True, False]),
+    ],
+)
+def test_cli_decompose_inconclusive_cut_exits_3(tmp_path, monkeypatch, op, flags, field, full,
+                                                spent):
+    # K6 + K_{3,3} under a one-pop cut budget: the K6 search completes at its
+    # root, the K_{3,3} search does not, so the verdict is written and open
+    from treebed import kernel
+
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    k33 = [(u, v) for u in range(6, 9) for v in range(9, 12)]
+    host = tmp_path / "g.txt"
+    host.write_text(Graph(12, k6 + k33).to_edge_list_text())
+    out = tmp_path / "d.json"
+    argv = ["decompose", "--host", str(host), "--op", op, "--k", "4", "--rho", "1/100", *flags]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())[field] == full
+    monkeypatch.setattr(kernel, "CUT_NODE_BUDGET", 1)
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert json.loads(out.read_text())[field] == spent
 
 
 def test_cli_embed_budget_overrun_is_inconclusive(tmp_path, capsys):

@@ -316,10 +316,12 @@ def _call_name(node):
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
     # a default that no call in the package overrides is a constant under
-    # another name: one more value to set that nothing sets.  A call with *
-    # or ** counts as passing everything.  The seeded checks get `seed` and
-    # `count`, and oracle_corpus_check its `budget`, from the CLI through
-    # timed_check(fn, **kwargs); `argv` is the entry point's
+    # another name: one more value to set that nothing sets.  Only arguments
+    # a call spells out count: one with * or ** passes nothing it names, so
+    # a value that reaches a function only through ** is still unset.  The
+    # seeded checks get `seed` and `count`, and oracle_corpus_check its
+    # `budget`, from the CLI through timed_check(fn, **kwargs); `argv` is
+    # the entry point's
     from treebed import checks
 
     allowed = {("main", "argv"), ("oracle_corpus_check", "budget")} | {
@@ -329,15 +331,14 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         if p in inspect.signature(fn).parameters
     }
     modules = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
-    calls: dict = {}  # callee name -> (positional count, keyword names, starred) per call
+    calls: dict = {}  # callee name -> (positional count, keyword names) per call
     for tree in modules:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _call_name(node):
-                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                    kw.arg is None for kw in node.keywords
-                )
+                starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                npos = starred[0] if starred else len(node.args)
                 calls.setdefault(_call_name(node), []).append(
-                    (len(node.args), {kw.arg for kw in node.keywords}, starred)
+                    (npos, {kw.arg for kw in node.keywords if kw.arg is not None})
                 )
     unpassed = set()
     for tree in modules:
@@ -351,8 +352,8 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
             defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
             for i, name in defaulted:
                 if not any(
-                    starred or (i is not None and i < npos) or name in kws
-                    for npos, kws, starred in calls.get(fn.name, ())
+                    (i is not None and i < npos) or name in kws
+                    for npos, kws in calls.get(fn.name, ())
                 ):
                     unpassed.add((fn.name, name))
     assert len(allowed) >= 20
