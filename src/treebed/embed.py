@@ -551,6 +551,8 @@ def matching_forest_embed(
 
     portals: list of ((core_vertex, far_vertex), external_pool) entries where
     the pair is a host edge and far_vertex lies in the pool.
+
+    Reports "budget_exhausted" once the placements spend PORTAL_NODE_BUDGET nodes.
     """
     core = as_vertex_set(host_core, g.n)
     k = t.k
@@ -602,7 +604,7 @@ def matching_forest_embed(
         out = brute_force_embed(core_graph, s_tree, pins, budget=budget - nodes_total)
         nodes_total += out.nodes_explored
         if out.status == "budget_exhausted" or nodes_total >= budget:
-            raise EmbedNotFound("s_placement", "portal-assignment backtracking budget spent")
+            return EmbedOutcome("budget_exhausted", None, nodes_total)
         if out.status != "found":
             continue
         phi = {s_verts[i]: core_map[h] for i, h in out.embedding.mapping}

@@ -1,9 +1,13 @@
 """Experiment harness: degree-template sweeps, extremal verification, reports.
 
 A sweep is fully determined by its config (seeds included): rerunning one
-yields a byte-identical JSON report.  Verdicts are conservative: only an
-exhausted oracle may call a trial a counterexample candidate, and a pipeline
-"found" that contradicts an exhausted oracle is a hard failure of the run.
+yields a byte-identical JSON report.  Every trial whose host meets its
+template gets an oracle verdict; `skipped` means the template was not met.
+`envelope_n`, the random hosts' largest order, is the one size setting, and
+every oracle budget here defaults to `embed.DEFAULT_ORACLE_BUDGET`.
+Verdicts are conservative: only an exhausted oracle may call a trial a
+counterexample candidate, and a pipeline "found" that contradicts an
+exhausted oracle is a hard failure of the run.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 from . import checks
 from .corpus import all_trees_up_to, host_corpus
-from .embed import brute_force_embed
+from .embed import DEFAULT_ORACLE_BUDGET, brute_force_embed
 from .errors import EmbedNotFound, PreconditionViolated
 from .generators import (
     gen_random_graph_min_degree,
@@ -33,9 +37,7 @@ from .generators import (
 from .graph import Graph, second_neighbourhood
 from .trees import Tree
 
-SCHEMA = "treebed/3"
-DEFAULT_ENVELOPE_N = 16
-DEFAULT_ENVELOPE_K = 12
+SCHEMA = "treebed/4"
 
 CONJECTURES = ("2k3", "alpha", "k2_maxdeg", "second_nbhd")
 
@@ -50,9 +52,8 @@ class ExperimentConfig:
     trials: int
     seed: int
     alpha: Optional[str] = None  # fraction string, used by the alpha template
-    oracle_budget: int = 10**7
-    envelope_n: int = DEFAULT_ENVELOPE_N
-    envelope_k: int = DEFAULT_ENVELOPE_K
+    oracle_budget: int = DEFAULT_ORACLE_BUDGET
+    envelope_n: int = 16  # the random hosts' largest order
     # shifts the template's min-degree floor; -1 reproduces the tight hosts
     min_degree_offset: int = 0
     extremal_mix: bool = False
@@ -145,7 +146,7 @@ class TrialRecord:
     degree_checks: dict
     pipeline_stages: list  # [stage, outcome] pairs in attempt order
     pipeline_found: bool
-    oracle_status: str  # found | not_found | budget_exhausted | skipped
+    oracle_status: str  # found | not_found | budget_exhausted | skipped (template not met)
     oracle_nodes: int
     verdict: str  # embedded | counterexample-candidate | inconclusive
     consistency_failure: bool
@@ -254,20 +255,15 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
             stages.append([name, "found"])
             pipeline_found = True
             break
-        in_envelope = g.n <= cfg.envelope_n and t.k <= cfg.envelope_k
-        if in_envelope:
-            oracle = brute_force_embed(g, t, budget=cfg.oracle_budget)
-            oracle_status = oracle.status
-            oracle_nodes = oracle.nodes_explored
+        oracle = brute_force_embed(g, t, budget=cfg.oracle_budget)
+        oracle_status = oracle.status
+        oracle_nodes = oracle.nodes_explored
         if pipeline_found and oracle_status == "not_found":
             consistency_failure = True
-            verdict = "inconclusive"
         elif pipeline_found or oracle_status == "found":
             verdict = "embedded"
         elif oracle_status == "not_found":
             verdict = "counterexample-candidate"
-        else:
-            verdict = "inconclusive"
     return TrialRecord(
         trial_index=idx,
         trial_seed=_trial_seed(cfg, idx),
@@ -371,7 +367,7 @@ class ExtremalReport:
         return self.degrees_ok and self.avoids_tree and self.grown_embeds
 
 
-def verify_extremal(k: int, budget: int = 10**9) -> ExtremalReport:
+def verify_extremal(k: int, budget: int = DEFAULT_ORACLE_BUDGET) -> ExtremalReport:
     """The tight host avoids the three-branch tree; one more vertex per clique
     flips the verdict.  Exhaustive on both sides, within `budget` nodes each."""
     g = gen_two_cliques_apex(k)
@@ -422,17 +418,10 @@ def timed_check(fn, **kwargs) -> checks.CheckResult:
     return res
 
 
-def oracle_corpus_check(budget: int = 10**7) -> checks.CheckResult:
+def oracle_corpus_check(budget: int = DEFAULT_ORACLE_BUDGET) -> checks.CheckResult:
     """Criterion-style corpus run: every stored host against every tree of
-    at most 7 edges, with `check_structured_embedders` folded in: the
-    escape-path and matching-forest embedders on their structured hosts."""
-    res = checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), budget=budget)
-    structured = checks.check_structured_embedders(budget=budget)
-    res.runs += structured.runs
-    res.failures += structured.failures
-    res.inconclusive += structured.inconclusive
-    res.notes.extend(structured.notes)
-    return res
+    at most 7 edges."""
+    return checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), budget=budget)
 
 
 # ---------------------------------------------------------------------------

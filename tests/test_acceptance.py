@@ -84,11 +84,14 @@ def test_criterion_4_sum_partition_exhaustive():
 
 def test_criterion_5_oracle_cross_agreement():
     """Stored corpus (all hosts to n=8 up to isomorphism sampling, all trees to
-    7 edges): specialized embedders never contradict the exhaustive oracle."""
+    7 edges): specialized embedders never contradict the exhaustive oracle.
+    The escape-path and matching-forest embedders on their structured hosts
+    are a check of their own, run here once as `props` runs it."""
     t0 = time.monotonic()
     res = lab.oracle_corpus_check()
     elapsed = time.monotonic() - t0
     _run(res, f"5 oracle cross-agreement ({elapsed:.1f}s)")
+    _run(checks.check_structured_embedders(), "5 structured embedders", expected_runs=3)
 
 
 def test_criterion_6_refine_contract():

@@ -258,6 +258,17 @@ def test_matching_forest_examples():
     assert matching_forest_embed(g, t=gen_three_branch_tree(6), **roles).status == "found"
 
 
+def test_spent_portal_budget_is_inconclusive(monkeypatch):
+    # a spent portal budget is reported as a spent budget, not as a failed
+    # embedding, so the structured-embedder check counts it inconclusive
+    monkeypatch.setattr(embed, "PORTAL_NODE_BUDGET", 5)
+    g, roles = gen_matching_forest_host()
+    out = matching_forest_embed(g, t=gen_caterpillar(9, 4, seed=5), **roles)
+    assert out.status == "budget_exhausted" and out.embedding is None
+    res = checks.check_structured_embedders()
+    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 1)
+
+
 def test_matching_forest_needs_enough_portals():
     g, roles = gen_matching_forest_host()
     t = gen_path(13)  # k = 12 path decomposes with a 2-edge matching
@@ -343,9 +354,10 @@ def _constructive_cases():
 
 # Golden digest of every constructive embedder's outcomes on
 # `_constructive_cases`: (status, mapping, nodes_explored) for a found
-# outcome, the exception type and EmbedNotFound's stage for a failure.
-# Message texts are left out, so rewording an error does not move it.
-_CONSTRUCTIVE_DIGEST = "fd83e80cab99e1bc623885bf7241867743fa07fd3419bfa01d9a72d39e7e73ec"
+# outcome, (status, nodes_explored) for a spent node budget, the exception
+# type and EmbedNotFound's stage for a failure.  Message texts are left
+# out, so rewording an error does not move it.
+_CONSTRUCTIVE_DIGEST = "1e83dd4a0b62238d048aaf4e93e5cea7d0496fc454d64e416594a0d17e3dba3d"
 
 
 def test_constructive_outcomes_pinned():
@@ -356,6 +368,9 @@ def test_constructive_outcomes_pinned():
             out = attempt()
         except (PreconditionViolated, EmbedNotFound) as exc:
             h.update(repr((name, type(exc).__name__, getattr(exc, "stage", None))).encode())
+            continue
+        if out.status == "budget_exhausted":
+            h.update(repr((name, out.status, out.nodes_explored)).encode())
             continue
         found[name] = found.get(name, 0) + 1
         h.update(repr((name, out.status, out.embedding.mapping, out.nodes_explored)).encode())

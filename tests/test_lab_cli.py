@@ -77,6 +77,38 @@ def test_extremal_mix_flags_candidates():
             assert r.oracle_status == "not_found" and r.template_ok
 
 
+def test_extremal_mix_decides_hosts_above_the_random_order():
+    # the planted tight host at k = 15 has 19 vertices, more than any random
+    # host of the sweep, and its refutation still gets an oracle verdict
+    cfg = lab.ExperimentConfig(
+        conjecture="2k3",
+        k_values=(15,),
+        tree_max_degree=3,
+        trials=10,
+        seed=5,
+        min_degree_offset=-1,
+        extremal_mix=True,
+    )
+    res = lab.run_sweep(cfg)
+    cands = {r.trial_index for r in res.records if r.verdict == "counterexample-candidate"}
+    assert cands == {0, 5}
+    assert {r.host_n for r in res.records if r.trial_index in cands} == {19}
+    assert all(r.oracle_status != "skipped" for r in res.records)
+
+
+def test_sweep_above_k12_decides_every_trial(tmp_path):
+    # every trial that meets its template gets an oracle verdict, whatever
+    # its k: `skipped` means the template was not met
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--k", "13", "--k", "14", "--trials", "30", "--seed", "1",
+            "--tree-max-degree", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 30 and all(r["template_ok"] for r in records)
+    assert {r["oracle_status"] for r in records} <= {"found", "not_found"}
+    assert "inconclusive" not in {r["verdict"] for r in records}
+
+
 def test_second_nbhd_template():
     cfg = lab.ExperimentConfig(
         conjecture="second_nbhd", k_values=(6,), tree_max_degree=3, trials=6, seed=2
@@ -170,7 +202,7 @@ def test_config_json_holds_only_the_settings():
     assert sorted(cfg.to_jsonable()) == sorted(
         f.name for f in fields(lab.ExperimentConfig) if f.init
     )
-    assert len(cfg.to_jsonable()) == 11
+    assert len(cfg.to_jsonable()) == 10
 
 
 # (conjecture, k values, alpha) at the ranges where each template fits the
@@ -221,7 +253,7 @@ def test_report_formats():
     )
     res = lab.run_sweep(cfg)
     data = json.loads(lab.render_report(res, "json"))
-    assert data["schema"] == "treebed/3"
+    assert data["schema"] == "treebed/4"
     assert len(data["records"]) == 3
     assert data["summary"]["trials"] == 3
     lines = lab.render_report(res, "csv").splitlines()
@@ -325,7 +357,7 @@ def test_cli_verify_and_sweep(tmp_path):
          "--out", str(rep)]
     )
     assert rc == 0
-    assert json.loads(rep.read_text())["schema"] == "treebed/3"
+    assert json.loads(rep.read_text())["schema"] == "treebed/4"
 
 
 def test_cli_sweep_from_config_file(tmp_path):
@@ -340,6 +372,26 @@ def test_cli_sweep_from_config_file(tmp_path):
     assert data["config_digest"] == cfg.digest()
     # byte-identical with the library path
     assert rep.read_text() == lab.render_report(lab.run_sweep(cfg))
+
+
+def test_cli_sweep_flags_and_their_config_file_write_equal_reports(tmp_path):
+    # a config file that leaves out oracle_budget gets the flags' default
+    flags = tmp_path / "flags.json"
+    assert cli.main(["sweep", "--k", "8", "--trials", "4", "--seed", "6", "--out", str(flags)]) == 0
+    settings = {"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3, "trials": 4, "seed": 6}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    twin = tmp_path / "twin.json"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(twin)]) == 0
+    assert flags.read_bytes() == twin.read_bytes()
+
+
+def test_cli_sweep_config_with_a_removed_key_is_usage_error(tmp_path, capsys):
+    settings = {"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3, "trials": 4, "seed": 6}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**settings, "envelope_k": 12}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "envelope_k" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -579,8 +631,8 @@ def test_cli_props_corpus_budget_overrun_is_inconclusive(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().err
     last = out.read_text().splitlines()[-1]
     assert last == (
-        "inc  oracle cross-agreement over the stored corpus: runs=4285 failures=0"
-        " inconclusive=3333"
+        "inc  oracle cross-agreement over the stored corpus: runs=4282 failures=0"
+        " inconclusive=3330"
     )
     assert all(line.startswith(("ok ", "       ")) for line in out.read_text().splitlines()[:-1])
 

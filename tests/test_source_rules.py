@@ -305,7 +305,7 @@ def test_every_experiment_config_field_is_read():
         and id(node) not in skip
     }
     names = [f.name for f in fields(ExperimentConfig)]
-    assert len(names) >= 11
+    assert len(names) >= 10
     assert [n for n in names if n not in read] == []
 
 
