@@ -745,7 +745,7 @@ def test_pipeline_oracle_consistency_is_checked():
 # Golden digest of the canonical report of a 300-trial `2k3` sweep, the kind
 # the benchmark's oracle workload runs.  It pins every record's
 # `pipeline_stages`, oracle status and oracle node count.
-_SWEEP_REPORT_DIGEST = "e8573d05c57e5ddc86c4604ad08a54213b039f3677c209ed39c40707c2fb8560"
+_SWEEP_REPORT_DIGEST = "f0a2b1029016f5151a50711fb47b32ab1e2660a3de03428f6a8165a8f290eb4e"
 
 
 def test_sweep_report_pinned():
