@@ -386,14 +386,6 @@ def test_cli_sweep_flags_and_their_config_file_write_equal_reports(tmp_path):
     assert flags.read_bytes() == twin.read_bytes()
 
 
-def test_cli_sweep_config_with_a_removed_key_is_usage_error(tmp_path, capsys):
-    settings = {"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3, "trials": 4, "seed": 6}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**settings, "envelope_k": 12}))
-    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
-    assert "envelope_k" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "extra",
     [
@@ -589,9 +581,12 @@ def test_cli_embed_flag_of_the_other_method_is_usage_error(tmp_path, capsys, ext
         '{"conjecture": "2k3", "tree_max_degree": 3, "trials": 2, "seed": 0}',
         '{"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3, "trials": 2, "seed": 0,'
         ' "colour": "red"}',
+        # a treebed/3 config: envelope_k is gone since treebed/4
+        '{"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3, "trials": 2, "seed": 0,'
+        ' "envelope_k": 12}',
         '[8, 9]',
     ],
-    ids=["truncated-json", "without-k-values", "unknown-key", "not-an-object"],
+    ids=["truncated-json", "without-k-values", "unknown-key", "removed-key", "not-an-object"],
 )
 def test_cli_malformed_sweep_config_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
