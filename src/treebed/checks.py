@@ -16,6 +16,7 @@ from itertools import combinations
 from math import log
 
 from .embed import (
+    DEFAULT_ORACLE_BUDGET,
     apex_split_embed,
     apex_three_split_embed,
     bipartite_apex_embed,
@@ -23,6 +24,7 @@ from .embed import (
     embed_via_path,
     greedy_embed,
     matching_forest_embed,
+    path_in_range,
     validate,
 )
 from .errors import EmbedNotFound, PreconditionViolated
@@ -46,7 +48,6 @@ from .graph import (
     bipartite_matching_lower,
     cut_density,
     diameter,
-    path_in_range,
     periphery,
     short_even_walk,
 )
@@ -213,9 +214,10 @@ def check_path_in_range(seed: int = 0, count: int = 150) -> CheckResult:
         ell = rng.randrange(0, max(1, n // 2))
         slack = rng.randrange(1, 6)
         res.runs += 1
-        got = path_in_range(g, y, z, ell, slack)
-        if got.path is not None:
-            p = got.path
+        p, complete, _ = path_in_range(g, y, z, ell, slack, DEFAULT_ORACLE_BUDGET)
+        if not complete:
+            res.inconclusive += 1
+        if p is not None:
             if p[0] != y or p[-1] != z or len(set(p)) != len(p):
                 res.fail(f"instance {i}: malformed path")
             if not (ell + 1 <= len(p) - 1 <= ell + slack):

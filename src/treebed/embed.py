@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernel
 from .errors import EmbedNotFound, InternalInvariantError, PreconditionViolated
-from .graph import Graph, as_vertex_set, path_in_range
+from .generators import gen_path
+from .graph import Graph, as_vertex_set
 from .trees import (
     Tree,
     _subset_with_sum,
@@ -197,6 +198,40 @@ def brute_force_embed(
             phi[v] = h
         return _certify_found(g, t, Embedding(tuple(enumerate(phi))), nodes)
     return EmbedOutcome("not_found" if complete else "budget_exhausted", None, nodes)
+
+
+def path_in_range(
+    g: Graph, y: int, z: int, ell: int, slack: int, budget: int
+) -> tuple[Optional[tuple[int, ...]], bool, int]:
+    """A simple y-z path with between ell+1 and ell+slack edges, as
+    (path, complete, nodes).
+
+    A y-z path with L edges is the path tree on L + 1 vertices with its ends
+    pinned on y and z, so each admissible L, shortest first, is one oracle
+    search; the path returned is of the shortest admissible length.  No y-z
+    path is shorter than the BFS distance d(y, z), so the lengths start
+    there, and L = 1 is tried only when y and z are adjacent.  The searches
+    share `budget` oracle nodes; None with complete True is a proof that no
+    such path exists.
+    """
+    if y == z:
+        raise PreconditionViolated("endpoints must differ")
+    if ell < 0 or slack < 1:
+        raise PreconditionViolated("need ell >= 0 and slack >= 1")
+    dist = g.bfs_dist(y)[z]
+    if dist < 0:
+        return None, True, 0
+    nodes = 0
+    # a path on more than g.n vertices is not simple
+    for length in range(max(ell + 1, dist), min(ell + slack, g.n - 1) + 1):
+        pins = Embedding(((0, y), (length, z)))
+        out = brute_force_embed(g, gen_path(length + 1), pins, budget=budget - nodes)
+        nodes += out.nodes_explored
+        if out.status == "found":
+            return tuple(h for _, h in out.embedding.mapping), True, nodes
+        if out.status == "budget_exhausted":
+            return None, False, nodes
+    return None, True, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +436,12 @@ def embed_via_path(
     When the components of T - separator can be regrouped into two directly
     embeddable forests the procedure short-circuits to the two-pool apex
     split.  Otherwise it walks the heavy path, reserves connector vertices,
-    requests a path of admissible length inside A, and embeds branch by
-    branch.  Raises EmbedNotFound with the failing stage; that is never a
-    proof of non-containment.
+    requests a path of admissible length inside A from the oracle
+    (`path_in_range`, within DEFAULT_ORACLE_BUDGET nodes), and embeds branch
+    by branch.  Raises EmbedNotFound with the failing stage; that is never a
+    proof of non-containment.  A path search that spends its budget reports
+    "budget_exhausted", and a found outcome counts the path search's oracle
+    nodes in `nodes_explored`.
     """
     eps = ESCAPE_PATH_EPS
     A = as_vertex_set(a_set, g.n)
@@ -484,10 +522,14 @@ def embed_via_path(
         raise EmbedNotFound("tree_path", "heavy path too short for the length window")
     sub_a, map_a = g.induced(a_pool)
     inv_a = {ov: i for i, ov in enumerate(map_a)}
-    found_path = path_in_range(sub_a, inv_a[y_prime], inv_a[a_prime], ell, hi_len - ell)
-    if found_path.path is None:
+    found_path, complete, path_nodes = path_in_range(
+        sub_a, inv_a[y_prime], inv_a[a_prime], ell, hi_len - ell, DEFAULT_ORACLE_BUDGET
+    )
+    if not complete:
+        return EmbedOutcome("budget_exhausted", None, path_nodes)
+    if found_path is None:
         raise EmbedNotFound("host_path", "no admissible path inside A")
-    host_path = [map_a[i] for i in found_path.path]
+    host_path = [map_a[i] for i in found_path]
     L = len(host_path) - 1
 
     # the proof's running-room invariant: what S1 sends into A stays small
@@ -522,7 +564,7 @@ def embed_via_path(
     _greedy_subtree(g, t, frozenset(s2), u2, phi, used, A.as_set(), "s2_A")
     # the components of T - r beyond S1 and S2 are all that is left unplaced
     _greedy_subtree(g, t, frozenset(range(t.n)), r, phi, used, B1.as_set(), "rest_B1")
-    return _certify_placed(g, t, phi)
+    return _certify_placed(g, t, phi, path_nodes)
 
 
 def _branch_vertices(rv, p_i: int, p_next: int) -> frozenset:

@@ -17,10 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import kernel
 from .errors import Disconnected, InternalInvariantError, PreconditionViolated
 
-# Search nodes allowed to one `vertex_cover_at_most` call, and vertices
-# placed on the path by one `path_in_range` DFS; both are read at call time
+# Search nodes allowed to one `vertex_cover_at_most` call, read at call time
 COVER_NODE_BUDGET = 10**6
-PATH_NODE_BUDGET = 400_000
 
 
 class VertexSet:
@@ -415,19 +413,6 @@ class CutDenseVerdict:
     witness: Optional[CutWitness]
 
 
-@dataclass(frozen=True)
-class PathSearchResult:
-    """A path found by `path_in_range`, or a (possibly inconclusive) absence.
-
-    `conclusive` is True only when absence was proved: the DFS ran to
-    completion, or even the shortest path already exceeds the admissible
-    window.
-    """
-
-    path: Optional[tuple[int, ...]]
-    conclusive: bool
-
-
 # ---------------------------------------------------------------------------
 # Peripheries and neighbourhoods
 
@@ -669,7 +654,7 @@ def bipartite_matching_lower(g: Graph, x_side, y_side) -> Matching:
 
 
 # ---------------------------------------------------------------------------
-# Walks, paths, diameter, bipartitions
+# Walks, diameter, 2-colourings
 
 
 def short_even_walk(g: Graph, u: int, v: int) -> Optional[tuple[int, ...]]:
@@ -717,15 +702,6 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def bipartition(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
-    """A 2-colouring by component, or None if some component has an odd cycle.
-
-    Component roots (least ids) are coloured with the first class, so an
-    edgeless graph comes back as (everything, empty set).
-    """
-    return _two_sides(g, g.component_layers())
-
-
 def _two_sides(g: Graph, parts: list) -> Optional[tuple[VertexSet, VertexSet]]:
     """The even and odd layers of `parts` (from `component_layers`) as a
     2-colouring, or None if an edge joins two vertices on one side."""
@@ -742,90 +718,3 @@ def _two_sides(g: Graph, parts: list) -> Optional[tuple[VertexSet, VertexSet]]:
                 return None
             rest ^= low
     return VertexSet(_bits(even), g.n), VertexSet(_bits(odd), g.n)
-
-
-def _exhaustive_path_search(
-    g: Graph, y: int, z: int, lo: int, hi: int, node_budget: int
-) -> tuple[Optional[list[int]], bool, int]:
-    """DFS over simple y-z paths of length in [lo, hi]; returns (path, complete, nodes).
-
-    Iterative, so the path length is not bounded by the recursion limit.  z is
-    entered only when it closes a path of an admissible length, and each
-    vertex placed on the path (y included) spends one node of `node_budget`.
-    """
-    if node_budget < 1:
-        return None, False, 0
-    nodes = 1
-    path = [y]
-    on_path = {y}
-    stack = [iter(g.neighbors(y))]
-    while stack:
-        for w in stack[-1]:
-            if w in on_path:
-                continue
-            if w == z:
-                if not lo <= len(path) <= hi:
-                    continue
-            elif len(path) >= hi:
-                # w would need one more edge to reach z
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                return None, False, nodes
-            if w == z:
-                return path + [z], True, nodes
-            path.append(w)
-            on_path.add(w)
-            stack.append(iter(g.neighbors(w)))
-            break
-        else:
-            stack.pop()
-            on_path.discard(path.pop())
-    return None, True, nodes
-
-
-def path_in_range(g: Graph, y: int, z: int, ell: int, slack: int) -> PathSearchResult:
-    """A simple y-z path whose edge count lies in [ell+1, ell+slack].
-
-    Strategy: accept the BFS-shortest path when it already lands in the
-    window, and report absence when even that path is too long; otherwise
-    run a DFS over simple paths, capped at PATH_NODE_BUDGET nodes.  Every
-    returned path is re-verified simple and in range.  A None with
-    conclusive=True is a proof that no such path exists; a DFS that hits its
-    budget returns None, conclusive=False.
-    """
-    if y == z:
-        raise PreconditionViolated("endpoints must differ")
-    if ell < 0 or slack < 1:
-        raise PreconditionViolated("need ell >= 0 and slack >= 1")
-    lo, hi = ell + 1, ell + slack
-
-    def verify(p) -> tuple[int, ...]:
-        if p[0] != y or p[-1] != z:
-            raise InternalInvariantError("path does not join y and z")
-        if len(set(p)) != len(p):
-            raise InternalInvariantError("path repeats a vertex")
-        if not all(g.has_edge(a, b) for a, b in zip(p, p[1:])):
-            raise InternalInvariantError("path uses a non-edge")
-        if not lo <= len(p) - 1 <= hi:
-            raise InternalInvariantError("path length outside the window")
-        return tuple(p)
-
-    dist = g.bfs_dist(y)
-    if dist[z] < 0:
-        return PathSearchResult(None, True)
-    if dist[z] > hi:
-        # every y-z path is at least as long as the BFS distance
-        return PathSearchResult(None, True)
-    if lo <= dist[z] <= hi:
-        # rebuild one shortest path deterministically
-        path = [z]
-        while path[-1] != y:
-            v = path[-1]
-            path.append(min(w for w in g.neighbors(v) if dist[w] == dist[v] - 1))
-        return PathSearchResult(verify(list(reversed(path))), True)
-
-    res, complete, _ = _exhaustive_path_search(g, y, z, lo, hi, PATH_NODE_BUDGET)
-    if res is not None:
-        return PathSearchResult(verify(res), True)
-    return PathSearchResult(None, complete)

@@ -40,7 +40,7 @@ from treebed.generators import (
     gen_two_cliques_apex,
     gen_two_cliques_apex_grown,
 )
-from treebed.graph import Graph, VertexSet, bipartition
+from treebed.graph import Graph, VertexSet, _two_sides
 from treebed.trees import Tree
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -269,6 +269,17 @@ def test_spent_portal_budget_is_inconclusive(monkeypatch):
     assert (res.runs, res.failures, res.inconclusive) == (3, 0, 1)
 
 
+def test_spent_escape_path_budget_is_inconclusive(monkeypatch):
+    # the path through A is an oracle search under DEFAULT_ORACLE_BUDGET; a
+    # spent one is a spent budget, not a failed `host_path` stage
+    monkeypatch.setattr(embed, "DEFAULT_ORACLE_BUDGET", 3)
+    g, roles = gen_escape_path_host(32, 3)
+    out = embed_via_path(g, t=gen_three_branch_tree(48), **roles)
+    assert (out.status, out.embedding, out.nodes_explored) == ("budget_exhausted", None, 4)
+    res = checks.check_structured_embedders()
+    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 1)
+
+
 def test_matching_forest_needs_enough_portals():
     g, roles = gen_matching_forest_host()
     t = gen_path(13)  # k = 12 path decomposes with a 2-edge matching
@@ -490,7 +501,7 @@ def test_oracle_sweep_outcomes_pinned():
 
 def _reference_attempts(g, t):
     """pipeline_attempts' calls as it made them by copying G - x with
-    `induced` and reading `components()` and `bipartition()` off the copy."""
+    `induced` and reading `components()` and the 2-colouring off the copy."""
     if g.n == 0 or t.n == 0:
         return []
     x = max(range(g.n), key=lambda v: (g.degree(v), -v))
@@ -504,7 +515,7 @@ def _reference_attempts(g, t):
             out.append(("apex_split", x, *sets[:2]))
         if len(comps) >= 3:
             out.append(("apex_three_split", x, *sets))
-        parts = bipartition(sub)
+        parts = _two_sides(sub, sub.component_layers())
         if parts is not None:
             sides = [VertexSet([back[i] for i in p], g.n) for p in parts]
             out.append(("bipartite_apex", x, *sides))

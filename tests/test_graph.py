@@ -1,4 +1,5 @@
-"""Graph-core tests: peripheries, cuts, covers, matchings, walks, paths."""
+"""Graph-core tests: peripheries, cuts, covers, matchings, walks, and the
+fixed-window path search the escape-path embedder asks the oracle for."""
 
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from treebed import graph
 from treebed.corpus import host_corpus
+from treebed.embed import DEFAULT_ORACLE_BUDGET, path_in_range
 from treebed.errors import Disconnected, PreconditionViolated
 from treebed.generators import gen_random_connected_graph, gen_random_graph_min_degree
 from treebed.graph import (
@@ -18,11 +20,9 @@ from treebed.graph import (
     VertexSet,
     _two_sides,
     bipartite_matching_lower,
-    bipartition,
     cut_density,
     diameter,
     is_cut_dense,
-    path_in_range,
     periphery,
     second_neighbourhood,
     short_even_walk,
@@ -211,49 +211,50 @@ def test_diameter_examples():
 
 
 def test_bipartition_examples():
-    parts = bipartition(C6)
+    parts = _two_sides(C6, C6.component_layers())
     assert parts is not None
     a, b = parts
     assert len(a) == len(b) == 3
     assert all((u in a) != (v in a) for u, v in C6.edges())
-    assert bipartition(C5) is None
+    assert _two_sides(C5, C5.component_layers()) is None
     e3 = Graph(3, [])
-    assert bipartition(e3) == (VertexSet([0, 1, 2], 3), VertexSet([], 3))
+    assert _two_sides(e3, e3.component_layers()) == (VertexSet([0, 1, 2], 3), VertexSet([], 3))
 
 
 def test_path_in_range_examples():
-    r = path_in_range(Graph.complete(6), 0, 5, 2, 3)
-    assert r.path is not None and 3 <= len(r.path) - 1 <= 5
+    # the path has the shortest admissible length, not just any in the window
+    p, complete, _ = path_in_range(Graph.complete(6), 0, 5, 2, 3, DEFAULT_ORACLE_BUDGET)
+    assert p is not None and len(p) - 1 == 3 and complete
+    p, complete, _ = path_in_range(Graph.complete(6), 0, 5, 0, 1, DEFAULT_ORACLE_BUDGET)
+    assert p == (0, 5) and complete
     # C7, adjacent endpoints: only lengths 1 and 6 exist (derived)
-    r = path_in_range(C7, 0, 1, 5, 1)
-    assert r.path is not None and len(r.path) - 1 == 6
-    r = path_in_range(C7, 0, 1, 2, 1)
-    assert r.path is None and r.conclusive
+    p, complete, _ = path_in_range(C7, 0, 1, 5, 1, DEFAULT_ORACLE_BUDGET)
+    assert p == (0, 6, 5, 4, 3, 2, 1) and complete
+    p, complete, _ = path_in_range(C7, 0, 1, 2, 1, DEFAULT_ORACLE_BUDGET)
+    assert p is None and complete
 
 
-def test_path_search_budget_spent_only_on_admissible_steps(monkeypatch):
-    # 0-6-5-4-3-2-1 places exactly 7 vertices; entering z = 1 early, where
-    # it cannot close a 6-edge path, must not spend the budget
-    monkeypatch.setattr(graph, "PATH_NODE_BUDGET", 7)
-    r = path_in_range(C7, 0, 1, 5, 1)
-    assert r.path == (0, 6, 5, 4, 3, 2, 1) and r.conclusive
-    monkeypatch.setattr(graph, "PATH_NODE_BUDGET", 6)
-    r = path_in_range(C7, 0, 1, 5, 1)
-    assert r.path is None and not r.conclusive
+def test_spent_path_budget_is_inconclusive():
+    # the 6-edge search alone places 12 vertices; in the window [5, 6] the
+    # 5-edge search spends 9 first, and the two share one budget
+    assert path_in_range(C7, 0, 1, 5, 1, 12) == ((0, 6, 5, 4, 3, 2, 1), True, 12)
+    assert path_in_range(C7, 0, 1, 5, 1, 11) == (None, False, 12)
+    assert path_in_range(C7, 0, 1, 4, 2, 21) == ((0, 6, 5, 4, 3, 2, 1), True, 21)
+    assert path_in_range(C7, 0, 1, 4, 2, 20) == (None, False, 21)
 
 
 def test_path_search_deeper_than_recursion_limit():
     assert sys.getrecursionlimit() < 2000
     c3000 = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
     for z in (2000, 1000):  # reached the long way round on either side
-        r = path_in_range(c3000, 0, z, 1999, 1)
-        assert r.path is not None and len(r.path) - 1 == 2000 and r.conclusive
+        p, complete, _ = path_in_range(c3000, 0, z, 1999, 1, DEFAULT_ORACLE_BUDGET)
+        assert p is not None and len(p) - 1 == 2000 and complete
 
 
 def test_path_in_range_distance_proof():
     p9 = Graph(9, [(i, i + 1) for i in range(8)])
-    r = path_in_range(p9, 0, 8, 2, 3)  # distance 8 > 5: provably absent
-    assert r.path is None and r.conclusive
+    # distance 8 > 5: provably absent, without a search
+    assert path_in_range(p9, 0, 8, 2, 3, DEFAULT_ORACLE_BUDGET) == (None, True, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,7 +333,7 @@ def _assert_matches_reference(g, n, edges):
     )
     assert g.components() == ref["components"]
     assert g.is_connected() == (len(ref["components"]) <= 1)
-    assert bipartition(g) == ref["bipartition"]
+    assert _two_sides(g, g.component_layers()) == ref["bipartition"]
     text = g.to_edge_list_text()
     assert text == "".join(f"{u} {v}\n" for u, v in [(n, len(ref["edges"])), *ref["edges"]])
     assert Graph.from_edge_list_text(text) == g
@@ -452,10 +453,10 @@ def test_mask_built_graphs_are_symmetric_and_loop_free(monkeypatch):
 
 def _minus_reference(g, removed):
     """Components and 2-colouring of g minus `removed` by copying the rest with
-    `induced` and mapping `components()` and `bipartition()` back."""
+    `induced` and mapping `components()` and the 2-colouring back."""
     sub, back = g.induced(v for v in range(g.n) if not removed >> v & 1)
     comps = [sum(1 << back[i] for i in comp) for comp in sub.components()]
-    parts = bipartition(sub)
+    parts = _two_sides(sub, sub.component_layers())
     if parts is None:
         return comps, None
     return comps, tuple(VertexSet([back[i] for i in p], g.n) for p in parts)
