@@ -10,7 +10,8 @@ Cut density needs no flag: one exact branch and bound serves every order,
 under a fixed node budget that every graph of at most 20 vertices fits.  A
 dense verdict from a search that ran out of it is inconclusive, and
 `decompose` says so, `certified_exact` for refine and one `conclusive` flag
-per component for rich, and exits 3.
+per component for rich, and exits 3.  So does a rich candidate whose vertex
+cover search ran out, listed under `undecided`.
 """
 
 from __future__ import annotations
@@ -210,10 +211,11 @@ def cmd_decompose(args) -> int:
             "op": "rich",
             "components": [list(c) for c in rd.components],
             "conclusive": [rep.conclusive for rep in rd.reports],
+            "undecided": [list(rep.subgraph) for rep in rd.undecided],
             "uncovered": list(rd.uncovered),
             "coverage": str(rd.coverage),
         }
-        complete = all(payload["conclusive"])
+        complete = all(payload["conclusive"]) and not rd.undecided
     elif args.op == "refine":
         res = refine_cut_dense(
             g,

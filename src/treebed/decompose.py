@@ -337,8 +337,6 @@ def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> Collection
         affinities.append(
             VertexAffinity(v, best, second, bc, sc, residual)
         )
-        if residual + bc + sc != g.degree(v):
-            raise InternalInvariantError("affinity accounting broke")
     return CollectionReport(
         components=tuple(cvs),
         s=s,
@@ -360,10 +358,18 @@ def _ceil_frac(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class RichDecomposition:
+    """The accepted rich pieces, `components[i]` with its report `reports[i]`.
+
+    `undecided` holds the reports of the candidates that passed every check
+    that finished but whose vertex cover search ran out of its node budget:
+    they are neither accepted nor refuted, and `coverage` leaves them out.
+    """
+
     components: tuple[VertexSet, ...]
     reports: tuple[RichReport, ...]
     uncovered: VertexSet
     coverage: Fraction
+    undecided: tuple[RichReport, ...]
 
 
 def rich_decompose(g: Graph, k: int, p: RichParams) -> RichDecomposition:
@@ -374,14 +380,16 @@ def rich_decompose(g: Graph, k: int, p: RichParams) -> RichDecomposition:
     richness checks, and it is certified rich exactly when its report is
     conclusive (its cut-density verdict is inconclusive only when the
     refinement's cut search on that piece ran out of its node budget, which
-    needs more than 20 vertices).  Coverage is reported, never
-    promised; an empty result is an inconclusive outcome, not evidence about
-    containment.
+    needs more than 20 vertices).  A candidate whose cover search ran out
+    is not dropped: it goes to `undecided` when its other checks passed.
+    Coverage is reported, never promised; an empty result is an
+    inconclusive outcome, not evidence about containment.
     """
     eps = max(p.c / 2, Fraction(1, 100))
     delta = eps / 401
     accepted: list[VertexSet] = []
     reports: list[RichReport] = []
+    undecided: list[RichReport] = []
     for comp in g.components():
         live = list(comp)
         # peel vertices under c*k within the candidate until stable
@@ -413,12 +421,14 @@ def rich_decompose(g: Graph, k: int, p: RichParams) -> RichDecomposition:
             if rep.rich:
                 accepted.append(rep.subgraph)
                 reports.append(rep)
+            elif rep.cover_ok is None and rep.min_degree_ok and rep.cut_dense_ok and rep.size_ok:
+                undecided.append(rep)
     covered = set()
     for c in accepted:
         covered |= c.as_set()
     uncovered = VertexSet((v for v in range(g.n) if v not in covered), g.n)
     coverage = Fraction(len(covered), g.n) if g.n else Fraction(1)
-    return RichDecomposition(tuple(accepted), tuple(reports), uncovered, coverage)
+    return RichDecomposition(tuple(accepted), tuple(reports), uncovered, coverage, tuple(undecided))
 
 
 def is_rich_on_refined(

@@ -667,6 +667,27 @@ def test_cli_decompose_inconclusive_cut_exits_3(tmp_path, monkeypatch, op, flags
     assert json.loads(out.read_text())[field] == spent
 
 
+def test_cli_decompose_rich_spent_cover_budget_exits_3(tmp_path, monkeypatch):
+    # a candidate whose vertex cover search runs out is listed as undecided,
+    # not dropped as if it had failed a check
+    from treebed import graph
+    from treebed.generators import gen_random_graph_min_degree
+
+    host = tmp_path / "g.txt"
+    host.write_text(gen_random_graph_min_degree(12, 4, 0).to_edge_list_text())
+    out = tmp_path / "rich.json"
+    argv = ["decompose", "--host", str(host), "--op", "rich", "--k", "3", "--c", "1/2",
+            "--rho", "1/100", "--out", str(out)]
+    assert cli.main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["components"], payload["undecided"]) == ([list(range(12))], [])
+    monkeypatch.setattr(graph, "COVER_NODE_BUDGET", 1)
+    assert cli.main(argv) == 3
+    payload = json.loads(out.read_text())
+    assert (payload["components"], payload["conclusive"], payload["coverage"]) == ([], [], "0")
+    assert payload["undecided"] == [list(range(12))]
+
+
 def test_cli_embed_budget_overrun_is_inconclusive(tmp_path, capsys):
     host = tmp_path / "g.txt"
     tree = tmp_path / "t.json"
