@@ -1,8 +1,10 @@
 """Deterministic small-instance corpora for oracle cross-agreement runs.
 
-Hosts up to 5 vertices are enumerated exhaustively and deduplicated by exact
-canonical form; for 6..8 vertices a seeded sample of random and named hosts
-is deduplicated by a strong (not perfect) isomorphism invariant.  Guest
+Hosts are deduplicated by one isomorphism invariant.  Up to 5 vertices they
+are enumerated exhaustively, and there the invariant separates every
+isomorphism class of connected graphs, so the dedup is exact; for 6..8
+vertices a seeded sample of random and named hosts is deduplicated by the
+same invariant, which is strong but not perfect there.  Guest
 trees are enumerated completely up to isomorphism via leaf augmentation
 with centroid-rooted canonical codes.
 """
@@ -10,21 +12,11 @@ with centroid-rooted canonical codes.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import Graph
 from .trees import Tree
 from .generators import gen_complete_bipartite, gen_two_cliques_apex
-
-
-def _canonical_form_exact(g: Graph) -> tuple:
-    """Lexicographically minimal edge set over all vertex permutations."""
-    best = None
-    for perm in permutations(range(g.n)):
-        es = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()))
-        if best is None or es < best:
-            best = es
-    return (g.n, best)
 
 
 def _iso_invariant(g: Graph) -> tuple:
@@ -55,7 +47,7 @@ def connected_hosts_up_to_5() -> list[Graph]:
             g = Graph(n, edges)
             if not g.is_connected():
                 continue
-            key = _canonical_form_exact(g)
+            key = _iso_invariant(g)
             if key not in seen:
                 seen.add(key)
                 out.append(g)
