@@ -201,10 +201,21 @@ def test_host_builders_live_in_generators():
     assert {(module, name) for module, name in builders if module != "generators.py"} == set()
 
 
-def test_public_embed_and_decompose_names_are_reached_from_the_package():
-    # a public function or class of embed.py or decompose.py that no package
-    # code names outside its own definition is reached only by tests; so is
-    # one named only inside such unreached definitions
+# Public package names that no package code reaches, each with the reason
+# it stays.  Every other public function or class is reached from the package.
+_REACHED_ONLY_FROM_OUTSIDE = {
+    "replay_candidates": "perfbench's oracle workload replays a sweep's candidates with it",
+    "gen_three_pool_host": "the host of apex_three_split_embed, which only tests reach; "
+    "the two go together",
+    "gen_bipartite_apex_host": "the host of bipartite_apex_embed, which only tests reach; "
+    "the two go together",
+}
+
+
+def test_public_names_are_reached_from_the_package():
+    # a public function or class that no package code names outside its own
+    # definition is reached only by tests or other callers outside the
+    # package; so is one named only inside such unreached definitions
     def names(node):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
@@ -216,8 +227,8 @@ def test_public_embed_and_decompose_names_are_reached_from_the_package():
     uses = [(top, set(names(top))) for tree in trees.values() for top in tree.body]
     public = [
         top
-        for home in ("embed.py", "decompose.py")
-        for top in trees[home].body
+        for tree in trees.values()
+        for top in tree.body
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
     ]
     unreached: list = []
@@ -233,8 +244,8 @@ def test_public_embed_and_decompose_names_are_reached_from_the_package():
         if not more:
             break
         unreached += more
-    assert len(public) >= 20
-    assert [defn.name for defn in unreached] == []
+    assert len(public) >= 120
+    assert sorted(defn.name for defn in unreached) == sorted(_REACHED_ONLY_FROM_OUTSIDE)
 
 
 def _handler_reads(fn):
