@@ -358,12 +358,9 @@ def _ceil_frac(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class RichDecomposition:
-    """The accepted rich pieces, `components[i]` with its report `reports[i]`.
-
-    `undecided` holds the reports of the candidates that passed every check
-    that finished but whose vertex cover search ran out of its node budget:
-    they are neither accepted nor refuted, and `coverage` leaves them out.
-    """
+    """Accepted rich pieces, `components[i]` with `reports[i]`; `undecided`
+    holds the reports of candidates that passed every finished check but
+    whose vertex cover search ran out, and `coverage` leaves them out."""
 
     components: tuple[VertexSet, ...]
     reports: tuple[RichReport, ...]

@@ -203,16 +203,12 @@ def brute_force_embed(
 def path_in_range(
     g: Graph, y: int, z: int, ell: int, slack: int, budget: int
 ) -> tuple[Optional[tuple[int, ...]], bool, int]:
-    """A simple y-z path with between ell+1 and ell+slack edges, as
-    (path, complete, nodes).
+    """A simple y-z path with ell+1 to ell+slack edges: (path, complete, nodes).
 
-    A y-z path with L edges is the path tree on L + 1 vertices with its ends
-    pinned on y and z, so each admissible L, shortest first, is one oracle
-    search; the path returned is of the shortest admissible length.  No y-z
-    path is shorter than the BFS distance d(y, z), so the lengths start
-    there, and L = 1 is tried only when y and z are adjacent.  The searches
-    share `budget` oracle nodes; None with complete True is a proof that no
-    such path exists.
+    Each length L, shortest first, is one oracle search for the path tree on
+    L + 1 vertices with its ends pinned on y and z, all within one `budget`,
+    so a path found has the shortest admissible length; None with complete
+    True proves that there is none.
     """
     if y == z:
         raise PreconditionViolated("endpoints must differ")
@@ -222,7 +218,8 @@ def path_in_range(
     if dist < 0:
         return None, True, 0
     nodes = 0
-    # a path on more than g.n vertices is not simple
+    # no y-z path is shorter than d(y, z), so L = 1 comes up only when the
+    # pins are adjacent; and no simple path has more than g.n vertices
     for length in range(max(ell + 1, dist), min(ell + slack, g.n - 1) + 1):
         pins = Embedding(((0, y), (length, z)))
         out = brute_force_embed(g, gen_path(length + 1), pins, budget=budget - nodes)
@@ -436,12 +433,11 @@ def embed_via_path(
     When the components of T - separator can be regrouped into two directly
     embeddable forests the procedure short-circuits to the two-pool apex
     split.  Otherwise it walks the heavy path, reserves connector vertices,
-    requests a path of admissible length inside A from the oracle
-    (`path_in_range`, within DEFAULT_ORACLE_BUDGET nodes), and embeds branch
-    by branch.  Raises EmbedNotFound with the failing stage; that is never a
-    proof of non-containment.  A path search that spends its budget reports
-    "budget_exhausted", and a found outcome counts the path search's oracle
-    nodes in `nodes_explored`.
+    requests a path of admissible length inside A from `path_in_range`, and
+    embeds branch by branch.  Raises EmbedNotFound with the failing stage;
+    that is never a proof of non-containment.  A path search that spends
+    DEFAULT_ORACLE_BUDGET gives "budget_exhausted"; a found outcome counts
+    its oracle nodes.
     """
     eps = ESCAPE_PATH_EPS
     A = as_vertex_set(a_set, g.n)
