@@ -235,8 +235,8 @@ def test_path_in_range_examples():
 
 
 def test_spent_path_budget_is_inconclusive():
-    # the 6-edge search alone places 12 vertices; in the window [5, 6] the
-    # 5-edge search spends 9 first, and the two share one budget
+    # the 6-edge search alone spends 12 oracle nodes; in the window [5, 6]
+    # the 5-edge search spends 9 first, and the two share one budget
     assert path_in_range(C7, 0, 1, 5, 1, 12) == ((0, 6, 5, 4, 3, 2, 1), True, 12)
     assert path_in_range(C7, 0, 1, 5, 1, 11) == (None, False, 12)
     assert path_in_range(C7, 0, 1, 4, 2, 21) == ((0, 6, 5, 4, 3, 2, 1), True, 21)
