@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import log
 
+from . import embed
 from .embed import (
-    DEFAULT_ORACLE_BUDGET,
     apex_split_embed,
     apex_three_split_embed,
     bipartite_apex_embed,
@@ -214,7 +214,7 @@ def check_path_in_range(seed: int = 0, count: int = 150) -> CheckResult:
         ell = rng.randrange(0, max(1, n // 2))
         slack = rng.randrange(1, 6)
         res.runs += 1
-        p, complete, _ = path_in_range(g, y, z, ell, slack, DEFAULT_ORACLE_BUDGET)
+        p, complete, _ = path_in_range(g, y, z, ell, slack, embed.DEFAULT_ORACLE_BUDGET)
         if not complete:
             res.inconclusive += 1
         if p is not None:
@@ -497,7 +497,7 @@ def pipeline_attempts(g: Graph, t: Tree):
         yield "bipartite_apex", lambda: bipartite_apex_embed(g, x, sides[0], sides[1], t)
 
 
-def cross_check_pair(g: Graph, t: Tree, budget: int) -> tuple[list[str], bool]:
+def cross_check_pair(g: Graph, t: Tree, budget: int | None) -> tuple[list[str], bool]:
     """Run every applicable specialized embedder against the oracle verdict.
 
     Returns discrepancy descriptions (empty = clean) and whether the oracle
@@ -522,7 +522,7 @@ def cross_check_pair(g: Graph, t: Tree, budget: int) -> tuple[list[str], bool]:
     return problems, oracle.status != "budget_exhausted"
 
 
-def check_oracle_agreement(hosts, trees, budget: int) -> CheckResult:
+def check_oracle_agreement(hosts, trees, budget: int | None) -> CheckResult:
     res = CheckResult("oracle cross-agreement over the stored corpus")
     for g in hosts:
         for t in trees:

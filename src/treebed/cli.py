@@ -26,11 +26,18 @@ from .decompose import RichParams, classify_components, refine_cut_dense, rich_d
 from .embed import DEFAULT_ORACLE_BUDGET, Embedding, brute_force_embed, greedy_embed
 from .errors import InternalInvariantError, PreconditionViolated, TreebedError
 from .generators import (
-    GRAPH_FAMILY_NAMES,
-    TREE_FAMILY_NAMES,
-    FamilySpec,
-    build_graph,
-    build_tree,
+    gen_bps_alpha_host,
+    gen_caterpillar,
+    gen_clique_chain_apex,
+    gen_complete_bipartite,
+    gen_path,
+    gen_random_connected_graph,
+    gen_random_graph_min_degree,
+    gen_random_tree,
+    gen_spider,
+    gen_three_branch_tree,
+    gen_two_cliques_apex,
+    gen_two_cliques_apex_grown,
 )
 from .graph import Graph, VertexSet
 from .trees import (
@@ -74,16 +81,16 @@ def _load_tree(path: str) -> Tree:
         return Tree.from_json(fh.read())
 
 
-def _parse_params(items: list[str]) -> dict:
+def _parse_params(items: list[str]) -> dict[str, str]:
+    """`gen`'s key=value items as texts by key; a key given twice is refused."""
     out = {}
     for item in items or []:
         key, _, val = item.partition("=")
         if not val:
             raise PreconditionViolated(f"bad param {item!r}, expected key=value")
-        try:
-            out[key] = int(val)
-        except ValueError:
-            out[key] = val
+        if key in out:
+            raise PreconditionViolated(f"parameter {key} is given twice")
+        out[key] = val
     return out
 
 
@@ -94,19 +101,58 @@ def _fraction(flag: str, text: str) -> Fraction:
         raise PreconditionViolated(f"{flag} takes a fraction like 1/2, got {text!r}") from None
 
 
+# Each `gen` family: its builder, the --param names the builder takes, in
+# order and all required, and whether it reads --seed, passed last.  A seed
+# given to a family that reads none is refused rather than ignored.
+_FAMILIES = {
+    "two_cliques_apex": (gen_two_cliques_apex, ("k",), False),
+    "two_cliques_apex_grown": (gen_two_cliques_apex_grown, ("k",), False),
+    "bps_alpha_host": (lambda k, alpha: gen_bps_alpha_host(k, alpha)[0], ("k", "alpha"), False),
+    "clique_chain_apex": (gen_clique_chain_apex, ("k", "d"), False),
+    "complete_bipartite": (gen_complete_bipartite, ("m", "n"), False),
+    "complete": (Graph.complete, ("n",), False),
+    "random_min_degree": (gen_random_graph_min_degree, ("n", "delta"), True),
+    "random_connected": (gen_random_connected_graph, ("n", "extra_edges"), True),
+    "three_branch": (gen_three_branch_tree, ("k",), False),
+    "spider": (gen_spider, ("k", "ell"), False),
+    "path": (gen_path, ("n",), False),
+    "caterpillar": (gen_caterpillar, ("spine", "legs"), True),
+    "random_tree": (gen_random_tree, ("n", "max_deg"), True),
+}
+
+
 def cmd_gen(args) -> int:
     params = _parse_params(args.param)
-    spec = FamilySpec(args.family, params, args.seed)
-    if args.family in GRAPH_FAMILY_NAMES:
-        g = build_graph(spec)
-        _write_out(g.to_edge_list_text(), args.out)
-    elif args.family in TREE_FAMILY_NAMES:
-        t = build_tree(spec)
-        _write_out(t.to_json() + "\n", args.out)
-    else:
+    if args.family not in _FAMILIES:
         raise PreconditionViolated(
-            f"unknown family {args.family!r}; graphs: {GRAPH_FAMILY_NAMES}, trees: {TREE_FAMILY_NAMES}"
+            f"unknown family {args.family!r}; families: {', '.join(sorted(_FAMILIES))}"
         )
+    build, names, seeded = _FAMILIES[args.family]
+    if args.seed is not None and not seeded:
+        raise PreconditionViolated(f"family {args.family!r} reads no seed")
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise PreconditionViolated(
+            f"family {args.family!r} takes no parameter {', '.join(unknown)};"
+            f" it takes {', '.join(names)}"
+        )
+    values = []
+    for name in names:
+        if name not in params:
+            raise PreconditionViolated(f"family {args.family!r} needs the parameter {name}=...")
+        text = params[name]
+        if name == "alpha":
+            values.append(_fraction(name, text))
+            continue
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise PreconditionViolated(f"parameter {name}={text!r} is not an integer") from None
+    if seeded:
+        values.append(args.seed or 0)
+    out = build(*values)
+    text = out.to_edge_list_text() if isinstance(out, Graph) else out.to_json() + "\n"
+    _write_out(text, args.out)
     return 0
 
 

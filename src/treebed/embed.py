@@ -28,14 +28,14 @@ from .trees import (
     split_two_forests,
 )
 
+# the oracle's node budget when a caller gives none, also spent by the
+# oracle searches inside `embed_via_path` and `matching_forest_embed`; the
+# path-length window of `embed_via_path` past the heavy branch's depth, and
+# its degree slack eps (each pool needs min degree (2/3 - eps)k).  This
+# module reads all three at call time
 DEFAULT_ORACLE_BUDGET = 10**8
-# `embed_via_path`'s path-length window past the heavy branch's depth and
-# its degree slack eps (each pool needs min degree (2/3 - eps)k), and the
-# oracle nodes one `matching_forest_embed` call may spend over all portal
-# assignments; all three are read at call time
 ESCAPE_PATH_SLACK = 64
 ESCAPE_PATH_EPS = Fraction(1, 48)
-PORTAL_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def brute_force_embed(
     g: Graph,
     t: Tree,
     pins: Optional[Embedding] = None,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: Optional[int] = None,
 ) -> EmbedOutcome:
     """Ground-truth backtracking search for a copy of t in g.
 
@@ -160,7 +160,10 @@ def brute_force_embed(
       twins, because no proof covers combining it with the twin cut.
 
     "not_found" is a proof; budget overruns report "budget_exhausted" instead.
+    A budget of None is DEFAULT_ORACLE_BUDGET as it reads when the search starts.
     """
+    if budget is None:
+        budget = DEFAULT_ORACLE_BUDGET
     pin_map = pins.as_dict() if pins is not None else {}
     if pin_map:
         for tv, hv in pin_map.items():
@@ -590,7 +593,7 @@ def matching_forest_embed(
     portals: list of ((core_vertex, far_vertex), external_pool) entries where
     the pair is a host edge and far_vertex lies in the pool.
 
-    Reports "budget_exhausted" once the placements spend PORTAL_NODE_BUDGET nodes.
+    Reports "budget_exhausted" once the placements spend DEFAULT_ORACLE_BUDGET nodes.
     """
     core = as_vertex_set(host_core, g.n)
     k = t.k
@@ -630,7 +633,7 @@ def matching_forest_embed(
     s_tree = Tree(len(s_verts), s_edges)
     matched = sorted(msf.matching)
 
-    budget = PORTAL_NODE_BUDGET
+    budget = DEFAULT_ORACLE_BUDGET
     nodes_total = 0
     for assignment in permutations(range(len(parsed)), mu):
         pins = Embedding.from_dict(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import struct
 from bisect import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, count
@@ -21,15 +20,6 @@ from typing import Optional, Sequence
 from .errors import Infeasible, InternalInvariantError, PreconditionViolated
 from .graph import Graph, VertexSet, _bits
 from .trees import Tree
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A reproducible recipe: family id plus its parameters (and seed if random)."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
 
 def _assert_profile(g: Graph, min_deg: int, max_deg: int) -> None:
@@ -196,7 +186,7 @@ def gen_path(n: int) -> Tree:
 # Structured hosts of the constructive embedders.  Each returns (graph, roles),
 # where roles holds the embedder's keyword arguments for the host, so a caller
 # writes `embedder(g, t=t, **roles)`.  These are library functions, not
-# FamilySpec families: a family yields a bare graph, and every caller of
+# `treebed gen` families: a family writes a bare graph, and every caller of
 # these already names the builder it wants.
 
 
@@ -487,81 +477,3 @@ def gen_random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
-
-
-# ---------------------------------------------------------------------------
-# FamilySpec dispatch (CLI entry point)
-
-
-class _Params(dict):
-    """A family's key=value parameters: integers, except the fraction `alpha`.
-    Reading one that is missing or malformed is a usage error."""
-
-    def __init__(self, family: str, params: dict):
-        super().__init__(params)
-        self.family = family
-
-    def __getitem__(self, key: str):
-        if key not in self:
-            raise PreconditionViolated(f"family {self.family!r} needs the parameter {key}=...")
-        val = dict.__getitem__(self, key)
-        if key == "alpha":
-            try:
-                return Fraction(val)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise PreconditionViolated(f"alpha={val!r} is not a fraction like 1/5") from None
-        if not isinstance(val, int):
-            raise PreconditionViolated(f"parameter {key}={val!r} is not an integer")
-        return val
-
-    def get(self, key: str, default=None):
-        return self[key] if key in self else default
-
-
-# Each family: (whether it reads a seed, builder).  A seed given to a family
-# that reads none is refused rather than ignored.
-_GRAPH_FAMILIES = {
-    "two_cliques_apex": (False, lambda p, s: gen_two_cliques_apex(p["k"])),
-    "two_cliques_apex_grown": (False, lambda p, s: gen_two_cliques_apex_grown(p["k"])),
-    "bps_alpha_host": (False, lambda p, s: gen_bps_alpha_host(p["k"], p["alpha"])[0]),
-    "clique_chain_apex": (False, lambda p, s: gen_clique_chain_apex(p["k"], p["d"])),
-    "complete_bipartite": (False, lambda p, s: gen_complete_bipartite(p["m"], p["n"])),
-    "complete": (False, lambda p, s: Graph.complete(p["n"])),
-    "random_min_degree": (
-        True,
-        lambda p, s: gen_random_graph_min_degree(p["n"], p["delta"], s or 0),
-    ),
-    "random_connected": (
-        True,
-        lambda p, s: gen_random_connected_graph(p["n"], p.get("extra_edges", 0), s or 0),
-    ),
-}
-
-_TREE_FAMILIES = {
-    "three_branch": (False, lambda p, s: gen_three_branch_tree(p["k"])),
-    "spider": (False, lambda p, s: gen_spider(p["k"], p["ell"])),
-    "path": (False, lambda p, s: gen_path(p["n"])),
-    "caterpillar": (True, lambda p, s: gen_caterpillar(p["spine"], p["legs"], s or 0)),
-    "random_tree": (True, lambda p, s: gen_random_tree(p["n"], p["max_deg"], s or 0)),
-}
-
-
-def _build(kind: str, families: dict, spec: FamilySpec):
-    if spec.family not in families:
-        raise PreconditionViolated(f"unknown {kind} family {spec.family!r}")
-    seeded, build = families[spec.family]
-    if spec.seed is not None and not seeded:
-        raise PreconditionViolated(f"{kind} family {spec.family!r} reads no seed")
-    return build(_Params(spec.family, spec.params), spec.seed)
-
-
-def build_graph(spec: FamilySpec) -> Graph:
-    return _build("graph", _GRAPH_FAMILIES, spec)
-
-
-def build_tree(spec: FamilySpec) -> Tree:
-    return _build("tree", _TREE_FAMILIES, spec)
-
-
-GRAPH_FAMILY_NAMES = tuple(sorted(_GRAPH_FAMILIES))
-TREE_FAMILY_NAMES = tuple(sorted(_TREE_FAMILIES))

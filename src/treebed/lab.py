@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import checks
@@ -299,21 +300,17 @@ class SweepResult:
         }
 
 
-def _trial_worker(payload: tuple) -> TrialRecord:
-    cfg_json, idx = payload
-    return run_trial(ExperimentConfig.from_jsonable(json.loads(cfg_json)), idx)
-
-
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Execute all trials (optionally in a process pool) and summarize.
 
     Records are sorted by trial index before emission, so the report does not
-    depend on worker scheduling.
+    depend on worker scheduling.  A pool gets the config once per batch of
+    trials, about four batches per worker, rather than once per trial.
     """
     if workers > 1 and cfg.trials > 1:
-        cfg_json = json.dumps(cfg.to_jsonable())
+        batch = -(-cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_worker, ((cfg_json, i) for i in range(cfg.trials))))
+            records = list(pool.map(partial(run_trial, cfg), range(cfg.trials), chunksize=batch))
     else:
         records = [run_trial(cfg, i) for i in range(cfg.trials)]
     records.sort(key=lambda r: r.trial_index)
@@ -367,9 +364,10 @@ class ExtremalReport:
         return self.degrees_ok and self.avoids_tree and self.grown_embeds
 
 
-def verify_extremal(k: int, budget: int = DEFAULT_ORACLE_BUDGET) -> ExtremalReport:
+def verify_extremal(k: int, budget: Optional[int] = None) -> ExtremalReport:
     """The tight host avoids the three-branch tree; one more vertex per clique
-    flips the verdict.  Exhaustive on both sides, within `budget` nodes each."""
+    flips the verdict.  Exhaustive on both sides, within `budget` nodes each
+    (None: the oracle's default, read when each search starts)."""
     g = gen_two_cliques_apex(k)
     t = gen_three_branch_tree(k)
     degrees_ok = g.min_degree() == (2 * k) // 3 - 1 and g.max_degree() >= k
@@ -418,9 +416,10 @@ def timed_check(fn, **kwargs) -> checks.CheckResult:
     return res
 
 
-def oracle_corpus_check(budget: int = DEFAULT_ORACLE_BUDGET) -> checks.CheckResult:
+def oracle_corpus_check(budget: Optional[int] = None) -> checks.CheckResult:
     """Criterion-style corpus run: every stored host against every tree of
-    at most 7 edges."""
+    at most 7 edges, within `budget` oracle nodes each (None: the oracle's
+    default, read when each search starts)."""
     return checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), budget=budget)
 
 

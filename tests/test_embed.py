@@ -260,13 +260,14 @@ def test_matching_forest_examples():
 
 def test_spent_portal_budget_is_inconclusive(monkeypatch):
     # a spent portal budget is reported as a spent budget, not as a failed
-    # embedding, so the structured-embedder check counts it inconclusive
-    monkeypatch.setattr(embed, "PORTAL_NODE_BUDGET", 5)
+    # embedding, so the structured-embedder check counts it inconclusive; the
+    # check's other two runs spend the same budget, in their own searches
+    monkeypatch.setattr(embed, "DEFAULT_ORACLE_BUDGET", 5)
     g, roles = gen_matching_forest_host()
     out = matching_forest_embed(g, t=gen_caterpillar(9, 4, seed=5), **roles)
     assert out.status == "budget_exhausted" and out.embedding is None
     res = checks.check_structured_embedders()
-    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 1)
+    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 3)
 
 
 def test_spent_escape_path_budget_is_inconclusive(monkeypatch):
@@ -277,7 +278,28 @@ def test_spent_escape_path_budget_is_inconclusive(monkeypatch):
     out = embed_via_path(g, t=gen_three_branch_tree(48), **roles)
     assert (out.status, out.embedding, out.nodes_explored) == ("budget_exhausted", None, 4)
     res = checks.check_structured_embedders()
-    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 1)
+    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 3)
+
+
+def test_default_oracle_budget_is_read_when_the_search_starts(monkeypatch):
+    # the oracle's default budget, and the defaults of verify_extremal and
+    # oracle_corpus_check, are the constant as it reads when the search starts
+    monkeypatch.setattr(embed, "DEFAULT_ORACLE_BUDGET", 3)
+    g, roles = gen_escape_path_host(10, 4)
+    t = gen_spider(9, 3)
+    # the spider takes the two-pool short-circuit, which runs no oracle search
+    assert embed_via_path(g, t=t, **roles).status == "found"
+    out = brute_force_embed(g, t)
+    assert (out.status, out.embedding) == ("budget_exhausted", None)
+    assert out.nodes_explored > 3
+    # so the structured-embedder check's cross-check of that found is inconclusive
+    res = checks.check_structured_embedders()
+    assert (res.runs, res.failures, res.inconclusive) == (3, 0, 3)
+    assert not lab.verify_extremal(6).complete
+    monkeypatch.setattr(lab, "host_corpus", lambda: [g])
+    monkeypatch.setattr(lab, "all_trees_up_to", lambda n: [t])
+    assert lab.oracle_corpus_check().inconclusive == 1
+    assert lab.oracle_corpus_check(budget=10**6).inconclusive == 0
 
 
 def test_matching_forest_needs_enough_portals():
@@ -359,7 +381,7 @@ def _constructive_cases():
     for t in mf_trees + [gen_random_tree(n, 3, seed=n) for n in range(9, 15)]:
         for budget in (5, 2_000_000):
             yield "matching_forest", lambda g=g, r=roles, t=t, b=budget: _with(
-                "PORTAL_NODE_BUDGET", b, lambda: matching_forest_embed(g, t=t, **r)
+                "DEFAULT_ORACLE_BUDGET", b, lambda: matching_forest_embed(g, t=t, **r)
             )
 
 

@@ -1,4 +1,4 @@
-"""Generator tests: degree profiles recomputed, determinism, family dispatch,
+"""Generator tests: degree profiles recomputed, determinism, the `gen` families,
 and golden digests that pin the seeded random corpora."""
 
 import hashlib
@@ -9,14 +9,11 @@ from itertools import combinations, product
 
 import pytest
 
-from treebed import generators
+from treebed import cli, generators
 from treebed.embed import brute_force_embed
 from treebed.errors import Infeasible, PreconditionViolated
 from treebed.generators import (
     _REJECTION_ROUNDS,
-    FamilySpec,
-    build_graph,
-    build_tree,
     gen_bipartite_apex_host,
     gen_bps_alpha_host,
     gen_branches_tree,
@@ -35,7 +32,7 @@ from treebed.generators import (
     gen_two_cliques_apex,
     gen_two_cliques_apex_grown,
 )
-from treebed.graph import VertexSet
+from treebed.graph import Graph, VertexSet
 
 
 def test_two_cliques_apex_profiles():
@@ -242,13 +239,38 @@ def test_random_tree_exact_stage_is_uniform(monkeypatch, n, max_deg, draws):
     assert chi2 < df + 5 * (2 * df) ** 0.5
 
 
-def test_family_dispatch():
-    g = build_graph(FamilySpec("two_cliques_apex", {"k": 6}))
-    assert g == gen_two_cliques_apex(6)
-    t = build_tree(FamilySpec("spider", {"k": 6, "ell": 3}))
-    assert t == gen_spider(6, 3)
-    with pytest.raises(PreconditionViolated):
-        build_graph(FamilySpec("nope", {}))
+# Each `gen` family: its --param items and its builder, called with the seed
+# (None for a family that reads none).
+_GEN_CASES = [
+    ("two_cliques_apex", ["k=6"], lambda s: gen_two_cliques_apex(6)),
+    ("two_cliques_apex_grown", ["k=9"], lambda s: gen_two_cliques_apex_grown(9)),
+    ("bps_alpha_host", ["k=12", "alpha=1/5"], lambda s: gen_bps_alpha_host(12, Fraction(1, 5))[0]),
+    ("clique_chain_apex", ["k=10", "d=3"], lambda s: gen_clique_chain_apex(10, 3)),
+    ("complete_bipartite", ["m=3", "n=4"], lambda s: gen_complete_bipartite(3, 4)),
+    ("complete", ["n=5"], lambda s: Graph.complete(5)),
+    ("random_min_degree", ["n=12", "delta=4"], lambda s: gen_random_graph_min_degree(12, 4, s)),
+    ("random_connected", ["n=9", "extra_edges=5"], lambda s: gen_random_connected_graph(9, 5, s)),
+    ("three_branch", ["k=9"], lambda s: gen_three_branch_tree(9)),
+    ("spider", ["k=6", "ell=3"], lambda s: gen_spider(6, 3)),
+    ("path", ["n=5"], lambda s: gen_path(5)),
+    ("caterpillar", ["spine=6", "legs=4"], lambda s: gen_caterpillar(6, 4, s)),
+    ("random_tree", ["n=9", "max_deg=3"], lambda s: gen_random_tree(9, 3, s)),
+]
+_SEEDED_FAMILIES = {"random_min_degree", "random_connected", "caterpillar", "random_tree"}
+
+
+@pytest.mark.parametrize("family, params, build", _GEN_CASES, ids=[c[0] for c in _GEN_CASES])
+def test_gen_writes_its_builders_output(tmp_path, family, params, build):
+    # `treebed gen` writes the builder's own serialization, at two seeds for
+    # a seeded family; the cases cover every family
+    assert {c[0] for c in _GEN_CASES} == set(cli._FAMILIES)
+    out = tmp_path / "out"
+    argv = ["gen", family, *(x for p in params for x in ("--param", p)), "--out", str(out)]
+    for seed in (0, 1) if family in _SEEDED_FAMILIES else (None,):
+        assert cli.main(argv if seed is None else [*argv, "--seed", str(seed)]) == 0
+        obj = build(seed)
+        want = obj.to_edge_list_text() if isinstance(obj, Graph) else obj.to_json() + "\n"
+        assert out.read_text() == want
 
 
 # Golden digests of the seeded corpora.  A seeded generator must give the same

@@ -523,11 +523,15 @@ def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
         ["gen", "two_cliques_apex"],
         ["gen", "two_cliques_apex", "--param", "k=x"],
         ["gen", "bps_alpha_host", "--param", "k=12", "--param", "alpha=abc"],
+        ["gen", "two_cliques_apex", "--param", "k=6", "--param", "kk=7"],
+        ["gen", "two_cliques_apex", "--param", "k=6", "--param", "k=9"],
+        ["gen", "random_connected", "--param", "n=5", "--seed", "1"],
         ["decompose", "--op", "rich", "--c", "abc"],
         ["decompose", "--op", "rich", "--rho", "1/0"],
         ["decompose", "--op", "refine", "--eps", "1/x"],
     ],
-    ids=["gen-without-k", "gen-k-not-integer", "gen-alpha-not-fraction", "decompose-c-abc",
+    ids=["gen-without-k", "gen-k-not-integer", "gen-alpha-not-fraction", "gen-unknown-param",
+         "gen-param-twice", "gen-without-extra-edges", "decompose-c-abc",
          "decompose-rho-over-zero", "decompose-eps-not-fraction"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, capsys, argv):
