@@ -21,9 +21,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import lab
+from . import embed, lab
 from .decompose import RichParams, classify_components, refine_cut_dense, rich_decompose
-from .embed import DEFAULT_ORACLE_BUDGET, Embedding, brute_force_embed, greedy_embed
+from .embed import Embedding, brute_force_embed, greedy_embed
 from .errors import InternalInvariantError, PreconditionViolated, TreebedError
 from .generators import (
     gen_bps_alpha_host,
@@ -346,7 +346,7 @@ def cmd_sweep(args) -> int:
             trials=getattr(args, "trials", 50),
             seed=getattr(args, "seed", 0),
             alpha=getattr(args, "alpha", None),
-            oracle_budget=getattr(args, "budget", DEFAULT_ORACLE_BUDGET),
+            oracle_budget=getattr(args, "budget", embed.DEFAULT_ORACLE_BUDGET),
         )
     result = lab.run_sweep(cfg, workers=args.workers)
     text = lab.render_report(result, args.format)
@@ -384,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=None, help="root seed for randomized steps")
         if "budget" in flags:
-            p.add_argument(
-                "--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="search node budget"
-            )
+            # None: the oracle's default, read when each search starts
+            p.add_argument("--budget", type=int, default=None, help="search node budget")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
@@ -440,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=absent, help="default 50")
     w.add_argument("--seed", type=int, default=absent, help="root seed, default 0")
     w.add_argument("--budget", type=int, default=absent,
-                   help=f"oracle node budget, default {DEFAULT_ORACLE_BUDGET}")
+                   help=f"oracle node budget, default {embed.DEFAULT_ORACLE_BUDGET}")
     w.add_argument("--format", default="json", choices=("json", "csv"))
     w.add_argument("--workers", type=int, default=1)
     w.set_defaults(fn=cmd_sweep)

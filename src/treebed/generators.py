@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, count
 from math import factorial, gcd
-from operator import eq
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InternalInvariantError, PreconditionViolated
@@ -341,6 +340,17 @@ def _pruefer_edges(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
+def _within_cap(code: Sequence[int], n: int, cap: int) -> bool:
+    """Whether no symbol of code (each in 0..n-1) is used more than cap times;
+    the scan stops at the first use beyond cap."""
+    uses = [0] * n  # a list, not a bytearray: cap may exceed 255
+    for v in code:
+        if uses[v] == cap:
+            return False
+        uses[v] += 1
+    return True
+
+
 def gen_random_tree(n: int, max_deg: int, seed: int | random.Random) -> Tree:
     """Seeded random tree, exactly uniform over the labelled trees on 0..n-1
     with max degree <= max_deg.
@@ -394,9 +404,7 @@ def gen_random_tree(n: int, max_deg: int, seed: int | random.Random) -> Tree:
     # n / 13!, and stage 2's weights would not fit in 32 bits (13! > 2**32)
     for _ in range(_REJECTION_ROUNDS) if cap < 13 else count():
         code, left = draw(accepted, m, left)
-        # in sorted order, a symbol used more than cap times gives s[i] == s[i + cap]
-        s = sorted(code)
-        if not any(map(eq, s, s[cap:])):
+        if _within_cap(code, n, cap):
             return decode(code)
     w = _multiplicity_law(n, cap)
     accepted = _accepter(sum(w), tuple(accumulate(w)))

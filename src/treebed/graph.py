@@ -27,7 +27,7 @@ class VertexSet:
     __slots__ = ("members", "universe_size", "_set")
 
     def __init__(self, members: Iterable[int], universe_size: int):
-        ms = sorted(set(int(v) for v in members))
+        ms = sorted(set(map(int, members)))
         if ms and (ms[0] < 0 or ms[-1] >= universe_size):
             raise PreconditionViolated(
                 f"vertex ids {ms[0]}..{ms[-1]} outside universe 0..{universe_size - 1}"

@@ -438,7 +438,7 @@ def sum_partition_three(
 # Forest splits around a separator vertex
 
 
-def _check_forests(rv: RootedView, pivot: int, parts: list[frozenset]) -> None:
+def _check_forests(rv: RootedView, pivot: int, parts: Sequence[Iterable[int]]) -> None:
     """Raise unless the parts partition T - pivot and each is a union of its
     components, that is, every edge away from pivot has both ends in one part."""
     label = [-1] * rv.tree.n
@@ -450,8 +450,9 @@ def _check_forests(rv: RootedView, pivot: int, parts: list[frozenset]) -> None:
             label[v] = i
     if -1 in label:
         raise InternalInvariantError("forests do not partition T - pivot")
-    if any(label[v] != label[p] for v, p in enumerate(rv.parent) if p >= 0 and pivot not in (v, p)):
-        raise InternalInvariantError("a forest breaks a component of T - pivot")
+    for v, p in enumerate(rv.parent):
+        if p >= 0 and label[v] != label[p] and v != pivot and p != pivot:
+            raise InternalInvariantError("a forest breaks a component of T - pivot")
 
 
 @dataclass(frozen=True)
@@ -464,11 +465,10 @@ class TwoForestSplit:
     f2: VertexSet
 
     def __post_init__(self):
-        view = self.tree.rooted(0)
-        k, a = self.tree.k, self.f1.as_set()
-        _check_forests(view, self.pivot, [a, self.f2.as_set()])
-        if not (Fraction(k, 2) <= len(a) <= (2 * k) // 3):
-            raise InternalInvariantError(f"|f1| = {len(a)} outside [k/2, floor(2k/3)]")
+        k, size = self.tree.k, len(self.f1)
+        _check_forests(self.tree.rooted(0), self.pivot, [self.f1, self.f2])
+        if not (k <= 2 * size and size <= (2 * k) // 3):
+            raise InternalInvariantError(f"|f1| = {size} outside [k/2, floor(2k/3)]")
 
 
 @dataclass(frozen=True)
@@ -483,14 +483,15 @@ class ThreeForestSplit:
 
     def __post_init__(self):
         view = self.tree.rooted(0)
-        sets = [self.f1.as_set(), self.f2.as_set(), self.f3.as_set()]
-        _check_forests(view, self.pivot, sets)
+        parts = [self.f1, self.f2, self.f3]
+        _check_forests(view, self.pivot, parts)
         cap = -(-self.tree.k // 2)
-        if any(len(s) > cap for s in sets):
+        if any(len(s) > cap for s in parts):
             raise InternalInvariantError("a three-forest part exceeds ceil(k/2)")
         # a component of T - pivot has one vertex whose parent lies outside it
-        tops = sum(1 for v in sets[2] if view.parent[v] in (-1, self.pivot))
-        if sets[2] and tops != 1:
+        pivot, parent = self.pivot, view.parent
+        tops = sum(1 for v in self.f3 if parent[v] == pivot or parent[v] < 0)
+        if self.f3 and tops != 1:
             raise InternalInvariantError("f3 must be empty or a single component")
 
 
@@ -544,10 +545,22 @@ class SubtreePiece:
         return len(self.vertices)
 
 
-def _piece_from(vs: Iterable[int], t: Tree) -> SubtreePiece:
-    vset = frozenset(vs)
-    es = tuple(e for e in t.edges if e[0] in vset and e[1] in vset)
-    return SubtreePiece(tuple(sorted(vset)), es)
+def _up_edges(rv: RootedView) -> list[int]:
+    """up[v]: the position in rv.tree.edges of the edge from v to its parent
+    (-1 at the root)."""
+    up, parent = [-1] * rv.tree.n, rv.parent
+    for i, (u, w) in enumerate(rv.tree.edges):
+        up[w if parent[w] == u else u] = i
+    return up
+
+
+def _piece(t: Tree, up: Sequence[int], vs: Iterable[int], top: int) -> SubtreePiece:
+    """The piece on vs, a connected vertex set whose vertex nearest the root
+    of the view that `up` came from is top.  Its edges join each other vertex
+    to its parent: the tree's own tuples, in the tree's order."""
+    vs = sorted(vs)
+    es = tuple(map(t.edges.__getitem__, sorted(up[v] for v in vs if v != top)))
+    return SubtreePiece(tuple(vs), es)
 
 
 def _shave(
@@ -599,9 +612,10 @@ def subtree_split(t: Tree, v: int, m: int) -> tuple[SubtreePiece, SubtreePiece]:
     s2_verts = frozenset(taken) | {shared}
     if not (m <= len(s2_verts) <= 3 * m):
         raise InternalInvariantError("shaved subtree missed [m, 3m]")
-    s2 = _piece_from(s2_verts, t)
+    up = _up_edges(rooted)
+    s2 = _piece(t, up, s2_verts, shared)
     s1_verts = (set(range(t.n)) - s2_verts) | {shared}
-    s1 = _piece_from(s1_verts, t)
+    s1 = _piece(t, up, s1_verts, v)
     if v not in s1.vertices:
         raise InternalInvariantError("v escaped the kept side")
     if set(s1.edges) & set(s2.edges) or len(s1.edges) + len(s2.edges) != t.k:
@@ -669,8 +683,8 @@ def chain_split(t: Tree, m: int) -> ChainSplit:
         while shared >= 0:
             size[shared] -= len(taken)
             shared = parent[shared]
-    core = [v for v in range(t.n) if live[v]]
-    s0 = _piece_from(core, t)
+    up = _up_edges(rooted)
+    s0 = _piece(t, up, [v for v in range(t.n) if live[v]], 0)
     hang = list(range(t.n))  # nearest live ancestor (itself when live)
     groups: dict[int, list[int]] = {}
     for x in rooted.order:
@@ -680,7 +694,7 @@ def chain_split(t: Tree, m: int) -> ChainSplit:
     pieces = []
     attach = []
     for ap, xs in sorted(groups.items(), key=lambda g: min(g[0], *g[1])):
-        pieces.append(_piece_from(xs + [ap], t))
+        pieces.append(_piece(t, up, xs + [ap], ap))
         attach.append(ap)
     if len(s0) != m:
         raise InternalInvariantError("core size drifted from m")
@@ -722,21 +736,35 @@ class EvenOddSplit:
 
     def __post_init__(self):
         view = self.tree.rooted(0)
-        if set(self.class1) | set(self.class2) != set(range(len(self.components))) or set(
-            self.class1
-        ) & set(self.class2):
+        comps, root = self.components, self.root
+        if sorted(self.class1 + self.class2) != list(range(len(comps))):
             raise InternalInvariantError("classes do not partition the components")
-        if tuple(view.components_without(self.root)) != self.components:
-            raise InternalInvariantError("component list mismatch")
+        _check_components_without(view, root, comps)
         # dist(root, v) and depth(root) + depth(v) have the same parity
-        for i, comp in enumerate(self.components):
-            od = sum((view.depth[v] - view.depth[self.root]) % 2 for v in comp)
+        for i, comp in enumerate(comps):
+            od = sum((view.depth[v] - view.depth[root]) % 2 for v in comp)
             if len(comp) - od != self.even_counts[i] or od != self.odd_counts[i]:
                 raise InternalInvariantError("even/odd counts drifted")
         b = self.bound()
         for j in (1, 2):
             if self.class_load(j) > b:
                 raise InternalInvariantError(f"class {j} load exceeds the certified bound")
+
+
+def _check_components_without(rv: RootedView, root: int, comps: Sequence[Sequence[int]]) -> None:
+    """Raise unless comps is the list rv.components_without(root) gives: one
+    nonempty sorted tuple per neighbour of root, ordered by least vertex, that
+    together partition T - root into unions of its components.  With as many
+    tuples as components, each tuple is one component."""
+    n, firsts = rv.tree.n, [c[0] for c in comps if c]
+    if (
+        len(firsts) != len(comps)
+        or len(comps) != rv.tree.degree(root)
+        or firsts != sorted(firsts)
+        or not all(list(c) == sorted(c) and c[0] >= 0 and c[-1] < n for c in comps)
+    ):
+        raise InternalInvariantError("component list mismatch")
+    _check_forests(rv, root, comps)
 
 
 def even_odd_split(t: Tree) -> EvenOddSplit:
@@ -839,31 +867,40 @@ class MSFDecomposition:
 
     def __post_init__(self):
         view = self.tree.rooted(self.root)
-        t, k = self.tree, self.tree.k
-        sset = set(self.s_vertices)
-        fset = {v for comp in self.f_components for v in comp}
-        if sset & fset:
-            raise InternalInvariantError("P1: S and F overlap")
-        if sset | fset != set(range(t.n)):
+        t, n, k, parent = self.tree, self.tree.n, self.tree.k, view.parent
+        side = [0] * n  # 1 on S, 2 on F
+        for vs, label in [(self.s_vertices, 1)] + [(c, 2) for c in self.f_components]:
+            if vs and (min(vs) < 0 or max(vs) >= n):
+                raise InternalInvariantError("S and F vertices must cover T")
+            for v in vs:
+                if side[v] == 3 - label:
+                    raise InternalInvariantError("P1: S and F overlap")
+                side[v] = label
+        if 0 in side:
             raise InternalInvariantError("S and F vertices must cover T")
-        tree_edges = set(t.edges)
         for s_end, f_end in self.matching:
-            if s_end not in sset or f_end not in fset:
+            if not (0 <= s_end < n and 0 <= f_end < n) or (side[s_end], side[f_end]) != (1, 2):
                 raise InternalInvariantError("P2: matching edge endpoints misplaced")
-            if (min(s_end, f_end), max(s_end, f_end)) not in tree_edges:
+            if parent[s_end] != f_end and parent[f_end] != s_end:
                 raise InternalInvariantError("matching pair is not a tree edge")
-        seen = set()
-        for e in self.matching:
-            for v in e:
-                if v in seen:
-                    raise InternalInvariantError("matching repeats a vertex")
-                seen.add(v)
+        if len({v for e in self.matching for v in e}) != 2 * len(self.matching):
+            raise InternalInvariantError("matching repeats a vertex")
         cap = -(-k // 2)
         for comp in self.f_components:
             if len(comp) > cap:
                 raise InternalInvariantError("P3: an F-component exceeds ceil(k/2)")
-        # S is a subtree: exactly one of its vertices has its parent outside it
-        if sum(1 for v in sset if view.parent[v] not in sset) != 1:
+        # one pass over the edges to parents: S is a subtree when exactly one
+        # S vertex has its parent outside S, and as each matching pair is a
+        # distinct S-F tree edge, the matching, the S-S and the F-F edges
+        # partition E(T) when every S-F tree edge is a matching pair
+        tops = crossing = 0
+        for v, p in enumerate(parent):
+            if p < 0:
+                tops += side[v] == 1
+            elif side[v] != side[p]:
+                crossing += 1
+                tops += side[v] == 1
+        if tops != 1:
             raise InternalInvariantError("S is not a subtree")
         matched_s = [e[0] for e in self.matching]
         parities = {view.depth[v] % 2 for v in matched_s}
@@ -874,16 +911,12 @@ class MSFDecomposition:
             span = _steiner_size(view, matched_s)
             if span > dmax ** (4 * dmax + 1):
                 raise InternalInvariantError("P6: spanning subtree of matched points too large")
-        m_edges = {tuple(sorted(e)) for e in self.matching}
-        s_edges = {e for e in t.edges if e[0] in sset and e[1] in sset}
-        f_edges = {e for e in t.edges if e[0] in fset and e[1] in fset}
-        if m_edges | s_edges | f_edges != set(t.edges) or (
-            len(m_edges) + len(s_edges) + len(f_edges) != t.k
-        ):
+        if crossing != len(self.matching):
             raise InternalInvariantError("edge sets fail to partition E(T)")
-        object.__setattr__(self, "s_size", len(sset))
+        s_size = side.count(1)
+        object.__setattr__(self, "s_size", s_size)
         if k >= self.s_bound_min_k:
-            if len(sset) > cap:
+            if s_size > cap:
                 raise InternalInvariantError("P3: |S| exceeds ceil(k/2) above the size threshold")
             object.__setattr__(self, "s_bound_checked", True)
 

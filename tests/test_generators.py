@@ -6,8 +6,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from operator import eq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebed import cli, generators
 from treebed.embed import brute_force_embed
@@ -237,6 +240,29 @@ def test_random_tree_exact_stage_is_uniform(monkeypatch, n, max_deg, draws):
     df = len(trees) - 1
     # about five standard deviations, (2 df) ** 0.5, above the mean df
     assert chi2 < df + 5 * (2 * df) ** 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(3, 255), st.integers(256, 700)),
+    st.integers(1, 20),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+)
+def test_stage_one_accepts_what_the_sorted_test_accepts(n, cap, extra, seed):
+    # stage 1 reads byte codes below n = 256 and lists of ints from there on
+    # (see _accepter).  Symbols used `per` times each, up to cap + 1, and up
+    # to three entries then set to one symbol land on both sides of the bound
+    rng = random.Random(seed)
+    per, perm = rng.randint(1, cap + 1), rng.sample(range(n), n)
+    code = [perm[i // per] for i in range(n - 2)]
+    hit = rng.randrange(n)
+    for i in rng.sample(range(n - 2), min(extra, n - 2)):
+        code[i] = hit
+    rng.shuffle(code)
+    code = bytes(code) if n < 256 else code
+    s = sorted(code)  # a symbol used more than cap times gives s[i] == s[i + cap]
+    assert generators._within_cap(code, n, cap) == (not any(map(eq, s, s[cap:])))
 
 
 # Each `gen` family: its --param items and its builder, called with the seed

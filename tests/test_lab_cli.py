@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from treebed import cli, lab
+from treebed import cli, embed, lab
 from treebed.errors import PreconditionViolated
 from treebed.graph import Graph
 from treebed.trees import Tree
@@ -642,6 +642,24 @@ def test_cli_sweep_budget_overrun_is_inconclusive(tmp_path):
     assert cli.main(argv) == 3
     records = json.loads(out.read_text())["records"]  # the report is still written
     assert len(records) == 4 and "budget_exhausted" in {r["oracle_status"] for r in records}
+
+
+def test_cli_reads_the_oracle_budget_default_when_it_runs(tmp_path, monkeypatch, capsys):
+    # the default is looked up when a command runs, not copied when cli is imported
+    host, tree, out = tmp_path / "g.txt", tmp_path / "t.json", tmp_path / "emb.json"
+    assert cli.main(["gen", "two_cliques_apex", "--param", "k=6", "--out", str(host)]) == 0
+    assert cli.main(["gen", "three_branch", "--param", "k=6", "--out", str(tree)]) == 0
+    argv = ["embed", "--host", str(host), "--tree", str(tree), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["nodes_explored"] > 3
+    monkeypatch.setattr(embed, "DEFAULT_ORACLE_BUDGET", 3)
+    assert cli.main(argv) == 3
+    assert json.loads(out.read_text())["status"] == "budget_exhausted"
+    sweep = ["sweep", "--k", "10", "--trials", "4", "--seed", "1", "--out", str(out)]
+    assert cli.main(sweep) == 3
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    assert "oracle node budget, default 3" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(

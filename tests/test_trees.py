@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import log
 
@@ -16,8 +17,10 @@ from treebed import generators
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
 from treebed.graph import VertexSet
 from treebed.trees import (
+    EvenOddSplit,
     MSFDecomposition,
     RootedView,
+    SubtreePiece,
     ThreeForestSplit,
     Tree,
     TwoForestSplit,
@@ -329,6 +332,109 @@ def test_records_reject_broken_forests_and_a_split_s():
     # S = {0, 1} + {5, 6} with F = {2, 3, 4} between them: every other bound holds
     with pytest.raises(InternalInvariantError, match="S is not a subtree"):
         MSFDecomposition(p7, 0, ((1, 2), (5, 4)), (0, 1, 5, 6), ((2, 3, 4),), 100)
+
+
+# Each mutation below corrupts one field of a valid record and keeps every
+# other field consistent with it, so only the certificate's own check of that
+# field can reject it.
+MUTATED = gen_random_tree(40, 4, 0)
+
+
+def _even_odd_mutant(why: str) -> dict:
+    eo = even_odd_split(MUTATED)
+    rows = [  # (component, even count, odd count, class)
+        (c, ev, od, 1 if i in eo.class1 else 2)
+        for i, (c, ev, od) in enumerate(zip(eo.components, eo.even_counts, eo.odd_counts))
+    ]
+    assert len(rows) == 3 and all(len(r[0]) >= 2 for r in rows) and len(rows[0][0]) >= 3
+    if why == "a vertex dropped":
+        c, ev, od, cls = rows[0]
+        view = MUTATED.rooted(0)
+        odd = (view.depth[c[-1]] - view.depth[eo.root]) % 2
+        rows[0] = (c[:-1], ev - (not odd), od - odd, cls)
+    elif why == "two components merged":
+        i, j = eo.class1  # merged within one class, both loads stay
+        merged = (tuple(sorted(rows[i][0] + rows[j][0])), rows[i][1] + rows[j][1],
+                  rows[i][2] + rows[j][2], 1)
+        rows = sorted([merged] + [r for k, r in enumerate(rows) if k not in (i, j)])
+    elif why == "an unsorted component":  # its least vertex stays first
+        c = rows[0][0]
+        rows[0] = (c[:1] + c[2:0:-1] + c[3:], *rows[0][1:])
+    elif why == "components out of order":
+        rows[0], rows[1] = rows[1], rows[0]
+    return dict(
+        components=tuple(r[0] for r in rows),
+        class1=tuple(i for i, r in enumerate(rows) if r[3] == 1),
+        class2=tuple(i for i, r in enumerate(rows) if r[3] == 2),
+        even_counts=tuple(r[1] for r in rows),
+        odd_counts=tuple(r[2] for r in rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "why",
+    ["a vertex dropped", "two components merged", "an unsorted component",
+     "components out of order"],
+)
+def test_even_odd_certificate_rejects_a_wrong_component_list(why):
+    eo = even_odd_split(MUTATED)
+    assert replace(eo, **_even_odd_mutant("none")) == eo
+    with pytest.raises(InternalInvariantError):
+        replace(eo, **_even_odd_mutant(why))
+
+
+def _msf_mutant(d: MSFDecomposition, why: str) -> dict:
+    view, f_ends = MUTATED.rooted(d.root), {f for _, f in d.matching}
+    # an F leaf at even depth below no F end: as an S vertex matched to its
+    # parent, it cuts S in two and keeps every other bound
+    x = next(v for c in d.f_components for v in c if MUTATED.degree(v) == 1
+             and view.depth[v] % 2 == 0 and view.parent[v] not in f_ends)
+    (s_end, _), *rest = d.matching
+    s_with_x = tuple(sorted(d.s_vertices + (x,)))
+    return {
+        "an S-F edge outside the matching": dict(matching=tuple(rest)),
+        "S not a subtree": dict(
+            matching=d.matching + ((x, view.parent[x]),),
+            s_vertices=s_with_x,
+            f_components=tuple(tuple(v for v in c if v != x) for c in d.f_components),
+        ),
+        "S and F overlap": dict(s_vertices=s_with_x),
+        "a matching pair that is not a tree edge": dict(matching=((s_end, x), *rest)),
+    }[why]
+
+
+@pytest.mark.parametrize(
+    "why",
+    ["an S-F edge outside the matching", "S not a subtree", "S and F overlap",
+     "a matching pair that is not a tree edge"],
+)
+def test_msf_certificate_rejects_a_wrong_partition(why):
+    d = msf_decomposition(MUTATED)
+    assert len(d.matching) >= 2 and replace(d) == d
+    with pytest.raises(InternalInvariantError):
+        replace(d, **_msf_mutant(d, why))
+
+
+def test_chain_certificate_rejects_a_dropped_piece_edge():
+    cs = chain_split(MUTATED, 10)
+    assert cs.others and replace(cs) == cs
+    piece = cs.others[0]
+    short = SubtreePiece(piece.vertices, piece.edges[1:])
+    with pytest.raises(InternalInvariantError, match="partition E"):
+        replace(cs, others=(short, *cs.others[1:]))
+    with pytest.raises(InternalInvariantError, match="partition E"):
+        replace(cs, s0=SubtreePiece(cs.s0.vertices, cs.s0.edges[:-1]))
+
+
+def test_two_forest_certificate_rejects_f1_below_half_of_odd_k():
+    star = Tree(6, [(0, i) for i in range(1, 6)])  # k = 5
+    three, two = VertexSet((1, 2, 3), 6), VertexSet((4, 5), 6)
+    TwoForestSplit(star, 0, three, two)  # |f1| = 3 = floor(2k/3)
+    with pytest.raises(InternalInvariantError, match="outside"):
+        TwoForestSplit(star, 0, two, three)  # |f1| = 2 = (k - 1)/2
+    # a leaf of the pivot left out of both forests breaks no edge
+    with pytest.raises(InternalInvariantError, match="do not partition"):
+        TwoForestSplit(star, 0, three, VertexSet((4,), 6))
 
 
 def test_steiner_size_matches_leaf_stripping():
