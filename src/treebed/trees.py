@@ -545,22 +545,17 @@ class SubtreePiece:
         return len(self.vertices)
 
 
-def _up_edges(rv: RootedView) -> list[int]:
-    """up[v]: the position in rv.tree.edges of the edge from v to its parent
-    (-1 at the root)."""
-    up, parent = [-1] * rv.tree.n, rv.parent
-    for i, (u, w) in enumerate(rv.tree.edges):
-        up[w if parent[w] == u else u] = i
-    return up
-
-
-def _piece(t: Tree, up: Sequence[int], vs: Iterable[int], top: int) -> SubtreePiece:
-    """The piece on vs, a connected vertex set whose vertex nearest the root
-    of the view that `up` came from is top.  Its edges join each other vertex
-    to its parent: the tree's own tuples, in the tree's order."""
-    vs = sorted(vs)
-    es = tuple(map(t.edges.__getitem__, sorted(up[v] for v in vs if v != top)))
-    return SubtreePiece(tuple(vs), es)
+def _edges_by_owner(
+    rv: RootedView, owner: Sequence[int], count: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """The tree's edges dealt into `count` tuples in one pass, keeping their
+    order and the tree's own tuple objects: the edge from x to its parent
+    goes to tuple owner[x]."""
+    parent, lists = rv.parent, [[] for _ in range(count)]
+    for e in rv.tree.edges:
+        u, w = e
+        lists[owner[w] if parent[w] == u else owner[u]].append(e)
+    return list(map(tuple, lists))
 
 
 def _shave(
@@ -612,10 +607,14 @@ def subtree_split(t: Tree, v: int, m: int) -> tuple[SubtreePiece, SubtreePiece]:
     s2_verts = frozenset(taken) | {shared}
     if not (m <= len(s2_verts) <= 3 * m):
         raise InternalInvariantError("shaved subtree missed [m, 3m]")
-    up = _up_edges(rooted)
-    s2 = _piece(t, up, s2_verts, shared)
     s1_verts = (set(range(t.n)) - s2_verts) | {shared}
-    s1 = _piece(t, up, s1_verts, v)
+    # S2 has the edges from the taken vertices to their parents, S1 the rest
+    owner = [0] * t.n
+    for x in taken:
+        owner[x] = 1
+    e1, e2 = _edges_by_owner(rooted, owner, 2)
+    s1 = SubtreePiece(tuple(sorted(s1_verts)), e1)
+    s2 = SubtreePiece(tuple(sorted(s2_verts)), e2)
     if v not in s1.vertices:
         raise InternalInvariantError("v escaped the kept side")
     if set(s1.edges) & set(s2.edges) or len(s1.edges) + len(s2.edges) != t.k:
@@ -683,22 +682,25 @@ def chain_split(t: Tree, m: int) -> ChainSplit:
         while shared >= 0:
             size[shared] -= len(taken)
             shared = parent[shared]
-    up = _up_edges(rooted)
-    s0 = _piece(t, up, [v for v in range(t.n) if live[v]], 0)
     hang = list(range(t.n))  # nearest live ancestor (itself when live)
     groups: dict[int, list[int]] = {}
     for x in rooted.order:
         if not live[x]:
             hang[x] = hang[parent[x]]
             groups.setdefault(hang[x], []).append(x)
-    pieces = []
-    attach = []
-    for ap, xs in sorted(groups.items(), key=lambda g: min(g[0], *g[1])):
-        pieces.append(_piece(t, up, xs + [ap], ap))
-        attach.append(ap)
+    hanging = sorted(groups.items(), key=lambda g: min(g[0], *g[1]))
+    owner = [0] * t.n  # 0 for the core, i for the i-th hanging piece
+    for i, (_, xs) in enumerate(hanging, 1):
+        for x in xs:
+            owner[x] = i
+    core_edges, *piece_edges = _edges_by_owner(rooted, owner, len(hanging) + 1)
+    s0 = SubtreePiece(tuple(v for v in range(t.n) if live[v]), core_edges)
     if len(s0) != m:
         raise InternalInvariantError("core size drifted from m")
-    return ChainSplit(t, s0, tuple(pieces), tuple(attach))
+    pieces = tuple(
+        SubtreePiece(tuple(sorted(xs + [ap])), es) for (ap, xs), es in zip(hanging, piece_edges)
+    )
+    return ChainSplit(t, s0, pieces, tuple(ap for ap, _ in hanging))
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +747,11 @@ class EvenOddSplit:
             od = sum((view.depth[v] - view.depth[root]) % 2 for v in comp)
             if len(comp) - od != self.even_counts[i] or od != self.odd_counts[i]:
                 raise InternalInvariantError("even/odd counts drifted")
-        b = self.bound()
+        # bound() times 6 * max_degree, in ints
+        d = self.tree.max_degree()
+        limit = (4 * d - 2) * self.tree.n + 3 * d
         for j in (1, 2):
-            if self.class_load(j) > b:
+            if 6 * d * self.class_load(j) > limit:
                 raise InternalInvariantError(f"class {j} load exceeds the certified bound")
 
 

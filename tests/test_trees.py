@@ -383,6 +383,16 @@ def test_even_odd_certificate_rejects_a_wrong_component_list(why):
         replace(eo, **_even_odd_mutant(why))
 
 
+def test_even_odd_certificate_rejects_a_class_over_its_load_bound():
+    # two 5-leaf stars hung from vertex 0: a class holding both components
+    # loads their 10 even vertices, above (2/3 - 1/18) * 13 + 1/2 = 76/9
+    t = Tree(13, [(0, 1), (0, 2)] + [(1, v) for v in range(3, 8)] + [(2, v) for v in range(8, 13)])
+    eo = even_odd_split(t)
+    assert eo.root == 0 and eo.even_counts == (5, 5) and eo.bound() == Fraction(76, 9)
+    with pytest.raises(InternalInvariantError, match="load exceeds"):
+        replace(eo, class1=(0, 1), class2=())
+
+
 def _msf_mutant(d: MSFDecomposition, why: str) -> dict:
     view, f_ends = MUTATED.rooted(d.root), {f for _, f in d.matching}
     # an F leaf at even depth below no F end: as an S vertex matched to its
