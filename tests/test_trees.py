@@ -17,7 +17,6 @@ from treebed import generators
 from treebed.generators import gen_path, gen_random_tree, gen_spider, gen_three_branch_tree
 from treebed.graph import VertexSet
 from treebed.trees import (
-    EvenOddSplit,
     MSFDecomposition,
     RootedView,
     SubtreePiece,
@@ -395,8 +394,8 @@ def test_even_odd_certificate_rejects_a_class_over_its_load_bound():
 
 def _msf_mutant(d: MSFDecomposition, why: str) -> dict:
     view, f_ends = MUTATED.rooted(d.root), {f for _, f in d.matching}
-    # an F leaf at even depth below no F end: as an S vertex matched to its
-    # parent, it cuts S in two and keeps every other bound
+    # an F leaf at even depth whose parent is no F end: moved to S and matched
+    # to its parent, it cuts S in two and keeps every other bound
     x = next(v for c in d.f_components for v in c if MUTATED.degree(v) == 1
              and view.depth[v] % 2 == 0 and view.parent[v] not in f_ends)
     (s_end, _), *rest = d.matching
