@@ -2,9 +2,10 @@
 
 Each runner draws seeded instances, re-verifies the promised property with
 independent recomputation where the contract calls for one, and returns a
-CheckResult.  A seeded runner's default `count` is its stated scale: the
-`props` CLI command runs it there unless `--trials` caps it, and the
-acceptance tests call these at their stated scales.
+CheckResult.  A seeded runner takes its `seed` and instance `count` from its
+caller; `ALL_CHECKS` is the one place that states each check's scale, which
+the `props` CLI command runs unless `--trials` caps it.  The acceptance
+tests pass their contracted scales themselves.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class CheckResult:
     failures: int = 0
     inconclusive: int = 0
     notes: list[str] = field(default_factory=list)
-    seconds: float = field(default=0.0, compare=False)  # wall time, set by timed_check
 
     def fail(self, msg: str) -> None:
         self.failures += 1
@@ -88,7 +88,7 @@ class CheckResult:
 # graph invariants
 
 
-def check_periphery_monotonic(seed: int = 0, count: int = 200) -> CheckResult:
+def check_periphery_monotonic(seed: int, count: int) -> CheckResult:
     res = CheckResult("periphery: antitone in the threshold")
     rng = random.Random(repr(("periph", seed)))
     for i in range(count):
@@ -126,7 +126,7 @@ def _min_cut_reference(g: Graph) -> Fraction:
     return best
 
 
-def check_cut_density_cross(seed: int = 0, count: int = 60) -> CheckResult:
+def check_cut_density_cross(seed: int, count: int) -> CheckResult:
     res = CheckResult("cut density: kernel agrees with an independent enumerator")
     rng = random.Random(repr(("cutx", seed)))
     for i in range(count):
@@ -143,7 +143,7 @@ def check_cut_density_cross(seed: int = 0, count: int = 60) -> CheckResult:
     return res
 
 
-def check_matching_bound(seed: int = 0, count: int = 1000) -> CheckResult:
+def check_matching_bound(seed: int, count: int) -> CheckResult:
     res = CheckResult("bipartite matching: size at least |Y|/d")
     rng = random.Random(repr(("match", seed)))
     for i in range(count):
@@ -167,7 +167,7 @@ def check_matching_bound(seed: int = 0, count: int = 1000) -> CheckResult:
     return res
 
 
-def check_even_walk_bound(seed: int = 0, count: int = 500) -> CheckResult:
+def check_even_walk_bound(seed: int, count: int) -> CheckResult:
     res = CheckResult("even walk: length below 4/alpha when min degree >= alpha*n")
     rng = random.Random(repr(("walk", seed)))
     alphas = (Fraction(3, 10), Fraction(1, 2))
@@ -188,7 +188,7 @@ def check_even_walk_bound(seed: int = 0, count: int = 500) -> CheckResult:
     return res
 
 
-def check_diameter_bound(seed: int = 0, count: int = 500) -> CheckResult:
+def check_diameter_bound(seed: int, count: int) -> CheckResult:
     res = CheckResult("diameter: at most floor(3n/(delta+1)) - 1 when delta >= 2")
     rng = random.Random(repr(("diam", seed)))
     for i in range(count):
@@ -204,7 +204,7 @@ def check_diameter_bound(seed: int = 0, count: int = 500) -> CheckResult:
     return res
 
 
-def check_path_in_range(seed: int = 0, count: int = 150) -> CheckResult:
+def check_path_in_range(seed: int, count: int) -> CheckResult:
     res = CheckResult("path_in_range: returned paths simple, connecting, in window")
     rng = random.Random(repr(("pir", seed)))
     for i in range(count):
@@ -264,7 +264,7 @@ def _recheck_components(t: Tree, pivot: int, parts: list[frozenset]) -> bool:
     return total == frozenset(range(t.n)) - {pivot}
 
 
-def check_tree_splitting(seed: int = 0, count: int = 1000) -> CheckResult:
+def check_tree_splitting(seed: int, count: int) -> CheckResult:
     res = CheckResult("tree splits: separator/two/three/chain/even-odd/classes")
     rng = random.Random(repr(("split", seed)))
     for i in range(count):
@@ -312,7 +312,7 @@ def check_tree_splitting(seed: int = 0, count: int = 1000) -> CheckResult:
     return res
 
 
-def check_even_odd_exhaustive(seed: int = 0, count: int = 150) -> CheckResult:
+def check_even_odd_exhaustive(seed: int, count: int) -> CheckResult:
     res = CheckResult("even/odd split: feasible against exhaustive enumeration")
     rng = random.Random(repr(("eo", seed)))
     for i in range(count):
@@ -343,7 +343,7 @@ def check_even_odd_exhaustive(seed: int = 0, count: int = 150) -> CheckResult:
     return res
 
 
-def check_msf(seed: int = 0, count: int = 1000) -> CheckResult:
+def check_msf(seed: int, count: int) -> CheckResult:
     res = CheckResult("matching/tree/forest decomposition: P1 P2 P5 P6 + edge partition")
     rng = random.Random(repr(("msf", seed)))
     for i in range(count):
@@ -367,7 +367,7 @@ def check_msf(seed: int = 0, count: int = 1000) -> CheckResult:
     return res
 
 
-def check_msf_p3_paths(seed: int = 0, count: int = 100) -> CheckResult:
+def check_msf_p3_paths(seed: int, count: int) -> CheckResult:
     res = CheckResult("degree-2 trees with k >= 4096: central tree within ceil(k/2)")
     rng = random.Random(repr(("msfp3", seed)))
     for i in range(count):
@@ -450,7 +450,7 @@ def check_sum_partition_exhaustive() -> CheckResult:
 # embedder invariants
 
 
-def check_greedy_total(seed: int = 0, count: int = 1000) -> CheckResult:
+def check_greedy_total(seed: int, count: int) -> CheckResult:
     res = CheckResult("greedy embedding: total under its degree preconditions")
     rng = random.Random(repr(("greedy", seed)))
     for i in range(count):
@@ -624,7 +624,7 @@ def refine_instance(seed: int, i: int):
     return g, a, eps, delta, k, rho
 
 
-def check_refine_contract(seed: int = 0, count: int = 100) -> CheckResult:
+def check_refine_contract(seed: int, count: int) -> CheckResult:
     res = CheckResult("cut-dense refinement: certification, deletions, degree floor")
     for i in range(count):
         g, a, eps, delta, k, rho = refine_instance(seed, i)
@@ -671,7 +671,7 @@ def _independent_rich(g: Graph, members: tuple[int, ...], p: RichParams) -> bool
     return len(members) < 100 * p.k
 
 
-def check_rich_independent(seed: int = 0, count: int = 200) -> CheckResult:
+def check_rich_independent(seed: int, count: int) -> CheckResult:
     res = CheckResult("richness: agrees with an independent re-implementation")
     rng = random.Random(repr(("rich", seed)))
     for i in range(count):
@@ -694,7 +694,7 @@ def check_rich_independent(seed: int = 0, count: int = 200) -> CheckResult:
     return res
 
 
-def check_classify_accounting(seed: int = 0, count: int = 150) -> CheckResult:
+def check_classify_accounting(seed: int, count: int) -> CheckResult:
     res = CheckResult("classification: residual degrees account exactly")
     rng = random.Random(repr(("classify", seed)))
     for i in range(count):
@@ -725,21 +725,23 @@ def check_classify_accounting(seed: int = 0, count: int = 150) -> CheckResult:
     return res
 
 
+# What `props` runs, in order: each check's runner and its stated scale, the
+# instance count it is run at; None marks a fixed grid, run whole and unseeded.
 ALL_CHECKS = {
-    "periphery_monotonic": check_periphery_monotonic,
-    "cut_density_cross": check_cut_density_cross,
-    "matching_bound": check_matching_bound,
-    "even_walk_bound": check_even_walk_bound,
-    "diameter_bound": check_diameter_bound,
-    "path_in_range": check_path_in_range,
-    "tree_splitting": check_tree_splitting,
-    "even_odd_exhaustive": check_even_odd_exhaustive,
-    "msf": check_msf,
-    "msf_p3_paths": check_msf_p3_paths,
-    "sum_partition_exhaustive": check_sum_partition_exhaustive,
-    "greedy_total": check_greedy_total,
-    "structured_embedders": check_structured_embedders,
-    "refine_contract": check_refine_contract,
-    "rich_independent": check_rich_independent,
-    "classify_accounting": check_classify_accounting,
+    "periphery_monotonic": (check_periphery_monotonic, 200),
+    "cut_density_cross": (check_cut_density_cross, 60),
+    "matching_bound": (check_matching_bound, 1000),
+    "even_walk_bound": (check_even_walk_bound, 500),
+    "diameter_bound": (check_diameter_bound, 500),
+    "path_in_range": (check_path_in_range, 150),
+    "tree_splitting": (check_tree_splitting, 1000),
+    "even_odd_exhaustive": (check_even_odd_exhaustive, 150),
+    "msf": (check_msf, 1000),
+    "msf_p3_paths": (check_msf_p3_paths, 100),
+    "sum_partition_exhaustive": (check_sum_partition_exhaustive, None),
+    "greedy_total": (check_greedy_total, 1000),
+    "structured_embedders": (check_structured_embedders, None),
+    "refine_contract": (check_refine_contract, 100),
+    "rich_independent": (check_rich_independent, 200),
+    "classify_accounting": (check_classify_accounting, 150),
 }

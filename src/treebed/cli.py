@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: gen, split, embed, decompose, verify-extremal, sweep, props.
-Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error,
+Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error
+(a malformed value, or an input or output path that cannot be opened),
 3 inconclusive: a search ran out of its node budget before a verdict, and
 nothing failed.  `embed`, `verify-extremal`, `decompose`, `sweep` and
 `props` write their whole output first, and `_finish` picks the code.
+`props` runs the table `checks.ALL_CHECKS`, each check at its stated scale
+or at `--trials` runs if that is lower.
 
 Cut density needs no flag: one exact branch and bound serves every order,
 under a fixed node budget that every graph of at most 20 vertices fits.  A
@@ -19,9 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
+from functools import partial
 
-from . import embed, lab
+from . import checks, embed, lab
+from .corpus import all_trees_up_to, host_corpus
 from .decompose import RichParams, classify_components, refine_cut_dense, rich_decompose
 from .embed import Embedding, brute_force_embed, greedy_embed
 from .errors import InternalInvariantError, PreconditionViolated, TreebedError
@@ -283,10 +289,11 @@ def cmd_decompose(args) -> int:
         }
         complete = res.certified_exact
     elif args.op == "classify":
-        comps = [
-            VertexSet([int(v) for v in grp.split(",") if v != ""], g.n)
-            for grp in args.comp or []
-        ]
+        try:
+            ids = [[int(v) for v in grp.split(",") if v != ""] for grp in args.comp or []]
+        except ValueError:
+            raise PreconditionViolated(f"--comp takes integers like 1,2,3, got {args.comp}") from None
+        comps = [VertexSet(c, g.n) for c in ids]
         rep = classify_components(g, comps, s=args.s, t=args.t)
         payload = {
             "op": "classify",
@@ -355,17 +362,29 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_props(args) -> int:
-    results = lab.property_suite(seed=args.seed or 0, trials=args.trials)
-    if args.corpus:
-        results.append(lab.timed_check(lab.oracle_corpus_check, budget=args.budget))
-    lines = []
-    for r in results:
+    if args.trials is not None and args.trials < 0:
+        raise PreconditionViolated(f"--trials must be at least 0, got {args.trials}")
+    runs = []
+    if args.trials != 0:
+        for fn, scale in checks.ALL_CHECKS.values():
+            if scale is not None:  # a seeded check, at its stated scale or --trials if lower
+                fn = partial(fn, args.seed or 0, min(scale, args.trials or scale))
+            runs.append(fn)
+    if args.corpus:  # every stored host against every tree of at most 7 edges
+        runs.append(
+            lambda: checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), args.budget)
+        )
+    results, lines = [], []
+    for run in runs:
+        start = time.perf_counter()
+        r = run()
+        # wall times differ between runs, so they stay out of the report
+        print(f"{time.perf_counter() - start:.3f} s  {r.name}", file=sys.stderr)
+        results.append(r)
         mark = "FAIL" if r.failures else "inc " if r.inconclusive else "ok  "
         line = f"{mark} {r.name}: runs={r.runs} failures={r.failures}"
         lines.append(line + (f" inconclusive={r.inconclusive}" if r.inconclusive else ""))
         lines.extend(f"       {note}" for note in r.notes)
-        # wall times differ between runs, so they stay out of the report
-        print(f"{r.seconds:.3f} s  {r.name}", file=sys.stderr)
     failed = any(r.failures for r in results)
     complete = not any(r.inconclusive for r in results)
     return _finish("\n".join(lines) + "\n", args.out, failed, complete)
@@ -462,9 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     except TreebedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:  # a file named on the command line could not be opened or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -392,10 +392,10 @@ def rich_decompose(g: Graph, k: int, p: RichParams) -> RichDecomposition:
         # peel vertices under c*k within the candidate until stable
         while live:
             lv = frozenset(live)
-            weak = [v for v in live if g.deg_within(v, lv) < p.c * p.k]
+            weak = {v for v in live if g.deg_within(v, lv) < p.c * p.k}
             if not weak:
                 break
-            live = [v for v in live if v not in set(weak)]
+            live = [v for v in live if v not in weak]
         if not live:
             continue
         sub, back = g.induced(live)

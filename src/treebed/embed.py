@@ -487,11 +487,11 @@ def embed_via_path(
 
     if len(comps) < 2:
         raise EmbedNotFound("structure", "separator left a single component")
-    s1 = comps[0]
+    s1 = set(comps[0])
 
     # heavy path: always descend into the largest remaining subtree
     p_path = [r]
-    nxt = next(w for w in t.neighbors(r) if w in set(s1))
+    nxt = next(w for w in t.neighbors(r) if w in s1)
     p_path.append(nxt)
     while rv.children[p_path[-1]]:
         p_path.append(
@@ -542,34 +542,30 @@ def embed_via_path(
     phi.update(zip(p_path[1:], host_path))
     used = set(phi.values())
 
+    # r and every heavy-path vertex are placed before any branch grows, and a
+    # growth stops at placed vertices, so each one below, given the whole
+    # vertex set, stays inside its own branch: the side subtrees of a path
+    # vertex, the subtree below p_path[L + 3], or S2 below u2
+    whole = frozenset(range(t.n))
     pool_a_inner = a_pool - set(host_path)
     for i in range(1, L + 2):
-        branch = _branch_vertices(rv, p_path[i], p_path[i + 1])
-        _greedy_subtree(g, t, branch, p_path[i], phi, used, pool_a_inner, "branches_A")
-    branch = _branch_vertices(rv, p_path[L + 2], p_path[L + 3])
+        _greedy_subtree(g, t, whole, p_path[i], phi, used, pool_a_inner, "branches_A")
     a_minus_y = A.as_set() - {y}  # y stays reserved as the entry point for S2
-    _greedy_subtree(g, t, branch, p_path[L + 2], phi, used, a_minus_y, "branch_a")
+    _greedy_subtree(g, t, whole, p_path[L + 2], phi, used, a_minus_y, "branch_a")
 
-    tail = frozenset(rv.subtree_vertices(p_path[L + 3]))
     pool_b2 = (B2.as_set() - set(y_b)) | {b}
-    _greedy_subtree(g, t, tail, p_path[L + 3], phi, used, pool_b2, "tail_B2")
+    _greedy_subtree(g, t, whole, p_path[L + 3], phi, used, pool_b2, "tail_B2")
 
-    s2 = comps[1]
-    u2 = next(w for w in t.neighbors(r) if w in set(s2))
+    s2 = set(comps[1])
+    u2 = next(w for w in t.neighbors(r) if w in s2)
     if y in used:
         raise EmbedNotFound("s2", "reserved neighbour y was consumed")
     phi[u2] = y
     used.add(y)
-    _greedy_subtree(g, t, frozenset(s2), u2, phi, used, A.as_set(), "s2_A")
+    _greedy_subtree(g, t, whole, u2, phi, used, A.as_set(), "s2_A")
     # the components of T - r beyond S1 and S2 are all that is left unplaced
-    _greedy_subtree(g, t, frozenset(range(t.n)), r, phi, used, B1.as_set(), "rest_B1")
+    _greedy_subtree(g, t, whole, r, phi, used, B1.as_set(), "rest_B1")
     return _certify_placed(g, t, phi, path_nodes)
-
-
-def _branch_vertices(rv, p_i: int, p_next: int) -> frozenset:
-    """Subtree of p_i minus the subtree of its heavy child p_next."""
-    keep = set(rv.subtree_vertices(p_i)) - set(rv.subtree_vertices(p_next))
-    return frozenset(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -376,9 +376,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> frozenset:
-        return frozenset(v for e in self.edges for v in e)
-
     def check_in(self, g: Graph) -> None:
         for u, v in self.edges:
             if not g.has_edge(u, v):

@@ -13,11 +13,9 @@ exhausted oracle is a hard failure of the run.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -25,7 +23,6 @@ from functools import partial
 from typing import Optional
 
 from . import checks
-from .corpus import all_trees_up_to, host_corpus
 from .embed import DEFAULT_ORACLE_BUDGET, brute_force_embed
 from .errors import EmbedNotFound, PreconditionViolated
 from .generators import (
@@ -385,42 +382,6 @@ def verify_extremal(k: int, budget: Optional[int] = None) -> ExtremalReport:
         grown_nodes=grown.nodes_explored,
         complete=refuted or "budget_exhausted" not in (avoid.status, grown.status),
     )
-
-
-# ---------------------------------------------------------------------------
-# Property suite
-
-
-def property_suite(seed: int = 0, trials: Optional[int] = None) -> list[checks.CheckResult]:
-    """Run every module invariant; trials caps the per-invariant instance count
-    (None = each check's stated scale, its default count; 0 = nothing)."""
-    if trials == 0:
-        return []
-    out = []
-    for fn in checks.ALL_CHECKS.values():
-        params = inspect.signature(fn).parameters
-        kwargs = {}
-        if "count" in params:  # the seeded checks; the others are fixed grids
-            kwargs["seed"] = seed
-            if trials is not None:
-                kwargs["count"] = min(params["count"].default, trials)
-        out.append(timed_check(fn, **kwargs))
-    return out
-
-
-def timed_check(fn, **kwargs) -> checks.CheckResult:
-    """Run one check and record its wall time on the result."""
-    start = time.perf_counter()
-    res = fn(**kwargs)
-    res.seconds = time.perf_counter() - start
-    return res
-
-
-def oracle_corpus_check(budget: Optional[int] = None) -> checks.CheckResult:
-    """Criterion-style corpus run: every stored host against every tree of
-    at most 7 edges, within `budget` oracle nodes each (None: the oracle's
-    default, read when each search starts)."""
-    return checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), budget=budget)
 
 
 # ---------------------------------------------------------------------------

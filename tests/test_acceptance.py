@@ -9,6 +9,7 @@ import time
 import pytest
 
 from treebed import checks, lab
+from treebed.corpus import all_trees_up_to, host_corpus
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -47,7 +48,7 @@ def test_criterion_2_tree_splitting_suite():
     """1000 seeded random trees (n <= 200, max degree <= 5): every splitting
     bound holds exactly as stated."""
     t0 = time.monotonic()
-    res = checks.check_tree_splitting()
+    res = checks.check_tree_splitting(seed=0, count=1000)
     elapsed = time.monotonic() - t0
     _run(res, f"2 tree-splitting suite ({elapsed:.1f}s)", expected_runs=1000)
     assert elapsed < 60
@@ -57,8 +58,8 @@ def test_criterion_3_msf_decomposition():
     """P1/P2/P5/P6 plus the edge partition on 1000 trees (max degree <= 4);
     the |S| bound on 100 degree-2 trees with k >= 4096."""
     t0 = time.monotonic()
-    res = checks.check_msf()
-    res_p3 = checks.check_msf_p3_paths()
+    res = checks.check_msf(seed=0, count=1000)
+    res_p3 = checks.check_msf_p3_paths(seed=0, count=100)
     elapsed = time.monotonic() - t0
     ok = res.failures == 0 and res_p3.failures == 0
     _report(
@@ -88,7 +89,7 @@ def test_criterion_5_oracle_cross_agreement():
     The escape-path and matching-forest embedders on their structured hosts
     are a check of their own, run here once as `props` runs it."""
     t0 = time.monotonic()
-    res = lab.oracle_corpus_check()
+    res = checks.check_oracle_agreement(host_corpus(), all_trees_up_to(8), None)
     elapsed = time.monotonic() - t0
     _run(res, f"5 oracle cross-agreement ({elapsed:.1f}s)")
     _run(checks.check_structured_embedders(), "5 structured embedders", expected_runs=3)

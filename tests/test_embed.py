@@ -282,8 +282,8 @@ def test_spent_escape_path_budget_is_inconclusive(monkeypatch):
 
 
 def test_default_oracle_budget_is_read_when_the_search_starts(monkeypatch):
-    # the oracle's default budget, and the defaults of verify_extremal and
-    # oracle_corpus_check, are the constant as it reads when the search starts
+    # the oracle's default budget, and the budget None of verify_extremal and
+    # check_oracle_agreement, are the constant as it reads when the search starts
     monkeypatch.setattr(embed, "DEFAULT_ORACLE_BUDGET", 3)
     g, roles = gen_escape_path_host(10, 4)
     t = gen_spider(9, 3)
@@ -296,10 +296,8 @@ def test_default_oracle_budget_is_read_when_the_search_starts(monkeypatch):
     res = checks.check_structured_embedders()
     assert (res.runs, res.failures, res.inconclusive) == (3, 0, 3)
     assert not lab.verify_extremal(6).complete
-    monkeypatch.setattr(lab, "host_corpus", lambda: [g])
-    monkeypatch.setattr(lab, "all_trees_up_to", lambda n: [t])
-    assert lab.oracle_corpus_check().inconclusive == 1
-    assert lab.oracle_corpus_check(budget=10**6).inconclusive == 0
+    assert checks.check_oracle_agreement([g], [t], None).inconclusive == 1
+    assert checks.check_oracle_agreement([g], [t], 10**6).inconclusive == 0
 
 
 def test_matching_forest_needs_enough_portals():

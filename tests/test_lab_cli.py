@@ -282,8 +282,10 @@ def test_oracle_budget_is_a_budget_error():
     assert lab.verify_extremal(12).complete is True
 
 
-def test_property_suite_trials_zero():
-    assert lab.property_suite(seed=0, trials=0) == []
+def test_cli_props_trials_zero_runs_nothing(tmp_path, capsys):
+    out = tmp_path / "props.txt"
+    assert cli.main(["props", "--trials", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "\n" and capsys.readouterr().err == ""
 
 
 def test_verify_extremal_k6():
@@ -529,10 +531,13 @@ def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
         ["decompose", "--op", "rich", "--c", "abc"],
         ["decompose", "--op", "rich", "--rho", "1/0"],
         ["decompose", "--op", "refine", "--eps", "1/x"],
+        ["decompose", "--op", "classify", "--comp", "1,x"],
+        ["props", "--trials", "-1"],
     ],
     ids=["gen-without-k", "gen-k-not-integer", "gen-alpha-not-fraction", "gen-unknown-param",
          "gen-param-twice", "gen-without-extra-edges", "decompose-c-abc",
-         "decompose-rho-over-zero", "decompose-eps-not-fraction"],
+         "decompose-rho-over-zero", "decompose-eps-not-fraction",
+         "decompose-classify-comp-not-integer", "props-trials-negative"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, capsys, argv):
     host = tmp_path / "g.txt"
@@ -541,6 +546,21 @@ def test_cli_malformed_value_is_usage_error(tmp_path, capsys, argv):
     if argv[0] == "decompose":
         argv = [*argv, "--host", str(host)]
     assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--host", "{d}/missing.txt", "--tree", "{d}/missing.json"],
+        ["sweep", "--config", "{d}/missing.json"],
+        ["gen", "complete", "--param", "n=5", "--out", "{d}/nodir/x.txt"],
+    ],
+    ids=["embed-missing-host", "sweep-missing-config", "gen-out-in-missing-directory"],
+)
+def test_cli_unopenable_path_is_usage_error(tmp_path, capsys, argv):
+    # a path that cannot be opened is a usage error, not an invariant failure
+    assert cli.main([a.format(d=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -616,7 +636,7 @@ def test_cli_failure_beats_a_spent_budget(monkeypatch, capsys):
     assert cli.main(["verify-extremal", "--k", "9", "--budget", "1"]) == 1
     from treebed.checks import CheckResult
 
-    monkeypatch.setattr(lab, "property_suite", lambda **kw: [CheckResult("x", 2, 1, 1)])
+    monkeypatch.setattr(cli.checks, "ALL_CHECKS", {"x": (lambda: CheckResult("x", 2, 1, 1), None)})
     assert cli.main(["props"]) == 1
     assert capsys.readouterr().out.endswith("FAIL x: runs=2 failures=1 inconclusive=1\n")
 

@@ -330,17 +330,8 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     # another name: one more value to set that nothing sets.  Only arguments
     # a call spells out count: one with * or ** passes nothing it names, so
     # a value that reaches a function only through ** is still unset.  The
-    # seeded checks get `seed` and `count`, and oracle_corpus_check its
-    # `budget`, from the CLI through timed_check(fn, **kwargs); `argv` is
-    # the entry point's
-    from treebed import checks
-
-    allowed = {("main", "argv"), ("oracle_corpus_check", "budget")} | {
-        (fn.__name__, p)
-        for fn in checks.ALL_CHECKS.values()
-        for p in ("seed", "count")
-        if p in inspect.signature(fn).parameters
-    }
+    # one default allowed is the entry point's `argv`
+    allowed = {("main", "argv")}
     modules = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     calls: dict = {}  # callee name -> (positional count, keyword names) per call
     for tree in modules:
@@ -367,7 +358,6 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                     for npos, kws in calls.get(fn.name, ())
                 ):
                     unpassed.add((fn.name, name))
-    assert len(allowed) >= 20
     assert unpassed == allowed
 
 
