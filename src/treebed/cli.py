@@ -1,13 +1,19 @@
 """Command-line interface.
 
 Subcommands: gen, split, embed, decompose, verify-extremal, sweep, props.
+One option picks the run of split, embed, decompose, sweep and props, and
+`_SCOPES` lists the flags each run reads: `main` refuses any other before
+the handler starts, and no handler checks a flag's domain.  A domain is
+checked once: by the library function that owns the value, or, where the
+library must take the value from its own callers, by the flag's argparse
+type (an oracle `--budget` of at least 1, a `props --trials` of at least 0).
 Exit codes: 0 success, 1 invariant or consistency failure, 2 usage error
-(a malformed value, or an input or output path that cannot be opened),
-3 inconclusive: a search ran out of its node budget before a verdict, and
-nothing failed.  `embed`, `verify-extremal`, `decompose`, `sweep` and
-`props` write their whole output first, and `_finish` picks the code.
-`props` runs the table `checks.ALL_CHECKS`, each check at its stated scale
-or at `--trials` runs if that is lower.
+(a malformed value, a flag the run does not read, or an input or output
+path that cannot be opened), 3 inconclusive: a search ran out of its node
+budget before a verdict, and nothing failed.  `embed`, `verify-extremal`,
+`decompose`, `sweep` and `props` write their whole output first, and
+`_finish` picks the code.  `props` runs the table `checks.ALL_CHECKS`, each
+check at its stated scale or at `--trials` runs if that is lower.
 
 Cut density needs no flag: one exact branch and bound serves every order,
 under a fixed node budget that every graph of at most 20 vertices fits.  A
@@ -100,11 +106,88 @@ def _parse_params(items: list[str]) -> dict[str, str]:
     return out
 
 
-def _fraction(flag: str, text: str) -> Fraction:
+def _fraction(text: str) -> Fraction:
+    """A fraction like 1/2; an argparse type, so a bad one is refused as it is parsed."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise PreconditionViolated(f"{flag} takes a fraction like 1/2, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"takes a fraction like 1/2, got {text!r}") from None
+
+
+def _at_least(floor: int):
+    """An argparse type: an integer of at least `floor`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"takes an integer, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
+
+
+# The runs of one subcommand read different flags.  Per subcommand: the
+# option whose value picks the run, and for each flag that only some runs
+# read, those runs and the flag's value when it is absent.  A scoped flag
+# is declared with `default=argparse.SUPPRESS`, so that one given can be
+# told from one left out; `main` refuses it, before any work, when the run
+# does not read it, and fills in its default when it does.  `sweep` reads
+# its own flags only without --config, which sets the whole sweep, and
+# `props` reads --budget only for the --corpus run.
+_SCOPES = {
+    "split": ("op", {"m": (("chain", "subtree"), 1), "v": (("subtree",), 0)}),
+    "embed": (
+        "method",
+        {"budget": (("oracle",), None), "pin": (("oracle",), None), "x": (("greedy",), 0)},
+    ),
+    "decompose": (
+        "op",
+        {
+            "k": (("rich", "refine"), 10),
+            "c": (("rich",), Fraction(1, 2)),
+            "rho": (("rich", "refine"), None),
+            "a": (("refine",), Fraction(1, 2)),
+            "eps": (("refine",), Fraction(1, 4)),
+            "delta": (("refine",), Fraction(1, 2000)),
+            "relax_delta": (("refine",), False),
+            "s": (("classify",), 2),
+            "t": (("classify",), 2),
+            "comp": (("classify",), None),
+        },
+    ),
+    "sweep": (
+        "config",
+        {
+            "conjecture": ((None,), "2k3"),
+            "k": ((None,), (8, 9, 10)),
+            "alpha": ((None,), None),
+            "tree_max_degree": ((None,), 3),
+            "trials": ((None,), 50),
+            "seed": ((None,), 0),
+            "budget": ((None,), None),  # None: the oracle's default, read when the sweep runs
+        },
+    ),
+    "props": ("corpus", {"budget": ((True,), None)}),
+}
+
+
+def _scope(args) -> None:
+    """Refuse a flag the chosen run does not read; fill in the defaults of those it reads."""
+    if args.command not in _SCOPES:
+        return
+    picker, flags = _SCOPES[args.command]
+    run = getattr(args, picker)
+    for flag, (runs, default) in flags.items():
+        if run in runs:
+            vars(args).setdefault(flag, default)
+        elif flag in vars(args):
+            name = flag.replace("_", "-")
+            raise PreconditionViolated(
+                f"{args.command} does not read --{name} when --{picker} is {run!r}"
+            )
 
 
 # Each `gen` family: its builder, the --param names the builder takes, in
@@ -147,13 +230,11 @@ def cmd_gen(args) -> int:
         if name not in params:
             raise PreconditionViolated(f"family {args.family!r} needs the parameter {name}=...")
         text = params[name]
-        if name == "alpha":
-            values.append(_fraction(name, text))
-            continue
         try:
-            values.append(int(text))
-        except ValueError:
-            raise PreconditionViolated(f"parameter {name}={text!r} is not an integer") from None
+            values.append(_fraction(text) if name == "alpha" else int(text))
+        except (ValueError, argparse.ArgumentTypeError):
+            kind = "a fraction like 1/2" if name == "alpha" else "an integer"
+            raise PreconditionViolated(f"parameter {name}={text!r} is not {kind}") from None
     if seeded:
         values.append(args.seed or 0)
     out = build(*values)
@@ -226,21 +307,19 @@ def cmd_split(args) -> int:
 def cmd_embed(args) -> int:
     g = _load_graph(args.host)
     t = _load_tree(args.tree)
-    if args.method == "greedy" and args.pin:
-        raise PreconditionViolated("--pin applies only to --method oracle")
-    if args.method == "oracle" and args.x is not None:
-        raise PreconditionViolated("--x applies only to --method greedy")
-    pins = None
-    if args.pin:
-        try:
-            pairs = [(int(tv), int(hv)) for tv, _, hv in (p.partition(":") for p in args.pin)]
-        except ValueError:
-            raise PreconditionViolated(f"--pin takes tree:host integers, got {args.pin}") from None
-        pins = Embedding(tuple(sorted(pairs)))  # rejects a tree vertex pinned twice
     if args.method == "oracle":
+        pins = None
+        if args.pin:
+            try:
+                pairs = [(int(tv), int(hv)) for tv, _, hv in (p.partition(":") for p in args.pin)]
+            except ValueError:
+                raise PreconditionViolated(
+                    f"--pin takes tree:host integers, got {args.pin}"
+                ) from None
+            pins = Embedding(tuple(sorted(pairs)))  # rejects a tree vertex pinned twice
         out = brute_force_embed(g, t, pins=pins, budget=args.budget)
     elif args.method == "greedy":
-        out = greedy_embed(g, t, x=args.x if args.x is not None else 0)
+        out = greedy_embed(g, t, x=args.x)
     else:
         raise PreconditionViolated(f"unknown embed method {args.method!r}")
     payload = {
@@ -256,8 +335,7 @@ def cmd_decompose(args) -> int:
     g = _load_graph(args.host)
     complete = True
     if args.op == "rich":
-        rho = _fraction("--rho", args.rho) if args.rho is not None else Fraction(0)
-        p = RichParams(_fraction("--c", args.c), rho, args.k)
+        p = RichParams(args.c, args.rho if args.rho is not None else Fraction(0), args.k)
         rd = rich_decompose(g, args.k, p)
         payload = {
             "op": "rich",
@@ -270,13 +348,7 @@ def cmd_decompose(args) -> int:
         complete = all(payload["conclusive"]) and not rd.undecided
     elif args.op == "refine":
         res = refine_cut_dense(
-            g,
-            _fraction("--a", args.a),
-            _fraction("--eps", args.eps),
-            _fraction("--delta", args.delta),
-            args.k,
-            rho=_fraction("--rho", args.rho) if args.rho is not None else None,
-            relax_delta=args.relax_delta,
+            g, args.a, args.eps, args.delta, args.k, rho=args.rho, relax_delta=args.relax_delta
         )
         payload = {
             "op": "refine",
@@ -327,18 +399,8 @@ def cmd_verify_extremal(args) -> int:
     return _finish("\n".join(lines) + "\n", args.out, failed, complete)
 
 
-# the sweep flags a config file also sets; they default to absent, so that
-# one given next to --config is seen and refused instead of silently dropped
-_SWEEP_CONFIG_FLAGS = ("conjecture", "k", "alpha", "tree_max_degree", "trials", "seed", "budget")
-
-
 def cmd_sweep(args) -> int:
     if args.config:
-        given = [f"--{f.replace('_', '-')}" for f in _SWEEP_CONFIG_FLAGS if f in vars(args)]
-        if given:
-            raise PreconditionViolated(
-                f"--config sets the whole sweep; it does not combine with {', '.join(given)}"
-            )
         with open(args.config) as fh:
             try:
                 data = json.load(fh)
@@ -347,13 +409,13 @@ def cmd_sweep(args) -> int:
         cfg = lab.ExperimentConfig.from_jsonable(data)
     else:
         cfg = lab.ExperimentConfig(
-            conjecture=getattr(args, "conjecture", "2k3"),
-            k_values=tuple(getattr(args, "k", (8, 9, 10))),
-            tree_max_degree=getattr(args, "tree_max_degree", 3),
-            trials=getattr(args, "trials", 50),
-            seed=getattr(args, "seed", 0),
-            alpha=getattr(args, "alpha", None),
-            oracle_budget=getattr(args, "budget", embed.DEFAULT_ORACLE_BUDGET),
+            conjecture=args.conjecture,
+            k_values=tuple(args.k),
+            tree_max_degree=args.tree_max_degree,
+            trials=args.trials,
+            seed=args.seed,
+            alpha=args.alpha,
+            oracle_budget=embed.DEFAULT_ORACLE_BUDGET if args.budget is None else args.budget,
         )
     result = lab.run_sweep(cfg, workers=args.workers)
     text = lab.render_report(result, args.format)
@@ -362,8 +424,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_props(args) -> int:
-    if args.trials is not None and args.trials < 0:
-        raise PreconditionViolated(f"--trials must be at least 0, got {args.trials}")
     runs = []
     if args.trials != 0:
         for fn, scale in checks.ALL_CHECKS.values():
@@ -396,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="tree-embedding workbench: generators, splits, embedders, sweeps",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    absent = argparse.SUPPRESS  # the default of a flag in _SCOPES
 
     def add(name: str, flags: tuple[str, ...], **kw):
         # each subcommand takes only the shared flags its handler reads
@@ -404,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="root seed for randomized steps")
         if "budget" in flags:
             # None: the oracle's default, read when each search starts
-            p.add_argument("--budget", type=int, default=None, help="search node budget")
+            scoped = "budget" in _SCOPES.get(name, (None, {}))[1]
+            p.add_argument("--budget", type=_at_least(1), default=absent if scoped else None,
+                           help="search node budget")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
@@ -416,31 +479,29 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("split", (), help="run a tree-splitting procedure")
     s.add_argument("--tree", required=True, help="tree JSON file")
     s.add_argument("--op", required=True, choices=("two", "three", "chain", "subtree", "evenodd", "msf"))
-    s.add_argument("--m", type=int, default=1)
-    s.add_argument("--v", type=int, default=0)
+    s.add_argument("--m", type=int, default=absent)
+    s.add_argument("--v", type=int, default=absent)
     s.set_defaults(fn=cmd_split)
 
     e = add("embed", ("budget",), help="embed a tree into a host")
     e.add_argument("--host", required=True, help="edge-list file")
     e.add_argument("--tree", required=True, help="tree JSON file")
     e.add_argument("--method", default="oracle", choices=("oracle", "greedy"))
-    e.add_argument("--x", type=int, default=None, help="apex/root host vertex for greedy")
-    e.add_argument("--pin", action="append", metavar="tree:host", help="pin map entries")
+    e.add_argument("--x", type=int, default=absent, help="apex/root host vertex for greedy")
+    e.add_argument("--pin", action="append", default=absent, metavar="tree:host",
+                   help="pin map entries")
     e.set_defaults(fn=cmd_embed)
 
     d = add("decompose", (), help="rich decomposition / refinement / classification")
     d.add_argument("--host", required=True)
     d.add_argument("--op", required=True, choices=("rich", "refine", "classify"))
-    d.add_argument("--k", type=int, default=10)
-    d.add_argument("--c", default="1/2")
-    d.add_argument("--rho", default=None)
-    d.add_argument("--a", default="1/2")
-    d.add_argument("--eps", default="1/4")
-    d.add_argument("--delta", default="1/2000")
-    d.add_argument("--relax-delta", action="store_true", dest="relax_delta")
-    d.add_argument("--s", type=int, default=2)
-    d.add_argument("--t", type=int, default=2)
-    d.add_argument("--comp", action="append", metavar="v1,v2,...")
+    d.add_argument("--k", type=int, default=absent)
+    for name in ("c", "rho", "a", "eps", "delta"):
+        d.add_argument(f"--{name}", type=_fraction, default=absent)
+    d.add_argument("--relax-delta", action="store_true", default=absent, dest="relax_delta")
+    d.add_argument("--s", type=int, default=absent)
+    d.add_argument("--t", type=int, default=absent)
+    d.add_argument("--comp", action="append", default=absent, metavar="v1,v2,...")
     d.set_defaults(fn=cmd_decompose)
 
     v = add("verify-extremal", ("budget",), help="tightness check at small k")
@@ -449,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = add("sweep", (), help="run a conjecture-template sweep")
     w.add_argument("--config", default=None, help="config JSON file, which sets the whole sweep")
-    absent = argparse.SUPPRESS
     w.add_argument("--conjecture", default=absent, choices=lab.CONJECTURES, help="default 2k3")
     w.add_argument("--k", type=int, action="append", default=absent, help="default 8, 9 and 10")
     w.add_argument("--alpha", default=absent, help="fraction like 1/5 (alpha template)")
@@ -464,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(fn=cmd_sweep)
 
     p = add("props", ("seed", "budget"), help="run the module invariant suite")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_at_least(0), default=None)
     p.add_argument("--corpus", action="store_true", help="include the oracle corpus run")
     p.set_defaults(fn=cmd_props)
     return ap
@@ -474,6 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _scope(args)
         return args.fn(args)
     except InternalInvariantError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)

@@ -181,6 +181,8 @@ def refine_cut_dense(
     components that no earlier pass found dense.
     """
     a, eps, delta = Fraction(a), Fraction(eps), Fraction(delta)
+    if min(a, eps, delta) <= 0 or k < 1:
+        raise PreconditionViolated("need a, eps, delta > 0 and k >= 1")
     preset = rho is None
     if preset:
         rho = rho_preset(delta)
@@ -310,6 +312,8 @@ def _disjoint_vertex_sets(comps: Sequence, n: int) -> list[VertexSet]:
 
 def classify_components(g: Graph, comps: Sequence, s: int, t: int) -> CollectionReport:
     """Peripheries, closed/open status, split vertices and per-vertex affinities."""
+    if min(s, t) < 0:
+        raise PreconditionViolated("periphery thresholds s and t must be nonnegative")
     cvs = _disjoint_vertex_sets(comps, g.n)
     periph_s = [periphery(g, c, s).as_set() for c in cvs]
     periph_t = [periphery(g, c, t) for c in cvs]

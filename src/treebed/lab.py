@@ -17,7 +17,7 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -63,10 +63,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.conjecture not in CONJECTURES:
             raise PreconditionViolated(f"unknown conjecture id {self.conjecture!r}")
-        if not self.k_values or self.trials < 0:
-            raise PreconditionViolated("need a nonempty k range and trials >= 0")
-        if self.tree_max_degree < 1:
-            raise PreconditionViolated("need tree_max_degree >= 1")
+        if not self.k_values or min(self.k_values) < 1 or self.trials < 0:
+            raise PreconditionViolated("need a nonempty k range, every k >= 1, and trials >= 0")
+        if self.tree_max_degree < 1 or self.oracle_budget < 1:
+            raise PreconditionViolated("need tree_max_degree >= 1 and oracle_budget >= 1")
         if self.alpha is not None:
             if self.conjecture != "alpha":
                 raise PreconditionViolated(
@@ -304,6 +304,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     depend on worker scheduling.  A pool gets the config once per batch of
     trials, about four batches per worker, rather than once per trial.
     """
+    if workers < 1:
+        raise PreconditionViolated(f"need workers >= 1, got {workers}")
     if workers > 1 and cfg.trials > 1:
         batch = -(-cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -364,7 +366,11 @@ class ExtremalReport:
 def verify_extremal(k: int, budget: Optional[int] = None) -> ExtremalReport:
     """The tight host avoids the three-branch tree; one more vertex per clique
     flips the verdict.  Exhaustive on both sides, within `budget` nodes each
-    (None: the oracle's default, read when each search starts)."""
+    (None: the oracle's default, read when each search starts).  Below k = 6
+    the tight host's max degree 4k/3 - 2 is under k, so it misses the
+    conjecture's max-degree demand and tests nothing."""
+    if k < 6:
+        raise PreconditionViolated(f"the tight host needs k >= 6, got {k}")
     g = gen_two_cliques_apex(k)
     t = gen_three_branch_tree(k)
     degrees_ok = g.min_degree() == (2 * k) // 3 - 1 and g.max_degree() >= k
@@ -388,20 +394,9 @@ def verify_extremal(k: int, budget: Optional[int] = None) -> ExtremalReport:
 # Report emission
 
 
+# every record field but the two structured ones, in field order
 CSV_COLUMNS = [
-    "trial_index",
-    "trial_seed",
-    "instance",
-    "k",
-    "host_n",
-    "host_edges",
-    "tree_edges",
-    "template_ok",
-    "pipeline_found",
-    "oracle_status",
-    "oracle_nodes",
-    "verdict",
-    "consistency_failure",
+    f.name for f in fields(TrialRecord) if f.name not in ("degree_checks", "pipeline_stages")
 ]
 
 

@@ -90,6 +90,21 @@ def test_refine_preconditions():
         refine_cut_dense(Graph.complete(6), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 5)
 
 
+@pytest.mark.parametrize(
+    "a, eps, delta, k",
+    [(0, Fraction(1, 4), Fraction(1, 2000), 4), (Fraction(1, 2), -1, Fraction(1, 2000), 4),
+     (Fraction(1, 2), Fraction(1, 4), 0, 4), (Fraction(1, 2), Fraction(1, 4), -1, 4),
+     (Fraction(1, 2), Fraction(1, 4), Fraction(1, 2000), 0)],
+    ids=["a-zero", "eps-negative", "delta-zero", "delta-negative", "k-zero"],
+)
+def test_refine_refuses_a_nonpositive_parameter(a, eps, delta, k):
+    # each would otherwise pass the degree and order checks, or fail them
+    # for the wrong reason (k = 0 read as "graph order above 100k"), and a
+    # negative delta ended as an internal invariant failure
+    with pytest.raises(PreconditionViolated, match="need a, eps, delta > 0 and k >= 1"):
+        refine_cut_dense(Graph.complete(8), a, eps, delta, k, relax_delta=True)
+
+
 def test_rho_presets():
     assert rho_preset(Fraction(1, 10)) == Fraction(1, 2_000_000)
 
@@ -109,6 +124,9 @@ def test_classify_two_cliques_apex():
     assert all(a.residual_degree == g.degree(a.vertex) for a in empty.affinities)
     with pytest.raises(OverlappingComponents):
         classify_components(g, [c1, c1], s=2, t=2)
+    for s, t in ((-1, 2), (2, -1)):  # refused even with no component to take a periphery of
+        with pytest.raises(PreconditionViolated, match="nonnegative"):
+            classify_components(g, [], s=s, t=t)
 
 
 def test_rich_decompose_two_cliques():

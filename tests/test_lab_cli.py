@@ -1,10 +1,14 @@
 """Lab harness and CLI tests: sweeps, reports, file formats, exit codes."""
 
+import argparse
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 
 from treebed import cli, embed, lab
 from treebed.errors import PreconditionViolated
+from treebed.generators import gen_three_branch_tree
 from treebed.graph import Graph
 from treebed.trees import Tree
 
@@ -25,6 +30,41 @@ def test_config_roundtrip_and_digest():
     assert again == cfg and again.digest() == cfg.digest()
     with pytest.raises(PreconditionViolated):
         lab.ExperimentConfig(conjecture="nope", k_values=(8,), tree_max_degree=3, trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [({"k_values": (8, 0)}, "every k >= 1"), ({"oracle_budget": 0}, "oracle_budget >= 1"),
+     ({"oracle_budget": -4}, "oracle_budget >= 1")],
+    ids=["k-zero", "budget-zero", "budget-negative"],
+)
+def test_config_refuses_k_or_budget_below_one(change, why):
+    # a config file is refused as a flag is: "k_values": [0] used to run, and
+    # "oracle_budget": -4 to make every trial inconclusive
+    settings = {"conjecture": "2k3", "k_values": (8,), "tree_max_degree": 3, "trials": 1, "seed": 0}
+    with pytest.raises(PreconditionViolated, match=why):
+        lab.ExperimentConfig(**{**settings, **change})
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_sweep_refuses_workers_below_one(workers):
+    cfg = lab.ExperimentConfig(conjecture="2k3", k_values=(8,), tree_max_degree=3, trials=1, seed=0)
+    with pytest.raises(PreconditionViolated, match="workers >= 1"):
+        lab.run_sweep(cfg, workers=workers)
+
+
+def test_verify_extremal_refuses_k_below_6():
+    # at k = 3 the tight host's max degree 2 is under k, so it reported a refutation
+    with pytest.raises(PreconditionViolated, match="k >= 6"):
+        lab.verify_extremal(3)
+
+
+def test_csv_columns_are_the_flat_record_fields():
+    assert lab.CSV_COLUMNS == [
+        "trial_index", "trial_seed", "instance", "k", "host_n", "host_edges", "tree_edges",
+        "template_ok", "pipeline_found", "oracle_status", "oracle_nodes", "verdict",
+        "consistency_failure",
+    ]
 
 
 def test_empty_sweep():
@@ -528,16 +568,10 @@ def test_cli_malformed_input_is_usage_error(tmp_path, capsys, flag, text, argv):
         ["gen", "two_cliques_apex", "--param", "k=6", "--param", "kk=7"],
         ["gen", "two_cliques_apex", "--param", "k=6", "--param", "k=9"],
         ["gen", "random_connected", "--param", "n=5", "--seed", "1"],
-        ["decompose", "--op", "rich", "--c", "abc"],
-        ["decompose", "--op", "rich", "--rho", "1/0"],
-        ["decompose", "--op", "refine", "--eps", "1/x"],
         ["decompose", "--op", "classify", "--comp", "1,x"],
-        ["props", "--trials", "-1"],
     ],
     ids=["gen-without-k", "gen-k-not-integer", "gen-alpha-not-fraction", "gen-unknown-param",
-         "gen-param-twice", "gen-without-extra-edges", "decompose-c-abc",
-         "decompose-rho-over-zero", "decompose-eps-not-fraction",
-         "decompose-classify-comp-not-integer", "props-trials-negative"],
+         "gen-param-twice", "gen-without-extra-edges", "decompose-classify-comp-not-integer"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, capsys, argv):
     host = tmp_path / "g.txt"
@@ -547,6 +581,189 @@ def test_cli_malformed_value_is_usage_error(tmp_path, capsys, argv):
         argv = [*argv, "--host", str(host)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The boundary cases of every option, generated from the parser and
+# cli._SCOPES.  Each run gets a cheap command line that exits 0 on its own
+# (test_cli_boundary_bases_exit_0), so a refusal that is missed shows as an
+# exit other than 2 and runs only small work.
+_BASES = {
+    ("gen", None): ["gen", "path", "--param", "n=4"],
+    **{("split", op): ["split", "--tree", "{tree}", "--op", op]
+       for op in ("two", "three", "chain", "subtree", "evenodd", "msf")},
+    ("embed", "oracle"): ["embed", "--host", "{host}", "--tree", "{tree}", "--method", "oracle"],
+    ("embed", "greedy"): ["embed", "--host", "{host}", "--tree", "{tree}", "--method", "greedy"],
+    ("decompose", "rich"): ["decompose", "--host", "{host}", "--op", "rich"],
+    ("decompose", "refine"): ["decompose", "--host", "{host}", "--op", "refine", "--k", "4"],
+    ("decompose", "classify"): ["decompose", "--host", "{host}", "--op", "classify",
+                                "--comp", "0,1,2"],
+    ("verify-extremal", None): ["verify-extremal", "--k", "6"],
+    ("sweep", None): ["sweep", "--k", "8", "--trials", "1"],
+    ("sweep", "{cfg}"): ["sweep", "--config", "{cfg}"],
+    ("props", False): ["props", "--trials", "0"],
+    ("props", True): ["props", "--trials", "0", "--corpus"],
+}
+# one value just outside each numeric option's domain
+_OUTSIDE = {
+    ("split", "m"): "0",
+    ("split", "v"): "-1",
+    ("embed", "budget"): "0",
+    ("embed", "x"): "-1",
+    ("decompose", "k"): "0",
+    ("decompose", "c"): "-1",
+    ("decompose", "rho"): "-1",
+    ("decompose", "a"): "0",
+    ("decompose", "eps"): "0",
+    ("decompose", "delta"): "0",
+    ("decompose", "s"): "-1",
+    ("decompose", "t"): "-1",
+    ("verify-extremal", "k"): "3",  # the tight host needs k >= 6, a multiple of 3
+    ("verify-extremal", "budget"): "0",
+    ("sweep", "k"): "0",
+    ("sweep", "tree_max_degree"): "0",
+    ("sweep", "trials"): "-1",
+    ("sweep", "budget"): "0",
+    ("sweep", "workers"): "0",
+    ("props", "trials"): "-1",
+    ("props", "budget"): "0",
+}
+_SEED = "every integer is a seed"
+_PATH = "a path; test_cli_unopenable_path_is_usage_error covers one that cannot be opened"
+_SWITCH = "a switch, which takes no value"
+_FREE_FORM = {
+    ("gen", "family"): "a name looked up in cli._FAMILIES; test_cli_bad_family_is_usage_error",
+    ("gen", "param"): "key=value items checked against cli._FAMILIES; the gen-* cases of"
+                      " test_cli_malformed_value_is_usage_error",
+    ("gen", "seed"): _SEED,
+    ("sweep", "seed"): _SEED,
+    ("props", "seed"): _SEED,
+    ("sweep", "alpha"): "its domain depends on --conjecture and --k; test_bad_alpha_is_usage_error",
+    ("embed", "pin"): "tree:host pairs; test_cli_malformed_pin_is_usage_error",
+    ("decompose", "comp"): "vertex lists; decompose-classify-comp-not-integer in"
+                           " test_cli_malformed_value_is_usage_error",
+    ("decompose", "relax_delta"): _SWITCH,
+    ("props", "corpus"): _SWITCH,
+    **{(cmd, "out"): _PATH for cmd in ("gen", "split", "embed", "decompose", "verify-extremal",
+                                       "sweep", "props")},
+    **{(cmd, dest): _PATH for cmd, dest in (("split", "tree"), ("embed", "host"),
+                                            ("embed", "tree"), ("decompose", "host"),
+                                            ("sweep", "config"))},
+}
+
+
+def _subcommand_options():
+    ap = cli.build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        cmd: {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        for cmd, parser in sub.choices.items()
+    }
+
+
+def _runs_reading(cmd, dest):
+    """The runs of `cmd` that read `dest`: all those in the scope table, or
+    the first base alone for an option that every run reads."""
+    flags = cli._SCOPES.get(cmd, (None, {}))[1]
+    runs = [run for c, run in _BASES if c == cmd]
+    return [run for run in runs if run in flags[dest][0]] if dest in flags else runs[:1]
+
+
+def _label(cmd, run):
+    if cmd not in cli._SCOPES:
+        return ""
+    picker = cli._SCOPES[cmd][0]
+    return f"without-{picker}" if run in (None, False) else picker if run in (True, "{cfg}") else run
+
+
+_WORDS = {"0": "zero", "-1": "negative", "1/0": "over-zero"}
+
+
+def _boundary_cases():
+    """(id, base, extra argv, the flag an error must name) per case."""
+    cases = []
+    for cmd, options in _subcommand_options().items():
+        flags = cli._SCOPES.get(cmd, (None, {}))[1]
+        for dest, action in options.items():
+            flag = action.option_strings[0] if action.option_strings else None
+            if dest in flags:
+                value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "1"]
+                for run in [r for c, r in _BASES if c == cmd and r not in flags[dest][0]]:
+                    cases.append((f"{cmd}-{_label(cmd, run)}-unread-{dest}", (cmd, run),
+                                  [flag, *value], flag))
+            runs = _runs_reading(cmd, dest)
+            if (cmd, dest) in _OUTSIDE:  # in each run that reads it: each may pass it on elsewhere
+                value = _OUTSIDE[cmd, dest]
+                for run in runs:
+                    where = f"{_label(cmd, run)}-" if len(runs) > 1 else ""
+                    cases.append((f"{cmd}-{where}{dest}-{_WORDS.get(value, value)}", (cmd, run),
+                                  [flag, value], None))
+            refused = (["abc"] if action.type is not None else []) + (
+                ["1/0"] if action.type is cli._fraction else []) + (["nope"] if action.choices else [])
+            for value in refused:  # the parser refuses these whatever the run
+                cases.append((f"{cmd}-{dest}-{_WORDS.get(value, value)}", (cmd, runs[0]),
+                               [flag, value], None))
+    return cases
+
+
+def test_boundary_cases_cover_every_option():
+    # each option has an outside value or choices, or is free-form with a reason;
+    # each scoped subcommand has a base for every run
+    options = _subcommand_options()
+    for cmd, opts in options.items():
+        for dest, action in opts.items():
+            covered = (cmd, dest) in _OUTSIDE or action.choices is not None
+            assert covered != ((cmd, dest) in _FREE_FORM), (cmd, dest)
+        runs = {run for c, run in _BASES if c == cmd}
+        if cmd in cli._SCOPES:
+            picker, flags = cli._SCOPES[cmd]
+            read = {run for scoped_runs, _ in flags.values() for run in scoped_runs}
+            choices = opts[picker].choices
+            assert runs == set(choices) if choices else len(runs) == 2 and read < runs, cmd
+    assert set(_OUTSIDE) | set(_FREE_FORM) <= {(cmd, d) for cmd in options for d in options[cmd]}
+
+
+@pytest.fixture(scope="module")
+def boundary_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("boundary")
+    files = {"host": tmp_path / "g.txt", "tree": tmp_path / "t.json", "cfg": tmp_path / "cfg.json",
+             "out": tmp_path / "out"}
+    files["host"].write_text(Graph.complete(8).to_edge_list_text())
+    files["tree"].write_text(gen_three_branch_tree(6).to_json())
+    files["cfg"].write_text('{"conjecture": "2k3", "k_values": [8], "tree_max_degree": 3,'
+                            ' "trials": 1, "seed": 0}')
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize(
+    "base", [b for b in _BASES if b != ("props", True)],
+    ids=lambda b: f"{b[0]}-{_label(*b)}".rstrip("-"),
+)
+def test_cli_boundary_bases_exit_0(boundary_files, base):
+    # the corpus run takes seconds, so its base is left out here; its one
+    # case, a --budget below 1, is refused while the flags are parsed
+    files = boundary_files
+    assert cli.main([a.format(**files) for a in _BASES[base]] + ["--out", files["out"]]) == 0
+
+
+_BOUNDARY_CASES = _boundary_cases()
+
+
+@pytest.mark.parametrize("base, extra, flag", [c[1:] for c in _BOUNDARY_CASES],
+                         ids=[c[0] for c in _BOUNDARY_CASES])
+def test_cli_boundary_is_usage_error(boundary_files, capsys, base, extra, flag):
+    # an unread flag, a value outside its option's domain, a non-number and
+    # a value outside `choices` all exit 2 with an error line and no traceback
+    files = boundary_files
+    argv = [a.format(**files) for a in _BASES[base]] + extra + ["--out", files["out"]]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2, (argv, err)
+    assert re.search(r"^(treebed [\w-]+: )?error: ", err, re.M) and "Traceback" not in err, err
+    if flag is not None:  # an unread flag: the error names it
+        assert re.search(rf"{flag}\b", err), err
 
 
 @pytest.mark.parametrize(
@@ -782,12 +999,14 @@ def _readme_cli_lines():
 
 
 def test_readme_cli_examples_parse():
-    # every documented command line must be accepted by the real parser
+    # every documented command line must be accepted by the real parser, and
+    # its run must read every flag it gives
     lines = _readme_cli_lines()
     assert len(lines) >= 10
     ap = cli.build_parser()
     for line in lines:
         args = ap.parse_args(shlex.split(line)[1:])
+        cli._scope(args)
         assert callable(args.fn), line
 
 
@@ -812,6 +1031,32 @@ def test_sweep_report_pinned():
     )
     text = lab.render_report(lab.run_sweep(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_REPORT_DIGEST
+
+
+def test_sweep_report_is_byte_equal_across_hash_seeds_workers_and_config(tmp_path):
+    # a sweep report depends only on its config: not on the hash seed, which
+    # orders sets and dicts, nor on how trials are spread over workers, nor
+    # on whether the config came as flags or as a file.  Each run is its own
+    # process, so the hash seed differs between them; the CI job of the same
+    # name runs this test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = src
+    flags = ["--k", "10", "--k", "11", "--k", "12", "--tree-max-degree", "4", "--trials", "200",
+             "--seed", "3"]
+    # the same settings as a config file, with the budget left to its default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"conjecture": "2k3", "k_values": [10, 11, 12], "tree_max_degree": 4,'
+                   ' "trials": 200, "seed": 3}')
+    runs = {"hash0": ({"PYTHONHASHSEED": "0"}, flags), "hash1": ({"PYTHONHASHSEED": "1"}, flags),
+            "workers2": ({}, [*flags, "--workers", "2"]), "config": ({}, ["--config", str(cfg)])}
+    reports = {}
+    for name, (extra_env, argv) in runs.items():
+        out = tmp_path / f"{name}.json"
+        cmd = [sys.executable, "-m", "treebed.cli", "sweep", *argv, "--out", str(out)]
+        subprocess.run(cmd, env={**env, **extra_env}, check=True)
+        reports[name] = out.read_bytes()
+    assert reports["hash0"] == reports["hash1"] == reports["workers2"] == reports["config"]
 
 
 def test_random_trial_draws_from_one_stream(monkeypatch):

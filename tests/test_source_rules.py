@@ -288,6 +288,19 @@ def test_every_cli_option_is_read_by_its_handler():
                 unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
     assert len(subparsers.choices) == 7
     assert unread == []
+    # the scope table names only options of its subcommand, each read by the
+    # handler; its flags, and only they, are absent unless given
+    for name, (picker, flags) in cli._SCOPES.items():
+        parser = subparsers.choices[name]
+        dests = {a.dest for a in parser._actions}
+        assert picker in dests and set(flags) <= dests, name
+        assert set(flags) <= _handler_reads(parser.get_default("fn")), name
+    for name, parser in subparsers.choices.items():
+        suppressed = {
+            a.dest for a in parser._actions
+            if a.default is argparse.SUPPRESS and not isinstance(a, argparse._HelpAction)
+        }
+        assert suppressed == set(cli._SCOPES.get(name, (None, {}))[1]), name
 
 
 def test_every_experiment_config_field_is_read():
